@@ -47,6 +47,6 @@ from .quantizer import (
     quantize,
 )
 from .synth import Batch, IdentitySpace, make_identity_space, sample_labeled, sample_unlabeled
-from .tensor_core import Tensor, l2_normalize, matmul, reduce_extrema, relu
+from .tensor_core import Tensor, l2_normalize, matmul, relu
 
 __version__ = "0.1.0"

@@ -132,18 +132,20 @@ def best_threshold_accuracy(scores: np.ndarray, same: np.ndarray) -> tuple[float
 
     Returns (accuracy, threshold) where a pair is called genuine when its
     score is >= threshold; ties in accuracy resolve to the lowest threshold.
+    Each candidate's correct count comes from binary searches in the sorted
+    genuine and imposter scores, so the sweep is O(n log n).
     """
-    order = np.sort(np.unique(scores))
-    candidates = [order[0] - 1.0]
-    candidates += [float((order[i] + order[i + 1]) / 2.0) for i in range(len(order) - 1)]
-    candidates.append(order[-1] + 1.0)
-    best_acc, best_thr = -1.0, candidates[0]
-    n = scores.size
-    for thr in candidates:
-        acc = float(np.count_nonzero((scores >= thr) == same)) / n
-        if acc > best_acc:
-            best_acc, best_thr = acc, thr
-    return best_acc, best_thr
+    same = np.asarray(same, dtype=bool)
+    order = np.unique(scores)
+    candidates = np.concatenate(
+        [[order[0] - 1.0], (order[:-1] + order[1:]) / 2.0, [order[-1] + 1.0]])
+    genuine = np.sort(scores[same])
+    imposter = np.sort(scores[~same])
+    # genuine pairs at or above the threshold plus imposter pairs below it
+    correct = (genuine.size - np.searchsorted(genuine, candidates, side="left")
+               + np.searchsorted(imposter, candidates, side="left"))
+    best = int(np.argmax(correct))
+    return float(correct[best]) / scores.size, float(candidates[best])
 
 
 def tar_at_far(scores: np.ndarray, same: np.ndarray, far: float) -> float:

@@ -247,9 +247,15 @@ def linear_backward(x: Tensor, weight: Tensor,
         raise DimensionError(
             f"upstream shape {upstream.shape} incompatible with {x.shape} x {weight.shape}")
     d_x = matmul(upstream, weight)
+    d_w, d_b = _param_grads(x, upstream)
+    return d_x, d_w, d_b
+
+
+def _param_grads(x: Tensor, upstream: Tensor) -> tuple[Tensor, Tensor]:
+    """(d_weight, d_bias) of y = x @ W^T + b."""
     d_w = matmul(transpose(upstream), x)
     d_b = Tensor._wrap(upstream.data.sum(axis=0, dtype=np.float32))
-    return d_x, d_w, d_b
+    return d_w, d_b
 
 
 def l2_normalize_backward(x: Tensor, upstream: Tensor) -> Tensor:
@@ -421,11 +427,18 @@ def backward_embed(net: EmbeddingNet, tape: GradTape,
         elif rec.kind == "relu":
             g = Tensor._wrap(g.data * (rec.inputs.data > 0).astype(np.float32))
         else:  # linear
-            d_x, d_w, d_b = linear_backward(rec.inputs, rec.weight_used, g)
+            if rec.layer_index == 0:
+                # Nothing before the first linear has parameters, so its
+                # input gradient would be discarded: skip that product.
+                d_w, d_b = _param_grads(rec.inputs, g)
+            else:
+                d_x, d_w, d_b = linear_backward(rec.inputs, rec.weight_used, g)
+                g = d_x
             if rec.mask is not None:
                 d_w = Tensor._wrap(d_w.data * rec.mask)
             grads[rec.layer_index] = (d_w, d_b)
-            g = d_x
+            if rec.layer_index == 0:
+                break
     return grads
 
 

@@ -3,10 +3,17 @@
 Everything downstream (quantization, training, evaluation) runs on these
 values, so the priorities are: single canonical layout (row-major float32),
 immutability after construction, and bit-identical results for identical
-inputs. Matrix products accumulate in float32 with a fixed left-to-right
-order over the inner dimension rather than delegating to a BLAS kernel,
-trading speed for exact reproducibility; at the scale of the networks in
-this package that trade is free.
+inputs.
+
+Matrix products never go through BLAS, whose summation order and use of
+fused multiply-add vary by build. ``matmul`` fixes the order instead: each
+output element starts at +0.0 and adds its float32 products one at a time
+in inner-index order, with every multiply and every add rounded to float32
+on its own. Within that contract the kernel is picked by operand shape:
+small products (the batch-64 training shapes) are formed in bounded
+chunks and folded by one reduction per chunk, large ones (evaluation over
+thousands of rows) loop over the inner index in the transposed layout so
+numpy's inner loop runs along the rows. Both give the same bits.
 """
 
 from __future__ import annotations
@@ -16,6 +23,19 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainError
+
+# Products with at most this many multiply-adds (k*m*n) take the chunked
+# method; the batch-64 training shapes all do.
+SMALL_PRODUCT = 1 << 19
+# Elements in the chunked method's buffer (512 KiB of float32): the running
+# sum plus as many (m, n) product slices as fit.
+CHUNK_ELEMENTS = 1 << 17
+# Fewest rows per block of the transposed method. numpy runs a broadcast
+# multiply whose inner axis is shorter than its buffer (8192 elements over
+# three operands) through copies at several times the cost; blocks at
+# least this long keep the direct loop, and splitting longer inputs keeps
+# a block's sum and product near the per-core L2.
+BLOCK_ROWS = 2731
 
 
 class Tensor:
@@ -75,10 +95,21 @@ class Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors.
+    """Matrix product of two rank-2 tensors, in the fixed summation order.
 
-    Accumulates in float32 over the inner dimension in fixed left-to-right
-    order, so results are bit-identical across runs and platforms.
+    ``out[r, j]`` is the float32 sum of the float32 products
+    ``a[r, i] * b[i, j]``, added one at a time in increasing ``i`` onto a
+    sum that starts at +0.0 (so a row of -0.0 products gives +0.0). Each
+    product and each sum is rounded separately: no BLAS, no fused
+    multiply-add. The method is chosen by shape, and every method gives
+    the same bits:
+
+    * ``k*m*n <= SMALL_PRODUCT`` and ``2 <= m*n <= CHUNK_ELEMENTS/2``
+      (the batch-64 training shapes): products formed a k-chunk at a time
+      and folded onto the running sum by one reduction per chunk;
+    * everything else: a loop over ``k`` in the transposed (n, m) layout,
+      in row blocks of at least ``BLOCK_ROWS`` rows, so numpy's inner loop
+      runs along the long ``m`` axis.
     """
     if a.rank != 2 or b.rank != 2:
         raise DimensionError(f"matmul requires rank-2 operands, got {a.shape} x {b.shape}")
@@ -86,34 +117,63 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     k2, n = b.shape
     if k != k2:
         raise DimensionError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    ad, bd = a.data, b.data
-    out = np.zeros((m, n), dtype=np.float32)
-    for i in range(k):
-        out += ad[:, i, None] * bd[i, None, :]
-    return Tensor._wrap(out)
+    if k > 0 and 2 <= m * n <= CHUNK_ELEMENTS // 2 and k * m * n <= SMALL_PRODUCT:
+        return Tensor._wrap(_sum_in_chunks(a.data, b.data))
+    return Tensor._wrap(_sum_transposed(a.data, b.data))
+
+
+def _sum_in_chunks(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    """Slot 0 of ``buf`` holds the running sum and slots 1.. one k-chunk of
+    products; ``np.add.reduce`` over axis 0 adds the slots in order, element
+    by element. (With a single output element numpy would sum pairwise,
+    which is why ``matmul`` requires ``m*n >= 2`` here.)"""
+    m, k = ad.shape
+    n = bd.shape[1]
+    chunks = -(-k // (CHUNK_ELEMENTS // (m * n) - 1))
+    size = -(-k // chunks)
+    buf = np.empty((size + 1, m, n), dtype=np.float32)
+    buf[0] = 0.0
+    a_cols = ad.T[:, :, None]
+    b_rows = bd[:, None, :]
+    for s in range(0, k, size):
+        e = min(s + size, k)
+        np.multiply(a_cols[s:e], b_rows[s:e], out=buf[1:e - s + 1])
+        total = np.add.reduce(buf[:e - s + 1], axis=0)
+        buf[0] = total
+    return total
+
+
+def _sum_transposed(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    """Row blocks of ``a`` of at least BLOCK_ROWS rows each. A block's sum
+    is kept transposed, as (n, rows), and grows by ``b[i, :, None] * a.T[i]``
+    per step, so each numpy loop runs along the block's rows. One work
+    buffer, reused by every block, holds the block's ``a.T``, sum and
+    products."""
+    m, k = ad.shape
+    n = bd.shape[1]
+    out = np.empty((m, n), dtype=np.float32)
+    if m == 0:
+        return out
+    width = -(-m // max(1, m // BLOCK_ROWS))
+    work = np.empty((k + 2 * n) * width, dtype=np.float32)
+    for s in range(0, m, width):
+        w = min(width, m - s)
+        a_t = work[:k * w].reshape(k, w)
+        acc = work[k * w:(k + n) * w].reshape(n, w)
+        prod = work[(k + n) * w:(k + 2 * n) * w].reshape(n, w)
+        np.copyto(a_t, ad[s:s + w].T)
+        acc.fill(0.0)
+        for i in range(k):
+            np.multiply(bd[i, :, None], a_t[i], out=prod)
+            acc += prod
+        out[s:s + w] = acc.T
+    return out
 
 
 def transpose(t: Tensor) -> Tensor:
     if t.rank != 2:
         raise DimensionError(f"transpose requires a rank-2 tensor, got {t.shape}")
     return Tensor._wrap(np.ascontiguousarray(t.data.T))
-
-
-def reduce_extrema(t: Tensor, axis: int | None = None) -> tuple[Tensor, Tensor]:
-    """Minimum and maximum of ``t``, globally or reduced over ``axis``."""
-    if t.size == 0:
-        raise DomainError("extrema of an empty tensor are undefined")
-    if axis is None:
-        return (
-            Tensor._wrap(np.asarray(t.data.min(), dtype=np.float32)),
-            Tensor._wrap(np.asarray(t.data.max(), dtype=np.float32)),
-        )
-    if not 0 <= axis < t.rank:
-        raise DimensionError(f"axis {axis} out of range for rank {t.rank}")
-    return (
-        Tensor._wrap(t.data.min(axis=axis)),
-        Tensor._wrap(t.data.max(axis=axis)),
-    )
 
 
 def l2_normalize(t: Tensor) -> Tensor:

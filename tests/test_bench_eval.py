@@ -30,6 +30,21 @@ def _brute_force_best_accuracy(scores, same):
     return max(np.mean((scores >= t) == same) for t in cands)
 
 
+def _loop_best_threshold_accuracy(scores, same):
+    """Oracle: the plain per-candidate loop, first best threshold kept."""
+    order = np.sort(np.unique(scores))
+    candidates = [order[0] - 1.0]
+    candidates += [float((order[i] + order[i + 1]) / 2.0) for i in range(len(order) - 1)]
+    candidates.append(order[-1] + 1.0)
+    best_acc, best_thr = -1.0, candidates[0]
+    n = scores.size
+    for thr in candidates:
+        acc = float(np.count_nonzero((scores >= thr) == same)) / n
+        if acc > best_acc:
+            best_acc, best_thr = acc, thr
+    return best_acc, best_thr
+
+
 class TestBuildPairs:
     def test_balanced_counts(self):
         pairs = build_pairs(_space(), 4, seed=0)
@@ -93,6 +108,31 @@ class TestThresholdSweep:
             same[-1] = False
         acc, _ = best_threshold_accuracy(scores, same)
         assert acc == pytest.approx(_brute_force_best_accuracy(scores, same))
+
+
+    @pytest.mark.parametrize("decimals", [None, 3, 1, 0])
+    def test_matches_loop_oracle_exactly(self, decimals):
+        # accuracy and threshold both identical, including heavily tied scores
+        rng = np.random.default_rng(100 + (decimals or 0))
+        for _ in range(40):
+            n = int(rng.integers(1, 300))
+            scores = rng.normal(0.0, 1.0, n) + rng.uniform(0.0, 2.0) * rng.integers(0, 2, n)
+            if decimals is not None:
+                scores = np.round(scores, decimals)
+            same = rng.uniform(size=n) < rng.uniform(0.1, 0.9)
+            assert best_threshold_accuracy(scores, same) == _loop_best_threshold_accuracy(scores, same)
+
+    def test_adjacent_float_scores_match_loop_oracle(self):
+        # the midpoint of two adjacent doubles rounds onto one of them, so
+        # ">= threshold" must hold for a score equal to a candidate
+        xs = [0.3]
+        for _ in range(5):
+            xs.append(float(np.nextafter(xs[-1], 1.0)))
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            scores = rng.choice(xs, size=12)
+            same = rng.uniform(size=12) < 0.5
+            assert best_threshold_accuracy(scores, same) == _loop_best_threshold_accuracy(scores, same)
 
 
 class TestTarAtFar:

@@ -305,6 +305,43 @@ class TestBackwardEmbed:
         fd = central_difference(loss, w0, h=1e-3)
         assert relative_error(grads[0][0].data.astype(np.float64), fd) < 1e-4
 
+    def test_first_linear_input_gradient_skipped(self, monkeypatch):
+        # two products per linear, less the first linear's unused d_x; the
+        # gradients equal a replay that runs linear_backward everywhere
+        import quantdistill.graph as graph_mod
+
+        net = _calibrated_net(bits=8, hidden=(16, 16))
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.standard_normal((16, 6)).astype(np.float32))
+        g = Tensor(rng.standard_normal((16, net.embed_dim)).astype(np.float32))
+        expected = _backward_with_every_input_gradient(forward_embed(net, x, quantized=True)[1], g)
+        _, tape = forward_embed(net, x, quantized=True)
+        calls = []
+        real = graph_mod.matmul
+        monkeypatch.setattr(graph_mod, "matmul", lambda a, b: calls.append(1) or real(a, b))
+        grads = backward_embed(net, tape, g)
+        assert len(calls) == 2 * len(net.linear_layers) - 1
+        assert grads.keys() == expected.keys()
+        for idx, (d_w, d_b) in grads.items():
+            assert np.array_equal(d_w.data, expected[idx][0].data)
+            assert np.array_equal(d_b.data, expected[idx][1].data)
+
+
+def _backward_with_every_input_gradient(tape, g):
+    """Oracle: the tape replayed with linear_backward on every linear."""
+    grads = {}
+    for rec in reversed(tape.records):
+        if rec.kind == "normalize":
+            g = l2_normalize_backward(rec.inputs, g)
+        elif rec.kind == "act_quant":
+            g = Tensor._wrap(g.data * rec.mask)
+        elif rec.kind == "relu":
+            g = Tensor._wrap(g.data * (rec.inputs.data > 0).astype(np.float32))
+        else:
+            g, d_w, d_b = linear_backward(rec.inputs, rec.weight_used, g)
+            grads[rec.layer_index] = (Tensor._wrap(d_w.data * rec.mask), d_b)
+    return grads
+
 
 class TestCloneNet:
     def test_clone_is_independent(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quantdistill.errors import DimensionError, DomainError
-from quantdistill.tensor_core import Tensor, l2_normalize, matmul, reduce_extrema, relu
+from quantdistill.tensor_core import Tensor, l2_normalize, matmul, relu
 
 
 class TestTensor:
@@ -73,37 +73,6 @@ class TestMatmul:
                     acc = np.float32(acc + np.float32(a[i, k] * b[k, j]))
                 expected[i, j] = acc
         assert np.array_equal(matmul(Tensor(a), Tensor(b)).data, expected)
-
-
-class TestReduceExtrema:
-    def test_global(self):
-        lo, hi = reduce_extrema(Tensor([-1.0, 0.0, 3.0]))
-        assert lo.tolist() == -1.0 and hi.tolist() == 3.0
-
-    def test_singleton_degenerate(self):
-        lo, hi = reduce_extrema(Tensor([5.0]))
-        assert lo.tolist() == hi.tolist() == 5.0
-
-    def test_axis_reduction(self):
-        # oracle: scan columns of the two rows
-        lo, hi = reduce_extrema(Tensor([[1, -2], [4, 0]]), axis=0)
-        assert lo.tolist() == [1, -2]
-        assert hi.tolist() == [4, 0]
-
-    def test_bounds_bracket_every_element(self):
-        rng = np.random.default_rng(5)
-        t = Tensor(rng.standard_normal((8, 9)).astype(np.float32))
-        lo, hi = reduce_extrema(t)
-        assert np.all(t.data >= lo.tolist())
-        assert np.all(t.data <= hi.tolist())
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            reduce_extrema(Tensor(np.zeros((0,), dtype=np.float32)))
-
-    def test_bad_axis(self):
-        with pytest.raises(DimensionError):
-            reduce_extrema(Tensor([[1.0]]), axis=2)
 
 
 class TestL2Normalize:
