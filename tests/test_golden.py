@@ -1,11 +1,15 @@
-"""Golden artifact pin: the tiny seed-11 pipeline run is byte-for-byte fixed.
+"""Golden artifact pins: the tiny seed-11 pipeline run is byte-for-byte fixed.
 
-The digests were measured on the plain k-loop matmul kernel. Any change to
-the arithmetic (kernel choice, skipped products, reordered sums) that moves
-a single bit of a weight, a loss or a score changes at least one of them.
+The digests were measured on the plain k-loop matmul kernel and the
+one-record-per-channel quantization parameters. Any change to the
+arithmetic (kernel choice, skipped products, reordered sums, a different
+parameter derivation) that moves a single bit of a weight, a loss or a
+score changes at least one of them.
 """
 
 import hashlib
+
+import pytest
 
 from quantdistill.cli import main
 
@@ -15,23 +19,58 @@ TINY_CONFIG = (
     "batch_size = 32\niterations = 60\nbits = 6\ncalibration_batches = 4\n"
     "n_pairs = 100\nfar_targets = 0.05\nout_dir = {out_dir}\n")
 
+TEACHER_SHA256 = "5bdbceb665c215e928271a851655a53061b8bd0313536967aa9788a1a4cd8ae6"
+
 GOLDEN_SHA256 = {
-    "teacher.qfmd": "5bdbceb665c215e928271a851655a53061b8bd0313536967aa9788a1a4cd8ae6",
+    "teacher.qfmd": TEACHER_SHA256,
     "student_w6a6.qfmd": "d5cd5ed7d262d4d36a02a98acfa0bebc10a1291511263a0d2355504411a6a157",
     "loss_w6a6.csv": "391b7fa08fa9d8351b432c0f205d3cab06234de2287cab1dc3120260a66390f6",
     "eval_report.json": "b9299de54ef4bfa161b93333bea34c05880bc835a7651c755ad177dd4560ab75",
 }
 
+# The same config distilled with --bits 8,4 and evaluated as teacher+w8+w4.
+GOLDEN_W8_W4_SHA256 = {
+    "student_w8a8.qfmd": "addf397252d002fef0db636b76ddb71698070a46c981dc3c97bb83e958634475",
+    "loss_w8a8.csv": "b05f55ae899b014f17e26119ee20744c6f57700e915dd35a5f69c6f21aafa3f2",
+    "student_w4a4.qfmd": "8c00b44e84631350666451e84823efb5a743ee86a48d4a98338eafcfae482a72",
+    "loss_w4a4.csv": "f1a1dc8b24e95ac2c9f48be542103fad8add2d91df177b78852a6e5e9fcf7ccc",
+    "eval_report.json": "f48c7f3bc4dd595c64ab9eb4c10fe27e2e3c9536d9c2d2686fddf5a93ef4276c",
+}
 
-def test_tiny_run_artifacts_match_golden_digests(tmp_path):
+
+def _digests(out_dir, names):
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in names}
+
+
+@pytest.fixture(scope="module")
+def tiny_teacher(tmp_path_factory):
+    """Path of the tiny config's pretrained teacher, shared by both pins."""
+    root = tmp_path_factory.mktemp("golden")
+    cfg = root / "cfg.txt"
+    cfg.write_text(TINY_CONFIG.format(out_dir=root / "teacher"))
+    assert main(["pretrain", "--config", str(cfg)]) == 0
+    return root / "teacher" / "teacher.qfmd"
+
+
+def _distill_and_eval(tmp_path, teacher, bits, students):
     out_dir = tmp_path / "run"
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(TINY_CONFIG.format(out_dir=out_dir))
-    assert main(["pretrain", "--config", str(cfg)]) == 0
-    assert main(["distill", "--config", str(cfg),
-                 "--teacher", str(out_dir / "teacher.qfmd")]) == 0
-    assert main(["eval", "--config", str(cfg),
-                 str(out_dir / "teacher.qfmd"), str(out_dir / "student_w6a6.qfmd")]) == 0
-    digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-               for name in GOLDEN_SHA256}
-    assert digests == GOLDEN_SHA256
+    argv = ["distill", "--config", str(cfg), "--teacher", str(teacher)]
+    assert main(argv + (["--bits", bits] if bits else [])) == 0
+    assert main(["eval", "--config", str(cfg), str(teacher),
+                 *(str(out_dir / s) for s in students)]) == 0
+    return out_dir
+
+
+def test_tiny_run_artifacts_match_golden_digests(tmp_path, tiny_teacher):
+    assert _digests(tiny_teacher.parent, ["teacher.qfmd"]) == {"teacher.qfmd": TEACHER_SHA256}
+    out_dir = _distill_and_eval(tmp_path, tiny_teacher, None, ["student_w6a6.qfmd"])
+    students = {k: v for k, v in GOLDEN_SHA256.items() if k != "teacher.qfmd"}
+    assert _digests(out_dir, students) == students
+
+
+def test_tiny_run_w8_w4_artifacts_match_golden_digests(tmp_path, tiny_teacher):
+    out_dir = _distill_and_eval(tmp_path, tiny_teacher, "8,4",
+                                ["student_w8a8.qfmd", "student_w4a4.qfmd"])
+    assert _digests(out_dir, GOLDEN_W8_W4_SHA256) == GOLDEN_W8_W4_SHA256
