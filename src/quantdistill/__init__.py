@@ -40,8 +40,6 @@ from .quantizer import (
     QuantParams,
     QuantizedTensor,
     RangeObserver,
-    compute_scale,
-    compute_zero_point,
     dequantize,
     derive_params,
     quantize,

@@ -21,7 +21,7 @@ from .bench_eval import (
     write_range_csv,
     write_report_json,
 )
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config, validate_bits
 from .distiller import (
     DistillConfig,
     calibrate,
@@ -97,9 +97,7 @@ def cmd_distill(cfg: ExperimentConfig, teacher_path: str,
                 bits_override: list[int] | None = None) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     bits = bits_override if bits_override is not None else cfg.bits
-    for b in bits:
-        if b not in (4, 6, 8):
-            raise ConfigError(f"bit width {b} not in {{4, 6, 8}}", field="bits")
+    validate_bits(bits)
     teacher = load_model(teacher_path)
     space = _space(cfg)
 
@@ -110,9 +108,8 @@ def cmd_distill(cfg: ExperimentConfig, teacher_path: str,
         calibrate(student, calib, cfg.calibration_batches)
         dcfg = DistillConfig(batch_size=cfg.batch_size, iterations=cfg.iterations,
                              lr=cfg.lr, momentum=cfg.momentum,
-                             weight_decay=cfg.weight_decay, bit_width=b,
-                             seed=cfg.sub_seed(f"distill-{b}"))
-        stream = batch_stream(space, cfg.batch_size, dcfg.seed)
+                             weight_decay=cfg.weight_decay, bit_width=b)
+        stream = batch_stream(space, cfg.batch_size, cfg.sub_seed(f"distill-{b}"))
         print(f"distilling w{b}a{b}: {cfg.iterations} iterations")
         student, curve = finetune(student, teacher, stream, dcfg)
 
@@ -135,7 +132,7 @@ def cmd_distill(cfg: ExperimentConfig, teacher_path: str,
         }
         print(f"w{b}a{b}: final smoothed loss {final:.3g} -> {student_path}")
 
-    sizes = net_size_report(teacher, sorted(set(bits)))
+    sizes = net_size_report(teacher, sorted(bits))
     write_report_json(os.path.join(cfg.out_dir, "sizes.json"), sizes.as_dict())
     write_report_json(os.path.join(cfg.out_dir, "distill_summary.json"), summary)
     return EXIT_OK

@@ -11,6 +11,7 @@ import os
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
+from .quantizer import SUPPORTED_BIT_WIDTHS
 
 SEED_ENV_VAR = "QUANTDISTILL_SEED"
 
@@ -71,11 +72,7 @@ class ExperimentConfig:
             raise ConfigError("must be >= 0", field="iterations")
         if self.lr <= 0:
             raise ConfigError("must be positive", field="lr")
-        if not self.bits:
-            raise ConfigError("at least one bit width required", field="bits")
-        for b in self.bits:
-            if b not in (4, 6, 8):
-                raise ConfigError(f"bit width {b} not in {{4, 6, 8}}", field="bits")
+        validate_bits(self.bits)
         if self.calibration_batches < 1:
             raise ConfigError("must be >= 1", field="calibration_batches")
         if self.n_pairs < 2 or self.n_pairs % 2 != 0:
@@ -88,6 +85,17 @@ class ExperimentConfig:
         from .synth import derive_seed
 
         return derive_seed(self.seed, label)
+
+
+def validate_bits(bits: list[int]) -> None:
+    """A bit-width list names at least one supported width, each once."""
+    if not bits:
+        raise ConfigError("at least one bit width required", field="bits")
+    for b in bits:
+        if b not in SUPPORTED_BIT_WIDTHS:
+            raise ConfigError(f"bit width {b} not in {SUPPORTED_BIT_WIDTHS}", field="bits")
+    if len(set(bits)) != len(bits):
+        raise ConfigError(f"repeated bit width in {bits}", field="bits")
 
 
 _INT_LIST_KEYS = {"bits"}

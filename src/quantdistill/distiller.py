@@ -50,7 +50,6 @@ class DistillConfig:
     momentum: float = 0.9
     weight_decay: float = 5e-4
     bit_width: int = 8
-    seed: int = 0
 
     def __post_init__(self):
         if self.batch_size < 1:

@@ -76,9 +76,10 @@ class EmbeddingNet:
     * ``activation_params`` — frozen per-site activation QuantParams, one
       per activation site (after each relu plus after the final linear),
       produced by calibration.
-    * ``frozen_weight_params`` — per-layer weight QuantParams pinned by
-      loading a quantized model file. When absent, weight parameters are
-      re-derived from the live shadow weights on every forward pass.
+    * ``frozen_weight_params`` — one per-channel weight QuantParams per
+      linear layer, pinned by loading a quantized model file. When absent,
+      weight parameters are re-derived from the live shadow weights on
+      every forward pass (see :meth:`weight_params`).
     """
 
     def __init__(self, layers: Sequence[Linear | Relu]):
@@ -95,7 +96,7 @@ class EmbeddingNet:
         self.layers = layers
         self.quant_bits: int | None = None
         self.activation_params: list[QuantParams] | None = None
-        self.frozen_weight_params: list[list[QuantParams]] | None = None
+        self.frozen_weight_params: list[QuantParams] | None = None
         self._velocity: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- structure ---------------------------------------------------------
@@ -132,6 +133,15 @@ class EmbeddingNet:
         self.activation_params = None
         self.frozen_weight_params = None
         return self
+
+    def weight_params(self, linear_index: int) -> QuantParams:
+        """Per-channel (output row) parameters of one linear layer's weight:
+        the pinned ones of a loaded model, else derived from the live
+        shadow weight."""
+        if self.frozen_weight_params is not None:
+            return self.frozen_weight_params[linear_index]
+        return derive_params(self.linear_layers[linear_index].weight, self.quant_bits,
+                             channel_axis=0)
 
     @property
     def is_calibrated(self) -> bool:
@@ -179,7 +189,7 @@ def clone_net(net: EmbeddingNet) -> EmbeddingNet:
     out.quant_bits = net.quant_bits
     out.activation_params = list(net.activation_params) if net.activation_params else None
     out.frozen_weight_params = (
-        [list(p) for p in net.frozen_weight_params] if net.frozen_weight_params else None)
+        list(net.frozen_weight_params) if net.frozen_weight_params else None)
     return out
 
 
@@ -197,32 +207,19 @@ def net_fingerprint(net: EmbeddingNet) -> str:
 # -- differentiable nodes ----------------------------------------------------
 
 
-def fake_quant(x: Tensor,
-               params: QuantParams | Sequence[QuantParams],
-               channel_axis: int | None = None) -> Tensor:
+def fake_quant(x: Tensor, params: QuantParams, channel_axis: int | None = None) -> Tensor:
     """Quantize-then-dequantize: real-valued output snapped to the code grid."""
     return dequantize(quantize(x, params, channel_axis))
 
 
-def in_range_mask(x: Tensor,
-                  params: QuantParams | Sequence[QuantParams],
+def in_range_mask(x: Tensor, params: QuantParams,
                   channel_axis: int | None = None) -> np.ndarray:
     """Indicator of [range_lo, range_hi] per element (the STE pass-through set)."""
-    if isinstance(params, QuantParams):
-        lo = np.float32(params.range_lo)
-        hi = np.float32(params.range_hi)
-    else:
-        plist = list(params)
-        bshape = [1] * x.rank
-        bshape[channel_axis] = len(plist)
-        lo = np.array([p.range_lo for p in plist], dtype=np.float32).reshape(bshape)
-        hi = np.array([p.range_hi for p in plist], dtype=np.float32).reshape(bshape)
+    _, _, lo, hi = params.broadcast(x.shape, channel_axis)
     return ((x.data >= lo) & (x.data <= hi)).astype(np.float32)
 
 
-def fake_quant_backward(x: Tensor,
-                        params: QuantParams | Sequence[QuantParams],
-                        upstream: Tensor,
+def fake_quant_backward(x: Tensor, params: QuantParams, upstream: Tensor,
                         channel_axis: int | None = None) -> Tensor:
     """Straight-through estimator: upstream gradient gated by the range mask."""
     if upstream.shape != x.shape:
@@ -308,21 +305,12 @@ class GradTape:
     consumed: bool = False
 
 
-def _weight_params(net: EmbeddingNet, linear_index: int, layer: Linear) -> list[QuantParams]:
-    if net.frozen_weight_params is not None:
-        return net.frozen_weight_params[linear_index]
-    # Live derivation: per-channel over output rows of the current shadow weight.
-    return derive_params(layer.weight, net.quant_bits, channel_axis=0)
-
-
-def forward_embed(net: EmbeddingNet, x: Tensor, quantized: bool,
-                  observers: list[RangeObserver] | None = None) -> tuple[Tensor, GradTape]:
+def forward_embed(net: EmbeddingNet, x: Tensor, quantized: bool) -> tuple[Tensor, GradTape]:
     """Run the net on a batch, returning L2-normalized embeddings and a tape.
 
     ``quantized`` routes every weight and activation site through fake
     quantization; it requires ``quant_bits`` and calibrated activation
-    parameters. ``observers`` (calibration only, full-precision mode)
-    receive every activation-site output.
+    parameters.
     """
     if x.rank != 2 or x.shape[1] != net.input_dim:
         raise DimensionError(f"input shape {x.shape} incompatible with input dim {net.input_dim}")
@@ -331,9 +319,6 @@ def forward_embed(net: EmbeddingNet, x: Tensor, quantized: bool,
             raise StateError("quantized forward requires a configured bit width")
         if net.activation_params is None:
             raise StateError("quantized forward requires calibrated activation ranges")
-    if observers is not None and len(observers) != net.activation_site_count:
-        raise DimensionError(
-            f"{len(observers)} observers for {net.activation_site_count} activation sites")
 
     tape = GradTape()
     site = 0
@@ -342,7 +327,7 @@ def forward_embed(net: EmbeddingNet, x: Tensor, quantized: bool,
     for layer in net.layers:
         if isinstance(layer, Linear):
             if quantized:
-                wp = _weight_params(net, linear_index, layer)
+                wp = net.weight_params(linear_index)
                 w_used = fake_quant(layer.weight, wp, channel_axis=0)
                 wmask = in_range_mask(layer.weight, wp, channel_axis=0)
             else:
@@ -354,21 +339,19 @@ def forward_embed(net: EmbeddingNet, x: Tensor, quantized: bool,
             linear_index += 1
             is_last = linear_index == len(net.linear_layers)
             if is_last:
-                h = _activation_site(net, tape, h, site, quantized, observers)
+                h = _activation_site(net, tape, h, site, quantized)
                 site += 1
         else:
             tape.records.append(_Record(kind="relu", inputs=h))
             h = relu(h)
-            h = _activation_site(net, tape, h, site, quantized, observers)
+            h = _activation_site(net, tape, h, site, quantized)
             site += 1
     tape.records.append(_Record(kind="normalize", inputs=h))
     return l2_normalize(h), tape
 
 
 def _activation_site(net: EmbeddingNet, tape: GradTape, h: Tensor, site: int,
-                     quantized: bool, observers: list[RangeObserver] | None) -> Tensor:
-    if observers is not None:
-        observers[site].update(h)
+                     quantized: bool) -> Tensor:
     if not quantized:
         return h
     p = net.activation_params[site]
@@ -379,7 +362,8 @@ def _activation_site(net: EmbeddingNet, tape: GradTape, h: Tensor, site: int,
 
 def observe_activations(net: EmbeddingNet, x: Tensor,
                         observers: list[RangeObserver]) -> None:
-    """Full-precision forward that only feeds the observers.
+    """Full-precision forward that feeds every activation-site output to its
+    observer (calibration).
 
     Skips the final normalization (irrelevant to activation ranges), so
     degenerate inputs that would produce zero-norm embeddings still

@@ -21,8 +21,10 @@ File layout (QFMD, all multi-byte values little-endian)::
     crc32        u32  over everything between magic and this field
 
 A qparams block is scale f32, zero_point i32, bit_width u8, range_lo f32,
-range_hi f32 (17 bytes). Codes are packed at their true bit width so the
-file size obeys the b/32 payload law. Files are written atomically
+range_hi f32 (17 bytes). A layer's blocks, one per output channel, hold
+its per-channel QuantParams; each activation site has one block. Every
+block's bit width equals the header's. Codes are packed at their true
+bit width so the file size obeys the b/32 payload law. Files are written atomically
 (temp file + rename) and contain no timestamps, so identical nets produce
 identical bytes.
 """
@@ -38,7 +40,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, FormatError, StateError
 from .graph import EmbeddingNet, Linear, Relu
-from .quantizer import QuantParams, dequantize, quantize, QuantizedTensor
+from .quantizer import SUPPORTED_BIT_WIDTHS, QuantParams, QuantizedTensor, dequantize, quantize
 from .tensor_core import Tensor
 
 MODEL_MAGIC = b"QFMD"
@@ -46,7 +48,9 @@ MODEL_VERSION = 1
 MODE_FP32 = 0
 MODE_QUANTIZED = 1
 FP32_BYTES_PER_PARAM = 4
-QPARAMS_STRUCT = struct.Struct("<fiBff")  # 17 bytes
+QPARAMS_DTYPE = np.dtype([("scale", "<f4"), ("zero_point", "<i4"), ("bit_width", "u1"),
+                          ("range_lo", "<f4"), ("range_hi", "<f4")])  # packed: 17 bytes
+_INT32_MIN, _INT32_MAX = -(1 << 31), (1 << 31) - 1
 
 
 # -- bit packing ---------------------------------------------------------------
@@ -84,20 +88,38 @@ def packed_code_bytes(count: int, bit_width: int) -> int:
 
 
 def _pack_qparams(p: QuantParams) -> bytes:
-    return QPARAMS_STRUCT.pack(p.scale, p.zero_point, p.bit_width, p.range_lo, p.range_hi)
+    """The blocks of one record: one per slice, or one for per-tensor params."""
+    z = np.atleast_1d(p.zero_point)
+    wide = (z < _INT32_MIN) | (z > _INT32_MAX)
+    if wide.any():
+        raise DomainError(f"zero-point {z[wide][0]} does not fit the stored int32")
+    blocks = np.empty(z.shape, dtype=QPARAMS_DTYPE)
+    for name in QPARAMS_DTYPE.names:
+        blocks[name] = getattr(p, name)
+    return blocks.tobytes()
 
 
-def _unpack_qparams(blob: bytes, offset: int) -> tuple[QuantParams, int]:
-    if len(blob) < offset + QPARAMS_STRUCT.size:
-        raise FormatError("truncated quantization parameters", field="qparams", offset=offset)
-    scale, zp, bits, lo, hi = QPARAMS_STRUCT.unpack_from(blob, offset)
+def _read_blocks(body: bytes, offset: int, count: int, bit_width: int) -> np.ndarray:
+    """``count`` blocks at ``offset``, checked against the header bit width."""
+    if len(body) < offset + count * QPARAMS_DTYPE.itemsize:
+        raise FormatError("truncated quantization parameters", field="qparams", offset=4 + offset)
+    blocks = np.frombuffer(body, dtype=QPARAMS_DTYPE, count=count, offset=offset)
+    if np.any(blocks["bit_width"] != bit_width):
+        raise FormatError(f"block bit width {blocks['bit_width'].max()} in a "
+                          f"{bit_width}-bit file", field="qparams", offset=4 + offset)
+    return blocks
+
+
+def _params(fields, bit_width: int, offset: int) -> QuantParams:
+    """QuantParams from block fields: per-channel from an array of blocks,
+    per-tensor from a single block."""
     try:
-        p = QuantParams(scale=float(scale), zero_point=int(zp), bit_width=int(bits),
-                        range_lo=float(lo), range_hi=float(hi))
+        return QuantParams(scale=fields["scale"], zero_point=fields["zero_point"],
+                           bit_width=bit_width, range_lo=fields["range_lo"],
+                           range_hi=fields["range_hi"])
     except (DomainError, DimensionError) as exc:
         raise FormatError(f"invalid quantization parameters: {exc}",
-                          field="qparams", offset=offset) from exc
-    return p, offset + QPARAMS_STRUCT.size
+                          field="qparams", offset=4 + offset) from exc
 
 
 # -- save / load ---------------------------------------------------------------
@@ -137,16 +159,9 @@ def _encode(net: EmbeddingNet, quantized: bool) -> bytes:
         out_dim, in_dim = layer.weight.shape
         body += struct.pack("<BIIB", 0, out_dim, in_dim, 1 if quantized else 0)
         if quantized:
-            if net.frozen_weight_params is not None:
-                wp = net.frozen_weight_params[linear_index]
-            else:
-                from .quantizer import derive_params
-
-                wp = derive_params(layer.weight, net.quant_bits, channel_axis=0)
-            q = quantize(layer.weight, wp, channel_axis=0)
-            for p in wp:
-                body += _pack_qparams(p)
-            body += pack_codes(q.codes, net.quant_bits)
+            wp = net.weight_params(linear_index)
+            body += _pack_qparams(wp)
+            body += pack_codes(quantize(layer.weight, wp, channel_axis=0).codes, net.quant_bits)
         else:
             body += layer.weight.data.astype("<f4").tobytes()
         body += layer.bias.data.astype("<f4").tobytes()
@@ -193,10 +208,13 @@ def load_model(path) -> EmbeddingNet:
     mode, bit_width = take("<BB")
     if mode not in (MODE_FP32, MODE_QUANTIZED):
         raise FormatError(f"unknown mode {mode}", field="mode", offset=6)
+    if bit_width not in (SUPPORTED_BIT_WIDTHS if mode == MODE_QUANTIZED else (0,)):
+        raise FormatError(f"bit width {bit_width} in a {('fp32', 'quantized')[mode]} file",
+                          field="bit_width", offset=7)
     (layer_count,) = take("<H")
 
     layers: list[Linear | Relu] = []
-    weight_params: list[list[QuantParams]] = []
+    weight_params: list[QuantParams] = []
     for _ in range(layer_count):
         (kind,) = take("<B")
         if kind == 1:
@@ -214,18 +232,15 @@ def load_model(path) -> EmbeddingNet:
         elif payload == 1:
             if mode != MODE_QUANTIZED:
                 raise FormatError("packed codes in an fp32 file", field="payload", offset=4 + off)
-            wp = []
-            for _ in range(out_dim):
-                p, off = _unpack_qparams(body, off)
-                wp.append(p)
+            wp = _params(_read_blocks(body, off, out_dim, bit_width), bit_width, off)
+            off += out_dim * QPARAMS_DTYPE.itemsize
             nbytes = packed_code_bytes(out_dim * in_dim, bit_width)
             if len(body) < off + nbytes:
                 raise FormatError("truncated codes", field="codes", offset=4 + off)
             codes = unpack_codes(body[off:off + nbytes], out_dim * in_dim,
                                  bit_width).reshape(out_dim, in_dim)
             off += nbytes
-            q = QuantizedTensor(codes=codes, shape=(out_dim, in_dim),
-                                params=tuple(wp), channel_axis=0)
+            q = QuantizedTensor(codes=codes, shape=(out_dim, in_dim), params=wp, channel_axis=0)
             w = dequantize(q).data
             weight_params.append(wp)
         else:
@@ -237,10 +252,13 @@ def load_model(path) -> EmbeddingNet:
         layers.append(Linear(weight=Tensor(w), bias=Tensor(b)))
 
     (act_count,) = take("<H")
-    act_params = []
-    for _ in range(act_count):
-        p, off = _unpack_qparams(body, off)
-        act_params.append(p)
+    if act_count and mode != MODE_QUANTIZED:
+        raise FormatError(f"{act_count} activation parameter blocks in an fp32 file",
+                          field="activations", offset=4 + off - 2)
+    blocks = _read_blocks(body, off, act_count, bit_width)
+    act_params = [_params(block, bit_width, off + i * QPARAMS_DTYPE.itemsize)
+                  for i, block in enumerate(blocks)]
+    off += act_count * QPARAMS_DTYPE.itemsize
     if off != len(body):
         raise FormatError(f"{len(body) - off} trailing bytes", field="trailer", offset=4 + off)
 
@@ -308,11 +326,11 @@ def size_report(param_count: int, bit_widths: list[int],
     if param_count <= 0:
         raise DomainError(f"param_count must be positive, got {param_count}")
     fp32_bytes = param_count * FP32_BYTES_PER_PARAM
-    overhead = (channel_count * QPARAMS_STRUCT.size + bias_count * 4) if include_overhead else 0
+    overhead = (channel_count * QPARAMS_DTYPE.itemsize + bias_count * 4) if include_overhead else 0
     quantized = {}
     ratios = {}
     for b in bit_widths:
-        if b not in (4, 6, 8):
+        if b not in SUPPORTED_BIT_WIDTHS:
             raise DomainError(f"unsupported bit width {b}")
         payload = (param_count * b + 7) // 8
         total = payload + overhead

@@ -9,14 +9,23 @@ z = round(lo * (2**b - 1) / (hi - lo) + 2**(b-1)); dequantization
 approximates x as s * (code + z). Rounding is half-to-even everywhere,
 which is deterministic and bias-free.
 
+One record, :class:`QuantParams`, holds the parameters at either
+granularity, with one shape rule:
+
+* Per-tensor: ``scale``, ``zero_point``, ``range_lo`` and ``range_hi`` are
+  plain Python scalars.
+* Per-channel: the same four fields are read-only 1-D arrays with one
+  entry per slice along the channel axis (float32 scale and range, int64
+  zero-point), and the one ``bit_width`` is shared by every slice.
+
 Notes on representation:
 
-* ``scale``, ``range_lo`` and ``range_hi`` are rounded to the nearest
-  float32 at construction so that serializing them as 32-bit reals is
-  lossless and model files round-trip bit-exactly.
-* The zero-point is kept in a plain (wide) integer: for lo == 0 the
-  formula yields exactly 2**(b-1), which does not fit a signed b-bit
-  value. Codes are clipped, the zero-point is not.
+* ``scale``, ``range_lo`` and ``range_hi`` hold float32 values so that
+  serializing them as 32-bit reals is lossless and model files
+  round-trip bit-exactly.
+* The zero-point is kept in a wide integer: for lo == 0 the formula
+  yields exactly 2**(b-1), which does not fit a signed b-bit value.
+  Codes are clipped, the zero-point is not.
 * Degenerate ranges (hi == lo, e.g. a constant tensor) fall back to
   s = 1 with a zero-point chosen so the constant's code stays in range
   and integer constants round-trip exactly.
@@ -25,38 +34,64 @@ Notes on representation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, StateError
 from .tensor_core import Tensor
 
 SUPPORTED_BIT_WIDTHS = (4, 6, 8)
 
+# (name, per-channel array dtype, per-tensor scalar type) of the four
+# fields that the shape rule governs.
+_FIELDS = (("scale", np.float32, float), ("zero_point", np.int64, int),
+           ("range_lo", np.float32, float), ("range_hi", np.float32, float))
 
-def _round_half_even(x: float) -> int:
-    # Python's round() on floats is round-half-to-even, matching np.rint.
-    return int(round(x))
+# Constant slices take a zero-point next to -round(value); beyond this
+# magnitude it no longer fits the int64 zero-point.
+_MAX_CONSTANT = 2.0 ** 62
 
 
 @dataclass(frozen=True)
 class QuantParams:
-    """Affine quantization parameters for one tensor or one channel slice."""
+    """Affine quantization parameters for one tensor or for each of its slices.
 
-    scale: float
-    zero_point: int
+    Scalar fields describe a whole tensor; 1-D array fields (see the
+    module notes) describe the slices along a channel axis.
+    """
+
+    scale: float | np.ndarray
+    zero_point: int | np.ndarray
     bit_width: int
-    range_lo: float
-    range_hi: float
+    range_lo: float | np.ndarray
+    range_hi: float | np.ndarray
 
     def __post_init__(self):
         if self.bit_width not in SUPPORTED_BIT_WIDTHS:
             raise DomainError(f"unsupported bit width {self.bit_width}")
-        if self.range_lo > self.range_hi:
+        slices = np.shape(self.scale)[0] if np.ndim(self.scale) else None
+        for name, dtype, scalar in _FIELDS:
+            value = getattr(self, name)
+            if slices is None:
+                if np.ndim(value):
+                    raise DimensionError(f"per-tensor parameters with an array {name}")
+                value = scalar(value)
+            else:
+                value = np.array(value, dtype=dtype)
+                if value.shape != (slices,) or not slices:
+                    raise DimensionError(
+                        f"per-channel {name} of shape {value.shape}, expected ({slices},)")
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        # Array fields compare elementwise; np.asarray leaves arrays as they are.
+        if np.asarray(self.range_lo > self.range_hi).any():
             raise DomainError(f"range_lo {self.range_lo} exceeds range_hi {self.range_hi}")
-        if not self.scale > 0:
+        if not np.asarray(self.scale > 0).all():
             raise DomainError(f"scale must be positive, got {self.scale}")
+
+    @property
+    def per_channel(self) -> bool:
+        return isinstance(self.scale, np.ndarray)
 
     @property
     def code_min(self) -> int:
@@ -66,75 +101,80 @@ class QuantParams:
     def code_max(self) -> int:
         return (1 << (self.bit_width - 1)) - 1
 
-
-def compute_scale(lo: float, hi: float, bit_width: int) -> float:
-    """Scale mapping [lo, hi] onto the b-bit code range.
-
-    Returns the float32-rounded value of (hi - lo) / (2**b - 1); a
-    degenerate range (hi == lo) falls back to 1.0 so constant tensors
-    never divide by zero.
-    """
-    if bit_width not in SUPPORTED_BIT_WIDTHS:
-        raise DomainError(f"unsupported bit width {bit_width}")
-    if hi < lo:
-        raise DomainError(f"invalid range [{lo}, {hi}]")
-    if hi == lo:
-        return 1.0
-    return float(np.float32((hi - lo) / float((1 << bit_width) - 1)))
-
-
-def compute_zero_point(lo: float, hi: float, bit_width: int) -> int:
-    """Integer code offset aligning lo with the lowest representable code."""
-    if bit_width not in SUPPORTED_BIT_WIDTHS:
-        raise DomainError(f"unsupported bit width {bit_width}")
-    if not hi > lo:
-        raise DomainError(f"zero-point undefined for range [{lo}, {hi}]")
-    levels = (1 << bit_width) - 1
-    return _round_half_even(lo * levels / (hi - lo) + float(1 << (bit_width - 1)))
+    def broadcast(self, shape: tuple[int, ...], channel_axis: int | None):
+        """(scale, zero_point, range_lo, range_hi) ready to broadcast over a
+        tensor of ``shape``: per-channel fields are laid along
+        ``channel_axis``, which must be None for per-tensor parameters."""
+        fields = (self.scale, self.zero_point, self.range_lo, self.range_hi)
+        if not self.per_channel:
+            if channel_axis is not None:
+                raise DimensionError("per-tensor parameters must not carry a channel axis")
+            return fields
+        if channel_axis is None or not 0 <= channel_axis < len(shape):
+            raise DimensionError(f"invalid channel axis {channel_axis} for shape {shape}")
+        if len(self.scale) != shape[channel_axis]:
+            raise DimensionError(
+                f"{len(self.scale)} channel params for axis of size {shape[channel_axis]}")
+        bshape = [1] * len(shape)
+        bshape[channel_axis] = -1
+        return tuple(f.reshape(bshape) for f in fields)
 
 
-def params_from_range(lo: float, hi: float, bit_width: int) -> QuantParams:
+def params_from_range(lo, hi, bit_width: int) -> QuantParams:
     """Build QuantParams from observed range endpoints.
 
-    Endpoints are snapped to float32 (the storage precision) before the
-    scale and zero-point are derived, so parameters rebuilt from a saved
-    model are identical to the originals.
+    Scalar endpoints give per-tensor parameters; equal-length 1-D arrays
+    give per-channel parameters, one entry per slice, derived by the same
+    arithmetic. Endpoints are snapped to float32 (the storage precision)
+    before the scale and zero-point are derived, so parameters rebuilt
+    from a saved model are identical to the originals.
     """
-    if hi < lo:
-        raise DomainError(f"invalid range [{lo}, {hi}]")
-    lo = float(np.float32(lo))
-    hi = float(np.float32(hi))
-    if hi == lo:
-        # Constant tensor: keep s = 1 and pick a zero-point that leaves the
+    if bit_width not in SUPPORTED_BIT_WIDTHS:
+        raise DomainError(f"unsupported bit width {bit_width}")
+    per_channel = np.ndim(lo) > 0
+    lo = np.atleast_1d(np.asarray(lo, dtype=np.float64))
+    hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
+    if lo.ndim != 1 or lo.shape != hi.shape:
+        raise DimensionError(f"range endpoints of shapes {lo.shape} and {hi.shape}")
+    if (hi < lo).any():
+        i = int(np.argmax(hi < lo))
+        raise DomainError(f"invalid range [{lo[i]}, {hi[i]}]")
+    lo32, hi32 = lo.astype(np.float32), hi.astype(np.float32)
+    lo, hi = lo32.astype(np.float64), hi32.astype(np.float64)
+    levels = (1 << bit_width) - 1
+    const = hi == lo
+    span = np.where(const, 1.0, hi - lo)
+    scale = np.where(const, np.float32(1.0), (span / levels).astype(np.float32))
+    zero_point = np.where(const, 0.0, np.rint(lo * levels / span + float(1 << (bit_width - 1))))
+    zero_point = zero_point.astype(np.int64)
+    if const.any():
+        # Constant slice: keep s = 1 and pick a zero-point that leaves the
         # constant's own code inside the representable range (clamped with a
         # margin of one code to absorb rounding of half-fractions).
-        code_lo = -(1 << (bit_width - 1))
-        code_hi = (1 << (bit_width - 1)) - 1
-        z = _round_half_even(-lo)
-        anchor = _round_half_even(lo)
-        z = min(max(z, anchor - code_hi + 1), anchor - code_lo - 1)
-        return QuantParams(scale=1.0, zero_point=z, bit_width=bit_width,
-                           range_lo=lo, range_hi=hi)
-    return QuantParams(
-        scale=compute_scale(lo, hi, bit_width),
-        zero_point=compute_zero_point(lo, hi, bit_width),
-        bit_width=bit_width,
-        range_lo=lo,
-        range_hi=hi,
-    )
+        anchor = np.rint(lo[const])
+        if (np.abs(anchor) > _MAX_CONSTANT).any():
+            raise DomainError("constant range too large for an integer zero-point")
+        anchor = anchor.astype(np.int64)
+        code_min, code_max = -(1 << (bit_width - 1)), (1 << (bit_width - 1)) - 1
+        zero_point[const] = np.clip(-anchor, anchor - code_max + 1, anchor - code_min - 1)
+    if per_channel:
+        return QuantParams(scale=scale, zero_point=zero_point, bit_width=bit_width,
+                           range_lo=lo32, range_hi=hi32)
+    return QuantParams(scale=float(scale[0]), zero_point=int(zero_point[0]),
+                       bit_width=bit_width, range_lo=float(lo[0]), range_hi=float(hi[0]))
 
 
 @dataclass(frozen=True)
 class QuantizedTensor:
     """Integer codes plus the parameters that produced them.
 
-    ``params`` is a single QuantParams (per-tensor) or a tuple with one
-    entry per slice along ``channel_axis`` (per-channel).
+    ``params`` is per-tensor, or per-channel over the slices along
+    ``channel_axis``.
     """
 
     codes: np.ndarray
     shape: tuple[int, ...]
-    params: QuantParams | tuple[QuantParams, ...]
+    params: QuantParams
     channel_axis: int | None = None
 
     def __post_init__(self):
@@ -144,71 +184,31 @@ class QuantizedTensor:
         object.__setattr__(self, "shape", tuple(self.shape))
         if codes.shape != self.shape:
             raise DimensionError(f"codes shape {codes.shape} != declared {self.shape}")
-        if isinstance(self.params, QuantParams):
-            if self.channel_axis is not None:
-                raise DimensionError("per-tensor codes must not carry a channel axis")
-            plist = [self.params]
-        else:
-            object.__setattr__(self, "params", tuple(self.params))
-            if self.channel_axis is None or not 0 <= self.channel_axis < len(self.shape):
-                raise DimensionError(f"invalid channel axis {self.channel_axis} for shape {self.shape}")
-            if len(self.params) != self.shape[self.channel_axis]:
-                raise DimensionError(
-                    f"{len(self.params)} channel params for {self.shape[self.channel_axis]} slices")
-            plist = list(self.params)
-        lo = min(p.code_min for p in plist)
-        hi = max(p.code_max for p in plist)
-        if codes.size and (codes.min() < lo or codes.max() > hi):
+        self.params.broadcast(self.shape, self.channel_axis)  # raises on a layout mismatch
+        if codes.size and (codes.min() < self.params.code_min
+                           or codes.max() > self.params.code_max):
             raise DomainError("codes outside the representable range")
 
     @property
     def bit_width(self) -> int:
-        p = self.params if isinstance(self.params, QuantParams) else self.params[0]
-        return p.bit_width
+        return self.params.bit_width
 
 
-def _param_arrays(q_shape: tuple[int, ...],
-                  params: QuantParams | Sequence[QuantParams],
-                  channel_axis: int | None):
-    """Broadcastable float64 scale / zero-point arrays plus code bounds."""
-    if isinstance(params, QuantParams):
-        return (np.float64(params.scale), np.float64(params.zero_point),
-                params.code_min, params.code_max)
-    plist = list(params)
-    if channel_axis is None or not 0 <= channel_axis < len(q_shape):
-        raise DimensionError(f"invalid channel axis {channel_axis} for shape {q_shape}")
-    if len(plist) != q_shape[channel_axis]:
-        raise DimensionError(f"{len(plist)} channel params for axis of size {q_shape[channel_axis]}")
-    bits = plist[0].bit_width
-    if any(p.bit_width != bits for p in plist):
-        raise DomainError("mixed bit widths across channels")
-    bshape = [1] * len(q_shape)
-    bshape[channel_axis] = len(plist)
-    s = np.array([p.scale for p in plist], dtype=np.float64).reshape(bshape)
-    z = np.array([p.zero_point for p in plist], dtype=np.float64).reshape(bshape)
-    return s, z, plist[0].code_min, plist[0].code_max
-
-
-def quantize(x: Tensor,
-             params: QuantParams | Sequence[QuantParams],
-             channel_axis: int | None = None) -> QuantizedTensor:
+def quantize(x: Tensor, params: QuantParams, channel_axis: int | None = None) -> QuantizedTensor:
     """Map a real tensor to integer codes; out-of-range values saturate."""
-    s, z, code_min, code_max = _param_arrays(x.shape, params, channel_axis)
+    s, z, _, _ = params.broadcast(x.shape, channel_axis)
     t = np.rint(x.data.astype(np.float64) / s - z)
-    codes = np.clip(t, code_min, code_max).astype(np.int32)
-    p = params if isinstance(params, QuantParams) else tuple(params)
-    return QuantizedTensor(codes=codes, shape=x.shape, params=p,
-                           channel_axis=None if isinstance(p, QuantParams) else channel_axis)
+    codes = np.clip(t, params.code_min, params.code_max).astype(np.int32)
+    return QuantizedTensor(codes=codes, shape=x.shape, params=params, channel_axis=channel_axis)
 
 
 def dequantize(q: QuantizedTensor) -> Tensor:
     """Approximate the real values of quantized codes: x ~= s * (code + z)."""
-    s, z, _, _ = _param_arrays(q.shape, q.params, q.channel_axis)
+    s, z, _, _ = q.params.broadcast(q.shape, q.channel_axis)
     return Tensor._wrap((s * (q.codes.astype(np.float64) + z)).astype(np.float32))
 
 
-def derive_params(t: Tensor, bit_width: int,
-                  channel_axis: int | None = None) -> QuantParams | list[QuantParams]:
+def derive_params(t: Tensor, bit_width: int, channel_axis: int | None = None) -> QuantParams:
     """Quantization parameters from tensor extrema.
 
     With ``channel_axis`` set, each slice along that axis gets its own
@@ -218,15 +218,12 @@ def derive_params(t: Tensor, bit_width: int,
     if t.size == 0:
         raise DomainError("cannot derive parameters for an empty tensor")
     if channel_axis is None:
-        lo = float(t.data.min())
-        hi = float(t.data.max())
-        return params_from_range(lo, hi, bit_width)
+        return params_from_range(float(t.data.min()), float(t.data.max()), bit_width)
     if not 0 <= channel_axis < t.rank:
         raise DimensionError(f"axis {channel_axis} out of range for rank {t.rank}")
     reduce_axes = tuple(a for a in range(t.rank) if a != channel_axis)
-    los = t.data.min(axis=reduce_axes)
-    his = t.data.max(axis=reduce_axes)
-    return [params_from_range(float(lo), float(hi), bit_width) for lo, hi in zip(los, his)]
+    return params_from_range(t.data.min(axis=reduce_axes), t.data.max(axis=reduce_axes),
+                             bit_width)
 
 
 class RangeObserver:
@@ -254,12 +251,6 @@ class RangeObserver:
     def freeze(self, bit_width: int) -> QuantParams:
         """Snapshot the observed range into fixed QuantParams."""
         if self.count == 0:
-            from .errors import StateError
-
             raise StateError("observer has seen no data; range is undefined")
         return params_from_range(self.running_lo, self.running_hi, bit_width)
 
-
-def observer_update(o: RangeObserver, t: Tensor) -> RangeObserver:
-    """Functional alias for RangeObserver.update."""
-    return o.update(t)

@@ -13,19 +13,14 @@ any other generator producing batches of the same width can be swapped in.
 
 from __future__ import annotations
 
-import struct
 import zlib
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .errors import DomainError, FormatError
+from .errors import DomainError
 from .tensor_core import Tensor, matmul
-
-BATCH_MAGIC = b"QFDB"
-BATCH_VERSION = 1
-_FLAG_LABELS = 0x0001
 
 
 def derive_seed(master: int, label: str) -> int:
@@ -153,54 +148,3 @@ def batch_stream(space: IdentitySpace, batch_size: int, seed: int,
         yield (sample_labeled if labeled else sample_unlabeled)(space, batch_size, batch_seed)
         i += 1
 
-
-# -- raw batch file format ----------------------------------------------------
-#
-# magic "QFDB", version u16, flags u16 (bit0 = labels present), M u32,
-# input_dim u32, then M*input_dim little-endian float32, then (if flagged)
-# M little-endian u32 labels.
-
-_HEADER = struct.Struct("<4sHHII")
-
-
-def save_batch(batch: Batch, path) -> None:
-    """Write a batch in the raw QFDB format."""
-    m, dim = batch.inputs.shape
-    flags = _FLAG_LABELS if batch.labels is not None else 0
-    blob = bytearray(_HEADER.pack(BATCH_MAGIC, BATCH_VERSION, flags, m, dim))
-    blob += batch.inputs.data.astype("<f4").tobytes()
-    if batch.labels is not None:
-        blob += np.asarray(batch.labels, dtype="<u4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(blob)
-
-
-def load_tensor_file(path) -> Batch:
-    """Read a raw QFDB batch file; labels are restored when flagged."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise FormatError("file shorter than header", field="header", offset=len(blob))
-    magic, version, flags, m, dim = _HEADER.unpack_from(blob, 0)
-    if magic != BATCH_MAGIC:
-        raise FormatError(f"bad magic {magic!r}", field="magic", offset=0)
-    if version != BATCH_VERSION:
-        raise FormatError(f"unsupported version {version}", field="version", offset=4)
-    if m == 0:
-        raise DomainError("batch file contains no samples")
-    offset = _HEADER.size
-    n_floats = m * dim
-    need = n_floats * 4
-    if len(blob) < offset + need:
-        raise FormatError("truncated input payload", field="inputs", offset=len(blob))
-    inputs = np.frombuffer(blob, dtype="<f4", count=n_floats, offset=offset).reshape(m, dim)
-    offset += need
-    labels = None
-    if flags & _FLAG_LABELS:
-        if len(blob) < offset + m * 4:
-            raise FormatError("truncated label payload", field="labels", offset=len(blob))
-        labels = tuple(int(v) for v in np.frombuffer(blob, dtype="<u4", count=m, offset=offset))
-        offset += m * 4
-    if len(blob) != offset:
-        raise FormatError(f"{len(blob) - offset} trailing bytes", field="trailer", offset=offset)
-    return Batch(inputs=Tensor(inputs), labels=labels)

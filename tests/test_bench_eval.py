@@ -13,7 +13,7 @@ from quantdistill.bench_eval import (
     write_range_csv,
 )
 from quantdistill.errors import DimensionError, DomainError, StateError
-from quantdistill.graph import build_embedding_net, forward_embed
+from quantdistill.graph import build_embedding_net, observe_activations
 from quantdistill.quantizer import RangeObserver
 from quantdistill.synth import make_identity_space
 from quantdistill.tensor_core import Tensor
@@ -197,8 +197,8 @@ class TestRangeCorrelation:
         rng = np.random.default_rng(data_seed)
         observers = [RangeObserver() for _ in range(net.activation_site_count)]
         for _ in range(6):
-            forward_embed(net, Tensor(rng.standard_normal((16, 12)).astype(np.float32)),
-                          quantized=False, observers=observers)
+            observe_activations(net, Tensor(rng.standard_normal((16, 12)).astype(np.float32)),
+                                observers)
         net.activation_params = [o.freeze(bits) for o in observers]
         return net
 

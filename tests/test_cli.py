@@ -2,6 +2,8 @@
 
 import json
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -16,6 +18,10 @@ from quantdistill.cli import (
 )
 from quantdistill.config import ExperimentConfig, load_config, write_config
 from quantdistill.errors import ConfigError
+from quantdistill.graph import build_embedding_net, observe_activations
+from quantdistill.model_store import save_model
+from quantdistill.quantizer import RangeObserver
+from quantdistill.tensor_core import Tensor
 
 SMALL_CONFIG = """
 # desk-scale smoke configuration
@@ -36,6 +42,26 @@ calibration_batches = 4
 n_pairs = 100
 far_targets = 0.05
 """
+
+
+def _small_net(bits=None):
+    """A net of SMALL_CONFIG's shape; calibrated when ``bits`` is given."""
+    net = build_embedding_net(16, (16, 16), 8, seed=1)
+    if bits is not None:
+        net.set_quantization(bits)
+        observers = [RangeObserver() for _ in range(net.activation_site_count)]
+        x = Tensor(np.random.default_rng(2).standard_normal((32, 16)).astype(np.float32))
+        observe_activations(net, x, observers)
+        net.activation_params = [o.freeze(bits) for o in observers]
+    return net
+
+
+def _rewrite_body(path, edit):
+    """Apply ``edit`` to a model file's body (bytes between magic and CRC)
+    and store it with a recomputed CRC, so only the edit is wrong."""
+    blob = path.read_bytes()
+    body = edit(bytearray(blob[4:-4]))
+    path.write_bytes(blob[:4] + bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
 
 
 @pytest.fixture
@@ -83,6 +109,13 @@ class TestConfigParsing:
         path.write_text("bits = 8,5\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_repeated_bit_width_rejected(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("bits = 8,8\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert exc.value.field == "bits"
 
 
 class TestPipeline:
@@ -168,6 +201,49 @@ class TestExitCodes:
         main(["pretrain", "--config", cfg_path])
         assert main(["distill", "--config", cfg_path, "--teacher", str(out / "teacher.qfmd"),
                      "--bits", "3"]) == EXIT_CONFIG
+
+    def test_repeated_bits_flag(self, cfg_path, tmp_path):
+        teacher = tmp_path / "teacher.qfmd"
+        save_model(_small_net(), teacher, mode="fp32")
+        assert main(["distill", "--config", cfg_path, "--teacher", str(teacher),
+                     "--bits", "8,8"]) == EXIT_CONFIG
+        assert not (tmp_path / "out" / "student_w8a8.qfmd").exists()
+
+    @pytest.mark.parametrize("width", [0, 9])
+    def test_header_bit_width_outside_table(self, cfg_path, tmp_path, width):
+        path = tmp_path / "student.qfmd"
+        save_model(_small_net(bits=8), path, mode="quantized")
+
+        def set_width(body):
+            body[3] = width  # version u16, mode u8, then bit_width u8
+            return body
+
+        _rewrite_body(path, set_width)
+        assert main(["eval", "--config", cfg_path, str(path)]) == EXIT_FORMAT
+
+    def test_fp32_file_with_activation_blocks(self, cfg_path, tmp_path):
+        path = tmp_path / "teacher.qfmd"
+        save_model(_small_net(), path, mode="fp32")
+        block = struct.pack("<fiBff", 1.0 / 255.0, 0, 8, -0.5, 0.5)
+        # the body ends in an activation count of 0: claim one block and add it
+        _rewrite_body(path, lambda body: body[:-2] + struct.pack("<H", 1) + block)
+        assert main(["eval", "--config", cfg_path, str(path)]) == EXIT_FORMAT
+
+    def test_zero_point_overflow_on_save(self, tmp_path):
+        # A weight row spanning one float32 ulp at 10.0 derives a zero-point
+        # near 2.7e9, which no stored int32 block can hold.
+        net = _small_net()
+        w = net.linear_layers[0].weight.data.copy()
+        w[0] = np.where(np.arange(w.shape[1]) % 2, np.nextafter(np.float32(10.0), np.inf),
+                        np.float32(10.0))
+        net.linear_layers[0].weight = Tensor(w)
+        teacher = tmp_path / "teacher.qfmd"
+        save_model(net, teacher, mode="fp32")
+        cfg = tmp_path / "cfg0.txt"
+        cfg.write_text(SMALL_CONFIG.replace("iterations = 40", "iterations = 0")
+                       + f"out_dir = {tmp_path / 'out'}\n")
+        assert main(["distill", "--config", str(cfg), "--teacher", str(teacher),
+                     "--bits", "8"]) == EXIT_DIMENSION
 
     def test_corrupt_model_file(self, cfg_path, tmp_path):
         bad = tmp_path / "bad.qfmd"

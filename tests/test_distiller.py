@@ -163,7 +163,7 @@ class TestFinetune:
         space = _space(seed=4)
         student = prepare_student(teacher, bits)
         calibrate(student, batch_stream(space, 16, seed=5), 4)
-        cfg = DistillConfig(batch_size=16, iterations=iterations, bit_width=bits, seed=6)
+        cfg = DistillConfig(batch_size=16, iterations=iterations, bit_width=bits)
         return teacher, student, space, cfg
 
     def test_zero_iterations_leaves_student_unchanged(self):

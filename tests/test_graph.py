@@ -19,6 +19,7 @@ from quantdistill.graph import (
     linear_backward,
     linear_forward,
     net_fingerprint,
+    observe_activations,
     sgd_step,
     softmax_cross_entropy,
 )
@@ -71,7 +72,7 @@ class TestFakeQuant:
         assert np.array_equal(got, expected)
 
     def test_per_channel_mask(self):
-        ps = [params_from_range(-1.0, 1.0, 8), params_from_range(0.0, 2.0, 8)]
+        ps = params_from_range(np.array([-1.0, 0.0]), np.array([1.0, 2.0]), 8)
         x = Tensor([[-2.0, 0.5], [1.0, 3.0]])
         mask = in_range_mask(x, ps, channel_axis=0)
         assert mask.tolist() == [[0.0, 1.0], [1.0, 0.0]]
@@ -200,7 +201,7 @@ def _calibrated_net(bits=8, hidden=(16,), in_dim=6, embed=4, seed=0):
     observers = [RangeObserver() for _ in range(net.activation_site_count)]
     for _ in range(8):
         x = Tensor(rng.standard_normal((16, in_dim)).astype(np.float32))
-        forward_embed(net, x, quantized=False, observers=observers)
+        observe_activations(net, x, observers)
     net.activation_params = [o.freeze(bits) for o in observers]
     return net
 

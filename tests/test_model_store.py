@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from quantdistill.errors import DomainError, FormatError, StateError
-from quantdistill.graph import build_embedding_net, forward_embed, net_fingerprint
+from quantdistill.graph import (
+    build_embedding_net,
+    forward_embed,
+    net_fingerprint,
+    observe_activations,
+)
 from quantdistill.model_store import (
     load_model,
     net_size_report,
@@ -24,8 +29,8 @@ def _calibrated_net(bits=8, seed=0):
     rng = np.random.default_rng(seed + 1)
     observers = [RangeObserver() for _ in range(net.activation_site_count)]
     for _ in range(4):
-        forward_embed(net, Tensor(rng.standard_normal((8, 6)).astype(np.float32)),
-                      quantized=False, observers=observers)
+        observe_activations(net, Tensor(rng.standard_normal((8, 6)).astype(np.float32)),
+                            observers)
     net.activation_params = [o.freeze(bits) for o in observers]
     return net
 
@@ -87,6 +92,9 @@ class TestSaveLoadQuantized:
         back = load_model(path)
         assert back.quant_bits == bits
         assert back.frozen_weight_params is not None
+        assert back.activation_params == net.activation_params
+        assert all(type(p.scale) is float and type(p.zero_point) is int
+                   for p in back.activation_params)
         x = Tensor(np.random.default_rng(5).standard_normal((7, 6)).astype(np.float32))
         a, _ = forward_embed(net, x, quantized=True)
         b, _ = forward_embed(back, x, quantized=True)
@@ -148,6 +156,19 @@ class TestCorruption:
         with pytest.raises(FormatError) as exc:
             load_model(path)
         assert exc.value.field == "version"
+
+    def test_header_width_disagreeing_with_blocks(self, tmp_path):
+        import struct
+        import zlib
+
+        path = self._saved(tmp_path)  # an 8-bit file
+        blob = bytearray(path.read_bytes())
+        blob[7] = 6
+        struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(bytes(blob[4:-4])) & 0xFFFFFFFF)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError) as exc:
+            load_model(path)
+        assert exc.value.field == "qparams"
 
     def test_truncated_file(self, tmp_path):
         path = self._saved(tmp_path)

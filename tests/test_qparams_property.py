@@ -36,21 +36,12 @@ def _bits32(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float32).view(np.uint32)
 
 
-def _per_channel_fields(params) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
-    if isinstance(params, list):
-        return (_bits32([p.scale for p in params]), [int(p.zero_point) for p in params],
-                _bits32([p.range_lo for p in params]), _bits32([p.range_hi for p in params]))
-    return (_bits32(params.scale), [int(z) for z in params.zero_point],
-            _bits32(params.range_lo), _bits32(params.range_hi))
-
-
 def _assert_matches_oracle(params, los, his, bits):
     expected = [_scalar_oracle(float(lo), float(hi), bits) for lo, hi in zip(los, his)]
-    scale, zero_point, range_lo, range_hi = _per_channel_fields(params)
-    assert np.array_equal(scale, _bits32([e[0] for e in expected]))
-    assert zero_point == [e[1] for e in expected]
-    assert np.array_equal(range_lo, _bits32([e[2] for e in expected]))
-    assert np.array_equal(range_hi, _bits32([e[3] for e in expected]))
+    assert np.array_equal(_bits32(params.scale), _bits32([e[0] for e in expected]))
+    assert params.zero_point.tolist() == [e[1] for e in expected]
+    assert np.array_equal(_bits32(params.range_lo), _bits32([e[2] for e in expected]))
+    assert np.array_equal(_bits32(params.range_hi), _bits32([e[3] for e in expected]))
 
 
 def _row(rng, kind: int, width: int) -> np.ndarray:
@@ -75,8 +66,12 @@ def _row(rng, kind: int, width: int) -> np.ndarray:
 def test_per_channel_derivation_matches_scalar_oracle(seed, rows, width, bits):
     rng = np.random.default_rng(seed)
     w = np.stack([_row(rng, int(rng.integers(0, 6)), width) for _ in range(rows)])
-    params = derive_params(Tensor(w), bits, channel_axis=0)
-    _assert_matches_oracle(params, w.min(axis=1), w.max(axis=1), bits)
+    los, his = w.min(axis=1), w.max(axis=1)
+    _assert_matches_oracle(derive_params(Tensor(w), bits, channel_axis=0), los, his, bits)
+    # float64 endpoints are snapped to float32 first, as scalars are
+    wide = rng.uniform(0.0, 1e-7, size=rows)
+    _assert_matches_oracle(params_from_range(los - wide, his + wide, bits),
+                           los - wide, his + wide, bits)
 
 
 @given(a=st.floats(-2.0**60, 2.0**60, width=32), b=st.floats(-2.0**60, 2.0**60, width=32),

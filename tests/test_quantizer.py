@@ -8,11 +8,8 @@ from quantdistill.quantizer import (
     QuantizedTensor,
     QuantParams,
     RangeObserver,
-    compute_scale,
-    compute_zero_point,
     dequantize,
     derive_params,
-    observer_update,
     params_from_range,
     quantize,
 )
@@ -22,40 +19,49 @@ from quantdistill.tensor_core import Tensor
 class TestComputeScale:
     def test_symmetric_range(self):
         # oracle: 2 / 255
-        assert compute_scale(-1.0, 1.0, 8) == pytest.approx(2.0 / 255.0, rel=1e-7)
+        assert params_from_range(-1.0, 1.0, 8).scale == pytest.approx(2.0 / 255.0, rel=1e-7)
 
     def test_centiunit_range(self):
         # oracle: 2.55 / 255
-        assert compute_scale(0.0, 2.55, 8) == pytest.approx(0.01, rel=1e-7)
+        assert params_from_range(0.0, 2.55, 8).scale == pytest.approx(0.01, rel=1e-7)
 
     def test_degenerate_fallback(self):
-        assert compute_scale(0.0, 0.0, 8) == 1.0
+        assert params_from_range(0.0, 0.0, 8).scale == 1.0
 
     def test_inverted_range_rejected(self):
         with pytest.raises(DomainError):
-            compute_scale(1.0, -1.0, 8)
+            params_from_range(1.0, -1.0, 8)
 
     def test_scale_is_float32_representable(self):
-        s = compute_scale(-0.731, 2.114, 6)
-        assert s == float(np.float32(s))
+        s = params_from_range(-0.731, 2.114, 6).scale
+        assert type(s) is float and s == float(np.float32(s))
 
 
 class TestComputeZeroPoint:
     def test_wide_positive_range(self):
         # oracle: round(0 + 128); exceeds the int8 maximum on purpose
-        assert compute_zero_point(0.0, 2.55, 8) == 128
+        assert params_from_range(0.0, 2.55, 8).zero_point == 128
 
     def test_half_to_even(self):
         # oracle: round(-127.5 + 128) = round(0.5) -> 0 under half-to-even
-        assert compute_zero_point(-1.0, 1.0, 8) == 0
+        assert params_from_range(-1.0, 1.0, 8).zero_point == 0
 
     def test_negative_range(self):
         # oracle: round(-255 + 128)
-        assert compute_zero_point(-2.55, 0.0, 8) == -127
+        assert params_from_range(-2.55, 0.0, 8).zero_point == -127
 
-    def test_equal_range_rejected(self):
-        with pytest.raises(DomainError):
-            compute_zero_point(1.0, 1.0, 8)
+    def test_equal_range_uses_constant_fallback(self):
+        # oracle: s = 1 and z = round(-1.0), already inside [1 - 126, 1 + 127]
+        p = params_from_range(1.0, 1.0, 8)
+        assert (p.scale, p.zero_point) == (1.0, -1)
+
+    def test_per_channel_matches_per_tensor_oracles(self):
+        p = params_from_range(np.array([-1.0, 0.0, -2.55, 1.0]),
+                              np.array([1.0, 2.55, 0.0, 1.0]), 8)
+        assert p.per_channel and p.zero_point.tolist() == [0, 128, -127, -1]
+        assert p.scale.tolist() == [np.float32(2.0 / 255.0), np.float32(0.01),
+                                    np.float32(0.01), 1.0]
+        assert not p.scale.flags.writeable
 
 
 def _p8(lo, hi):
@@ -156,7 +162,7 @@ class TestDeriveParams:
 
     def test_per_channel_row_extrema(self):
         ps = derive_params(Tensor([[-1, 1], [0, 4]]), 8, channel_axis=0)
-        assert [(p.range_lo, p.range_hi) for p in ps] == [(-1.0, 1.0), (0.0, 4.0)]
+        assert (ps.range_lo.tolist(), ps.range_hi.tolist()) == ([-1.0, 0.0], [1.0, 4.0])
 
     def test_constant_tensor_fallback(self):
         p = derive_params(Tensor([[2.0, 2.0]]), 8)
@@ -185,10 +191,9 @@ class TestDeriveParams:
             per_channel = derive_params(t, 8, channel_axis=0)
             err_t = np.abs(dequantize(quantize(t, per_tensor)).data - t.data)
             err_c = np.abs(dequantize(quantize(t, per_channel, channel_axis=0)).data - t.data)
-            scales = np.array([p.scale for p in per_channel])
-            assert np.all(scales <= per_tensor.scale + 1e-9)
+            assert np.all(per_channel.scale <= per_tensor.scale + 1e-9)
             for row in range(4):
-                if per_channel[row].scale <= 0.9 * per_tensor.scale:
+                if per_channel.scale[row] <= 0.9 * per_tensor.scale:
                     assert err_c[row].max() <= err_t[row].max() + 1e-6
 
 
@@ -216,16 +221,25 @@ class TestQuantizedTensor:
             QuantizedTensor(codes=np.array([99]), shape=(1,), params=p)
 
     def test_per_channel_needs_matching_params(self):
-        p = params_from_range(-1.0, 1.0, 8)
+        p = params_from_range(np.array([-1.0]), np.array([1.0]), 8)
         with pytest.raises(DimensionError):
             QuantizedTensor(codes=np.zeros((2, 3), dtype=np.int32), shape=(2, 3),
-                            params=(p,), channel_axis=0)
+                            params=p, channel_axis=0)
+
+    def test_layout_must_match_granularity(self):
+        codes = np.zeros((2, 3), dtype=np.int32)
+        with pytest.raises(DimensionError):
+            QuantizedTensor(codes=codes, shape=(2, 3),
+                            params=params_from_range(-1.0, 1.0, 8), channel_axis=0)
+        with pytest.raises(DimensionError):
+            QuantizedTensor(codes=codes, shape=(2, 3),
+                            params=params_from_range(np.zeros(2), np.ones(2), 8))
 
 
 class TestRangeObserver:
     def test_first_batch_sets_range(self):
         o = RangeObserver()
-        observer_update(o, Tensor([-1.0, 2.0]))
+        o.update(Tensor([-1.0, 2.0]))
         assert (o.running_lo, o.running_hi, o.count) == (-1.0, 2.0, 1)
 
     def test_contained_batch_no_change(self):
@@ -263,3 +277,17 @@ class TestQuantParamsInvariants:
     def test_unsupported_bit_width_rejected(self):
         with pytest.raises(DomainError):
             QuantParams(scale=1.0, zero_point=0, bit_width=5, range_lo=0.0, range_hi=1.0)
+        for bits in (0, 9):
+            with pytest.raises(DomainError):
+                params_from_range(0.0, 1.0, bits)
+
+    def test_per_channel_fields_share_one_length(self):
+        with pytest.raises(DimensionError):
+            QuantParams(scale=np.ones(3), zero_point=np.zeros(2), bit_width=8,
+                        range_lo=np.zeros(3), range_hi=np.ones(3))
+        with pytest.raises(DimensionError):
+            params_from_range(np.zeros(3), np.ones(2), 8)
+
+    def test_constant_beyond_int64_zero_point_rejected(self):
+        with pytest.raises(DomainError):
+            params_from_range(np.array([1e30]), np.array([1e30]), 8)

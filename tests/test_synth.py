@@ -1,19 +1,17 @@
-"""Synthetic data source: determinism, separability, batch file format."""
+"""Synthetic data source: determinism, separability, batch validation."""
 
 import numpy as np
 import pytest
 
-from quantdistill.errors import DomainError, FormatError
+from quantdistill.errors import DomainError
 from quantdistill.synth import (
     Batch,
     batch_stream,
     derive_seed,
-    load_tensor_file,
     make_identity_space,
     sample_for_identities,
     sample_labeled,
     sample_unlabeled,
-    save_batch,
 )
 from quantdistill.tensor_core import Tensor
 
@@ -140,46 +138,6 @@ class TestDeriveSeed:
 
 
 class TestBatchFile:
-    def test_round_trip_unlabeled(self, tmp_path):
-        b = sample_unlabeled(_space(), 17, seed=1)
-        path = tmp_path / "batch.qfdb"
-        save_batch(b, path)
-        back = load_tensor_file(path)
-        assert np.array_equal(back.inputs.data, b.inputs.data)
-        assert back.labels is None
-
-    def test_round_trip_labeled(self, tmp_path):
-        b = sample_labeled(_space(), 9, seed=2)
-        path = tmp_path / "batch.qfdb"
-        save_batch(b, path)
-        back = load_tensor_file(path)
-        assert np.array_equal(back.inputs.data, b.inputs.data)
-        assert back.labels == b.labels
-
-    def test_truncated_file_rejected(self, tmp_path):
-        b = sample_unlabeled(_space(), 8, seed=3)
-        path = tmp_path / "batch.qfdb"
-        save_batch(b, path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) - 7])
-        with pytest.raises(FormatError) as exc:
-            load_tensor_file(path)
-        assert exc.value.offset is not None
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "batch.qfdb"
-        path.write_bytes(b"NOPE" + bytes(20))
-        with pytest.raises(FormatError):
-            load_tensor_file(path)
-
-    def test_empty_batch_rejected(self, tmp_path):
-        import struct
-
-        path = tmp_path / "batch.qfdb"
-        path.write_bytes(struct.pack("<4sHHII", b"QFDB", 1, 0, 0, 12))
-        with pytest.raises(DomainError):
-            load_tensor_file(path)
-
     def test_labels_length_validated(self):
         with pytest.raises(DomainError):
             Batch(inputs=Tensor(np.zeros((3, 2), dtype=np.float32)), labels=(1,))
