@@ -50,7 +50,6 @@ MODE_QUANTIZED = 1
 FP32_BYTES_PER_PARAM = 4
 QPARAMS_DTYPE = np.dtype([("scale", "<f4"), ("zero_point", "<i4"), ("bit_width", "u1"),
                           ("range_lo", "<f4"), ("range_hi", "<f4")])  # packed: 17 bytes
-_INT32_MIN, _INT32_MAX = -(1 << 31), (1 << 31) - 1
 
 
 # -- bit packing ---------------------------------------------------------------
@@ -90,7 +89,8 @@ def packed_code_bytes(count: int, bit_width: int) -> int:
 def _pack_qparams(p: QuantParams) -> bytes:
     """The blocks of one record: one per slice, or one for per-tensor params."""
     z = np.atleast_1d(p.zero_point)
-    wide = (z < _INT32_MIN) | (z > _INT32_MAX)
+    int32 = np.iinfo(np.int32)
+    wide = (z < int32.min) | (z > int32.max)
     if wide.any():
         raise DomainError(f"zero-point {z[wide][0]} does not fit the stored int32")
     blocks = np.empty(z.shape, dtype=QPARAMS_DTYPE)

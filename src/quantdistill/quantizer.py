@@ -83,11 +83,18 @@ class QuantParams:
                         f"per-channel {name} of shape {value.shape}, expected ({slices},)")
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
-        # Array fields compare elementwise; np.asarray leaves arrays as they are.
+        # np.asarray lets one check serve scalar and array fields.
         if np.asarray(self.range_lo > self.range_hi).any():
             raise DomainError(f"range_lo {self.range_lo} exceeds range_hi {self.range_hi}")
         if not np.asarray(self.scale > 0).all():
             raise DomainError(f"scale must be positive, got {self.scale}")
+
+    def __eq__(self, other):
+        # Field by field, so that records holding arrays compare by value.
+        if not isinstance(other, QuantParams):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f))
+                   for f in ("bit_width", *(name for name, _, _ in _FIELDS)))
 
     @property
     def per_channel(self) -> bool:
@@ -157,11 +164,10 @@ def params_from_range(lo, hi, bit_width: int) -> QuantParams:
         anchor = anchor.astype(np.int64)
         code_min, code_max = -(1 << (bit_width - 1)), (1 << (bit_width - 1)) - 1
         zero_point[const] = np.clip(-anchor, anchor - code_max + 1, anchor - code_min - 1)
-    if per_channel:
-        return QuantParams(scale=scale, zero_point=zero_point, bit_width=bit_width,
-                           range_lo=lo32, range_hi=hi32)
-    return QuantParams(scale=float(scale[0]), zero_point=int(zero_point[0]),
-                       bit_width=bit_width, range_lo=float(lo[0]), range_hi=float(hi[0]))
+    if not per_channel:
+        scale, zero_point, lo32, hi32 = scale[0], zero_point[0], lo32[0], hi32[0]
+    return QuantParams(scale=scale, zero_point=zero_point, bit_width=bit_width,
+                       range_lo=lo32, range_hi=hi32)
 
 
 @dataclass(frozen=True)

@@ -163,6 +163,8 @@ class TestDeriveParams:
     def test_per_channel_row_extrema(self):
         ps = derive_params(Tensor([[-1, 1], [0, 4]]), 8, channel_axis=0)
         assert (ps.range_lo.tolist(), ps.range_hi.tolist()) == ([-1.0, 0.0], [1.0, 4.0])
+        assert ps == derive_params(Tensor([[-1, 1], [0, 4]]), 8, channel_axis=0)
+        assert ps != derive_params(Tensor([[-1, 1], [0, 5]]), 8, channel_axis=0)
 
     def test_constant_tensor_fallback(self):
         p = derive_params(Tensor([[2.0, 2.0]]), 8)
