@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import quantdistill
-from quantdistill import distiller, graph, synth
+from quantdistill import distiller, graph, quantizer, synth
 
 _TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -43,11 +43,15 @@ def _calibrated_step(space, teacher, cfg):
     return distiller.distill_step(student, teacher, batch, cfg)
 
 
+def _patched_names():
+    return (graph.forward_embed, distiller.forward_embed,
+            quantizer.QuantParams.__post_init__, quantizer.RangeObserver.update)
+
+
 def test_tracer_installs_and_uninstalls_around_a_traced_distill_step():
     tracer_mod = _load_tracer()
     space, teacher, cfg = _tiny_step_inputs()
-    originals = (graph.forward_embed, distiller.forward_embed, quantdistill.quantizer.QuantParams
-                 .__post_init__, quantdistill.quantizer.RangeObserver.update)
+    originals = _patched_names()
     tracer = tracer_mod.Tracer(quantdistill)
     tracer.install()
     try:
@@ -55,8 +59,7 @@ def test_tracer_installs_and_uninstalls_around_a_traced_distill_step():
         result = _calibrated_step(space, teacher, cfg)
     finally:
         tracer.uninstall()
-    assert (graph.forward_embed, distiller.forward_embed, quantdistill.quantizer.QuantParams
-            .__post_init__, quantdistill.quantizer.RangeObserver.update) == originals
+    assert _patched_names() == originals
     assert np.isfinite(result.loss)
     assert not tracer.failed
 
@@ -78,12 +81,12 @@ def test_tracer_installs_and_uninstalls_around_a_traced_distill_step():
 def test_matmul_clock_installs_and_uninstalls_around_a_distill_step():
     tracer_mod = _load_tracer()
     space, teacher, cfg = _tiny_step_inputs()
-    matmul = quantdistill.tensor_core.matmul
+    matmul = graph.matmul
     clock = tracer_mod.MatmulClock(quantdistill)
     clock.install()
     try:
         _calibrated_step(space, teacher, cfg)
     finally:
         clock.uninstall()
-    assert graph.matmul is matmul and quantdistill.tensor_core.matmul is matmul
+    assert graph.matmul is matmul
     assert clock.marks and len(clock.marks) % 2 == 0
