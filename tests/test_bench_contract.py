@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import quantdistill
-from quantdistill import distiller, graph, quantizer, synth
+from quantdistill import bench_eval, distiller, graph, quantizer, synth
 
 _TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -90,3 +90,33 @@ def test_matmul_clock_installs_and_uninstalls_around_a_distill_step():
         clock.uninstall()
     assert graph.matmul is matmul
     assert clock.marks and len(clock.marks) % 2 == 0
+
+
+def test_verify_request_runs_one_stacked_forward_without_ste_masks():
+    # A request embeds both pair sides in one tape-free walk: one matmul per
+    # linear layer, and no STE mask, which only a backward pass would read.
+    tracer_mod = _load_tracer()
+    space, teacher, cfg = _tiny_step_inputs()
+    student = distiller.prepare_student(teacher, cfg.bit_width)
+    distiller.calibrate(student, synth.batch_stream(space, 16, 2), 2)
+    pairs = bench_eval.build_pairs(space, 40, 4)
+    for net in (teacher, student):
+        clock = tracer_mod.MatmulClock(quantdistill)
+        clock.install()
+        try:
+            bench_eval.verify(net, pairs)
+        finally:
+            clock.uninstall()
+        assert len(clock.marks) == 2 * len(net.linear_layers)
+
+    tracer = tracer_mod.Tracer(quantdistill)
+    tracer.install()
+    try:
+        tracer.scope, tracer.round = "op", 1
+        bench_eval.verify(student, pairs)
+    finally:
+        tracer.uninstall()
+    assert not tracer.failed
+    spans = {name: calls for (_, _, name), (calls, _, _) in tracer.aggregate().items()}
+    assert "graph.in_range_mask" not in spans
+    assert spans["graph.fake_quant"] == len(student.linear_layers) + student.activation_site_count

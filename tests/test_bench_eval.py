@@ -7,13 +7,14 @@ from quantdistill.bench_eval import (
     build_pairs,
     best_threshold_accuracy,
     interval_iou,
+    pair_scores,
     range_correlation,
     tar_at_far,
     verify,
     write_range_csv,
 )
 from quantdistill.errors import DimensionError, DomainError, StateError
-from quantdistill.graph import build_embedding_net, observe_activations
+from quantdistill.graph import build_embedding_net, forward_embed, observe_activations
 from quantdistill.quantizer import RangeObserver
 from quantdistill.synth import make_identity_space
 from quantdistill.tensor_core import Tensor
@@ -43,6 +44,18 @@ def _loop_best_threshold_accuracy(scores, same):
         if acc > best_acc:
             best_acc, best_thr = acc, thr
     return best_acc, best_thr
+
+
+def _calibrated(data_seed, net_seed=7, bits=8):
+    net = build_embedding_net(12, (16,), 8, seed=net_seed)
+    net.set_quantization(bits)
+    rng = np.random.default_rng(data_seed)
+    observers = [RangeObserver() for _ in range(net.activation_site_count)]
+    for _ in range(6):
+        observe_activations(net, Tensor(rng.standard_normal((16, 12)).astype(np.float32)),
+                            observers)
+    net.activation_params = [o.freeze(bits) for o in observers]
+    return net
 
 
 class TestBuildPairs:
@@ -189,21 +202,21 @@ class TestVerify:
         net, pairs = self._trained_pairs()
         assert verify(net, pairs, [0.1]) == verify(net, pairs, [0.1], quantized=False)
 
+    @pytest.mark.parametrize("bits", [None, 8, 6])
+    def test_pair_scores_equal_per_side_forwards(self, bits):
+        net, pairs = self._trained_pairs()
+        if bits is not None:
+            net = _calibrated(3, net_seed=5, bits=bits)
+        quantized = bits is not None
+        a = forward_embed(net, pairs.first, quantized)[0].data.astype(np.float64)
+        b = forward_embed(net, pairs.second, quantized)[0].data.astype(np.float64)
+        expected = np.sum(a * b, axis=1)
+        assert np.array_equal(pair_scores(net, pairs).view(np.uint64), expected.view(np.uint64))
+
 
 class TestRangeCorrelation:
-    def _calibrated(self, data_seed, net_seed=7, bits=8):
-        net = build_embedding_net(12, (16,), 8, seed=net_seed)
-        net.set_quantization(bits)
-        rng = np.random.default_rng(data_seed)
-        observers = [RangeObserver() for _ in range(net.activation_site_count)]
-        for _ in range(6):
-            observe_activations(net, Tensor(rng.standard_normal((16, 12)).astype(np.float32)),
-                                observers)
-        net.activation_params = [o.freeze(bits) for o in observers]
-        return net
-
     def test_net_against_itself_all_ones(self):
-        net = self._calibrated(1)
+        net = _calibrated(1)
         rep = range_correlation(net, net)
         assert rep.iou == tuple([1.0] * net.activation_site_count)
         assert rep.mean_iou == 1.0
@@ -214,13 +227,13 @@ class TestRangeCorrelation:
         assert interval_iou((1.0, 1.0), (1.0, 1.0)) == 1.0
 
     def test_architecture_mismatch(self):
-        a = self._calibrated(1)
+        a = _calibrated(1)
         b = build_embedding_net(12, (8,), 8, seed=1)
         with pytest.raises(DimensionError):
             range_correlation(a, b)
 
     def test_uncalibrated_rejected(self):
-        a = self._calibrated(1)
+        a = _calibrated(1)
         b = build_embedding_net(12, (16,), 8, seed=7)
         with pytest.raises(StateError):
             range_correlation(a, b)
@@ -228,8 +241,8 @@ class TestRangeCorrelation:
     def test_csv_export_parses(self, tmp_path):
         import csv
 
-        a = self._calibrated(1)
-        b = self._calibrated(2)
+        a = _calibrated(1)
+        b = _calibrated(2)
         rep = range_correlation(a, b)
         path = tmp_path / "ranges.csv"
         write_range_csv(path, rep, source_a="real", source_b="synthetic")
