@@ -1,0 +1,56 @@
+"""Property: a single mutated byte never loads as a different model.
+
+Any one byte of a small w8a8 QFMD file is changed and the CRC recomputed,
+so only the mutation is wrong. Loading must then either fail with
+``FormatError`` (CLI exit 3) or give a net that re-saves to exactly the
+mutated bytes: a field the loader accepts is carried through unchanged.
+"""
+
+import struct
+import zlib
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from quantdistill.errors import FormatError  # noqa: E402
+from quantdistill.graph import build_embedding_net, observe_activations  # noqa: E402
+from quantdistill.model_store import load_model, save_model  # noqa: E402
+from quantdistill.quantizer import RangeObserver  # noqa: E402
+from quantdistill.tensor_core import Tensor  # noqa: E402
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """(directory, bytes) of a calibrated 6-8-4 w8a8 model file."""
+    net = build_embedding_net(6, (8,), 4, seed=0)
+    net.set_quantization(8)
+    observers = [RangeObserver() for _ in range(net.activation_site_count)]
+    rng = np.random.default_rng(1)
+    for _ in range(4):
+        observe_activations(net, Tensor(rng.standard_normal((8, 6)).astype(np.float32)),
+                            observers)
+    net.activation_params = [o.freeze(8) for o in observers]
+    root = tmp_path_factory.mktemp("fuzz")
+    save_model(net, root / "net.qfmd", mode="quantized")
+    return root, (root / "net.qfmd").read_bytes()
+
+
+@settings(max_examples=600)
+@given(data=st.data(), delta=st.integers(1, 255))
+def test_single_byte_mutation_is_rejected_or_round_trips(saved, data, delta):
+    root, blob = saved
+    pos = data.draw(st.integers(4, len(blob) - 5), label="position")
+    mutated = bytearray(blob)
+    mutated[pos] = (mutated[pos] + delta) % 256
+    struct.pack_into("<I", mutated, len(mutated) - 4, zlib.crc32(mutated[4:-4]) & 0xFFFFFFFF)
+    path, again = root / "mutated.qfmd", root / "resaved.qfmd"
+    path.write_bytes(bytes(mutated))
+    try:
+        net = load_model(path)
+    except FormatError:
+        return
+    save_model(net, again, mode="quantized" if net.is_calibrated else "fp32")
+    assert again.read_bytes() == bytes(mutated)
