@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, StateError
-from .graph import EmbeddingNet, forward_embed
+from .graph import EmbeddingNet, embed
 from .synth import IdentitySpace, derive_seed, sample_for_identities
 from .tensor_core import Tensor
 
@@ -112,19 +112,20 @@ def build_pairs(space: IdentitySpace, n_pairs: int, seed: int) -> PairSet:
     return PairSet(first=first, second=second, same=same)
 
 
-def _embed(net: EmbeddingNet, x: Tensor, quantized: bool) -> np.ndarray:
-    out, _ = forward_embed(net, x, quantized=quantized)
-    return out.data.astype(np.float64)
-
-
 def pair_scores(net: EmbeddingNet, pairs: PairSet,
                 quantized: bool | None = None) -> np.ndarray:
-    """Cosine similarity per pair; quantized mode defaults to the net's state."""
+    """Cosine similarity per pair; quantized mode defaults to the net's state.
+
+    Both sides go through one tape-free forward, stacked first above
+    second; every row is embedded independently, so the scores equal
+    those of one forward per side.
+    """
     if quantized is None:
         quantized = net.is_calibrated
-    a = _embed(net, pairs.first, quantized)
-    b = _embed(net, pairs.second, quantized)
-    return np.sum(a * b, axis=1)
+    both = Tensor._wrap(np.concatenate([pairs.first.data, pairs.second.data]))
+    e = embed(net, both, quantized).data.astype(np.float64)
+    n = pairs.n_pairs
+    return np.sum(e[:n] * e[n:], axis=1)
 
 
 def best_threshold_accuracy(scores: np.ndarray, same: np.ndarray) -> tuple[float, float]:

@@ -28,9 +28,7 @@ from .quantizer import (
     SUPPORTED_BIT_WIDTHS,
     QuantParams,
     RangeObserver,
-    dequantize,
     derive_params,
-    quantize,
 )
 from .tensor_core import Tensor, l2_normalize, matmul, relu, transpose
 
@@ -208,8 +206,22 @@ def net_fingerprint(net: EmbeddingNet) -> str:
 
 
 def fake_quant(x: Tensor, params: QuantParams, channel_axis: int | None = None) -> Tensor:
-    """Quantize-then-dequantize: real-valued output snapped to the code grid."""
-    return dequantize(quantize(x, params, channel_axis))
+    """Quantize-then-dequantize: real-valued output snapped to the code grid.
+
+    One float64 pass with the arithmetic of ``quantize`` then
+    ``dequantize`` in the same order (divide by s, subtract z, round half
+    to even, clip to the codes, add z, multiply by s), so the output is
+    bit-identical to the two-step path without building integer codes.
+    """
+    s, z, _, _ = params.broadcast(x.shape, channel_axis)
+    t = x.data.astype(np.float64)
+    t /= s
+    t -= z
+    np.rint(t, out=t)
+    np.clip(t, params.code_min, params.code_max, out=t)
+    t += z
+    t *= s
+    return Tensor._wrap(t.astype(np.float32))
 
 
 def in_range_mask(x: Tensor, params: QuantParams,
@@ -310,7 +322,29 @@ def forward_embed(net: EmbeddingNet, x: Tensor, quantized: bool) -> tuple[Tensor
 
     ``quantized`` routes every weight and activation site through fake
     quantization; it requires ``quant_bits`` and calibrated activation
-    parameters.
+    parameters. The tape holds what :func:`backward_embed` replays,
+    including the STE masks of every fake-quant node.
+    """
+    tape = GradTape()
+    h = _walk(net, x, quantized, tape)
+    tape.records.append(_Record(kind="normalize", inputs=h))
+    return l2_normalize(h), tape
+
+
+def embed(net: EmbeddingNet, x: Tensor, quantized: bool) -> Tensor:
+    """The embeddings of :func:`forward_embed`, bit for bit, without a tape.
+
+    The inference forward: it records nothing and computes no STE mask.
+    Every row is computed independently of the others, so a batch may
+    stack unrelated inputs.
+    """
+    return l2_normalize(_walk(net, x, quantized, None))
+
+
+def _walk(net: EmbeddingNet, x: Tensor, quantized: bool, tape: GradTape | None) -> Tensor:
+    """The layer stack up to, not including, the final L2 normalization.
+
+    With a ``tape``, appends the records :func:`backward_embed` replays.
     """
     if x.rank != 2 or x.shape[1] != net.input_dim:
         raise DimensionError(f"input shape {x.shape} incompatible with input dim {net.input_dim}")
@@ -320,44 +354,38 @@ def forward_embed(net: EmbeddingNet, x: Tensor, quantized: bool) -> tuple[Tensor
         if net.activation_params is None:
             raise StateError("quantized forward requires calibrated activation ranges")
 
-    tape = GradTape()
+    # Activation sites: after each relu and after the final linear.
+    last = len(net.layers) - 1
     site = 0
     linear_index = 0
     h = x
-    for layer in net.layers:
+    for i, layer in enumerate(net.layers):
         if isinstance(layer, Linear):
+            w = layer.weight
+            mask = None
             if quantized:
                 wp = net.weight_params(linear_index)
-                w_used = fake_quant(layer.weight, wp, channel_axis=0)
-                wmask = in_range_mask(layer.weight, wp, channel_axis=0)
-            else:
-                w_used = layer.weight
-                wmask = None
-            tape.records.append(_Record(kind="linear", layer_index=linear_index,
-                                        inputs=h, mask=wmask, weight_used=w_used))
-            h = linear_forward(h, w_used, layer.bias)
+                w = fake_quant(layer.weight, wp, channel_axis=0)
+                if tape is not None:
+                    mask = in_range_mask(layer.weight, wp, channel_axis=0)
+            if tape is not None:
+                tape.records.append(_Record(kind="linear", layer_index=linear_index,
+                                            inputs=h, mask=mask, weight_used=w))
+            h = linear_forward(h, w, layer.bias)
             linear_index += 1
-            is_last = linear_index == len(net.linear_layers)
-            if is_last:
-                h = _activation_site(net, tape, h, site, quantized)
-                site += 1
         else:
-            tape.records.append(_Record(kind="relu", inputs=h))
+            if tape is not None:
+                tape.records.append(_Record(kind="relu", inputs=h))
             h = relu(h)
-            h = _activation_site(net, tape, h, site, quantized)
+        if i == last or isinstance(layer, Relu):
+            if quantized:
+                p = net.activation_params[site]
+                if tape is not None:
+                    tape.records.append(_Record(kind="act_quant", inputs=h,
+                                                mask=in_range_mask(h, p)))
+                h = fake_quant(h, p)
             site += 1
-    tape.records.append(_Record(kind="normalize", inputs=h))
-    return l2_normalize(h), tape
-
-
-def _activation_site(net: EmbeddingNet, tape: GradTape, h: Tensor, site: int,
-                     quantized: bool) -> Tensor:
-    if not quantized:
-        return h
-    p = net.activation_params[site]
-    tape.records.append(_Record(kind="act_quant", inputs=h,
-                                mask=in_range_mask(h, p)))
-    return fake_quant(h, p)
+    return h
 
 
 def observe_activations(net: EmbeddingNet, x: Tensor,

@@ -12,8 +12,13 @@ IN_DIM, HIDDEN, EMBED_DIM = 12, (16, 16), 8
 
 
 def _net(bits):
-    """A three-linear net; calibrated at ``bits`` unless that is None."""
+    """A three-linear net; calibrated at ``bits`` unless that is None.
+
+    The last bias keeps every embedding away from zero, whose rows the
+    final normalization rejects, at 4 bits too."""
     net = build_embedding_net(IN_DIM, HIDDEN, EMBED_DIM, seed=3)
+    last = net.linear_layers[-1]
+    last.bias = Tensor(np.full(EMBED_DIM, 4.0, dtype=np.float32))
     if bits is not None:
         net.set_quantization(bits)
         observers = [RangeObserver() for _ in range(net.activation_site_count)]

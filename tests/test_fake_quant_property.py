@@ -48,12 +48,25 @@ def test_fused_matches_two_step_on_random_ranges(seed, rows, width, bits, per_ch
                                                                              p=[0.1, 0.9])
         params = params_from_range(lo, hi, bits)
         x = _random_values(rng, (rows, width), lo[:, None], hi[:, None])
-        _assert_fused_matches_two_step(x, params, 0)
+        axis = 0
     else:
         lo = float(rng.standard_normal() * magnitude)
         hi = lo + float(abs(rng.standard_normal()) * magnitude)
         params = params_from_range(lo, hi, bits)
-        _assert_fused_matches_two_step(_random_values(rng, (rows, width), lo, hi), params, None)
+        x = _random_values(rng, (rows, width), lo, hi)
+        axis = None
+    _assert_fused_matches_two_step(x, params, axis)
+    _assert_fused_matches_two_step(_near_half_codes(rng, params, x.shape, axis), params, axis)
+
+
+def _near_half_codes(rng, params, shape, channel_axis) -> np.ndarray:
+    """The float32 values nearest s * (z + k + 1/2) and their neighbours one
+    ulp away, where single and double precision division round differently."""
+    s, z, _, _ = params.broadcast(shape, channel_axis)
+    k = rng.integers(params.code_min - 2, params.code_max + 2, size=shape) + 0.5
+    x = (s * (z + k)).astype(np.float32)
+    nudged = np.nextafter(x, rng.choice(np.float32([-np.inf, np.inf]), size=shape))
+    return np.where(rng.random(shape) < 1 / 3, x, nudged)
 
 
 @given(exponents=st.lists(st.integers(-20, 20), min_size=1, max_size=6),
