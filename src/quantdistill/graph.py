@@ -341,10 +341,12 @@ def embed(net: EmbeddingNet, x: Tensor, quantized: bool) -> Tensor:
     return l2_normalize(_walk(net, x, quantized, None))
 
 
-def _walk(net: EmbeddingNet, x: Tensor, quantized: bool, tape: GradTape | None) -> Tensor:
+def _walk(net: EmbeddingNet, x: Tensor, quantized: bool, tape: GradTape | None,
+          observers: list[RangeObserver] | None = None) -> Tensor:
     """The layer stack up to, not including, the final L2 normalization.
 
-    With a ``tape``, appends the records :func:`backward_embed` replays.
+    With a ``tape``, appends the records :func:`backward_embed` replays;
+    with ``observers``, feeds each activation site's input to its observer.
     """
     if x.rank != 2 or x.shape[1] != net.input_dim:
         raise DimensionError(f"input shape {x.shape} incompatible with input dim {net.input_dim}")
@@ -378,6 +380,8 @@ def _walk(net: EmbeddingNet, x: Tensor, quantized: bool, tape: GradTape | None) 
                 tape.records.append(_Record(kind="relu", inputs=h))
             h = relu(h)
         if i == last or isinstance(layer, Relu):
+            if observers is not None:
+                observers[site].update(h)
             if quantized:
                 p = net.activation_params[site]
                 if tape is not None:
@@ -397,25 +401,10 @@ def observe_activations(net: EmbeddingNet, x: Tensor,
     degenerate inputs that would produce zero-norm embeddings still
     calibrate cleanly.
     """
-    if x.rank != 2 or x.shape[1] != net.input_dim:
-        raise DimensionError(f"input shape {x.shape} incompatible with input dim {net.input_dim}")
     if len(observers) != net.activation_site_count:
         raise DimensionError(
             f"{len(observers)} observers for {net.activation_site_count} activation sites")
-    site = 0
-    linear_index = 0
-    h = x
-    for layer in net.layers:
-        if isinstance(layer, Linear):
-            h = linear_forward(h, layer.weight, layer.bias)
-            linear_index += 1
-            if linear_index == len(net.linear_layers):
-                observers[site].update(h)
-                site += 1
-        else:
-            h = relu(h)
-            observers[site].update(h)
-            site += 1
+    _walk(net, x, False, None, observers)
 
 
 def backward_embed(net: EmbeddingNet, tape: GradTape,

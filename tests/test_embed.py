@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from quantdistill.errors import DimensionError, StateError
+from quantdistill.errors import DimensionError, DomainError, StateError
 from quantdistill.graph import build_embedding_net, embed, forward_embed, observe_activations
 from quantdistill.quantizer import RangeObserver
 from quantdistill.tensor_core import BLOCK_ROWS, Tensor
@@ -48,3 +48,15 @@ def test_embed_checks_like_forward_embed():
         embed(net, Tensor(np.zeros((2, IN_DIM + 1), dtype=np.float32)), False)
     with pytest.raises(StateError):
         embed(net, Tensor(np.ones((2, IN_DIM), dtype=np.float32)), True)
+
+
+def test_calibration_walk_leaves_normalization_out():
+    # A fresh net has zero biases, so a zero input embeds to a zero row: the
+    # forwards reject it, calibration still records every site.
+    net = build_embedding_net(IN_DIM, HIDDEN, EMBED_DIM, seed=3)
+    x = Tensor(np.zeros((2, IN_DIM), dtype=np.float32))
+    with pytest.raises(DomainError):
+        embed(net, x, False)
+    observers = [RangeObserver() for _ in range(net.activation_site_count)]
+    observe_activations(net, x, observers)
+    assert [(o.running_lo, o.running_hi, o.count) for o in observers] == [(0.0, 0.0, 1)] * 3
