@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, StateError
 from .graph import EmbeddingNet, embed
+from .model_store import write_atomic
 from .synth import IdentitySpace, derive_seed, sample_for_identities
 from .tensor_core import Tensor
 
@@ -217,11 +218,8 @@ def write_range_csv(path, report: RangeCorrelationReport,
         lines.append(f"{depth},{lo:.9g},{hi:.9g},{source_a}")
     for depth, (lo, hi) in enumerate(report.intervals_b):
         lines.append(f"{depth},{lo:.9g},{hi:.9g},{source_b}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_report_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))

@@ -24,6 +24,7 @@ from .graph import (
     observe_activations,
     sgd_step,
 )
+from .model_store import write_atomic
 from .quantizer import RangeObserver, SUPPORTED_BIT_WIDTHS
 from .synth import Batch
 from .tensor_core import Tensor
@@ -185,5 +186,4 @@ def write_loss_curve(path, curve: list[KDBatchResult]) -> None:
     """Export the loss curve as CSV with `step,loss` rows."""
     lines = ["step,loss"]
     lines += [f"{i},{r.loss:.9g}" for i, r in enumerate(curve)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -31,6 +31,7 @@ identical bytes.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import zlib
@@ -122,6 +123,30 @@ def _params(fields, bit_width: int, offset: int) -> QuantParams:
                           field="qparams", offset=4 + offset) from exc
 
 
+def _finite(values: np.ndarray, field: str, offset: int) -> Tensor:
+    try:
+        return Tensor(values)
+    except DomainError as exc:
+        raise FormatError(f"stored {field} are not finite", field=field,
+                          offset=4 + offset) from exc
+
+
+def _grid_weight(codes: np.ndarray, wp: QuantParams, offset: int) -> Tensor:
+    """The dequantized weight of stored codes, checked to hold exactly those
+    codes: a model that loads re-saves to the same bytes."""
+    q = QuantizedTensor(codes=codes, shape=codes.shape, params=wp, channel_axis=0)
+    try:
+        with np.errstate(over="ignore"):  # reported below as a FormatError
+            w = dequantize(q)
+    except DomainError as exc:
+        raise FormatError("weight parameters overflow the dequantized weights",
+                          field="qparams", offset=4 + offset) from exc
+    if not np.array_equal(quantize(w, wp, channel_axis=0).codes, q.codes):
+        raise FormatError("weight parameters do not reproduce the stored codes",
+                          field="qparams", offset=4 + offset)
+    return w
+
+
 # -- save / load ---------------------------------------------------------------
 
 
@@ -139,10 +164,21 @@ def save_model(net: EmbeddingNet, path, mode: str) -> None:
         blob = _encode(net, quantized=True)
     else:
         raise DomainError(f"unknown mode {mode!r}")
+    write_atomic(path, blob)
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` through a temporary file and a rename: ``path`` holds
+    either its old contents or all of ``data``, and a failed write leaves
+    no temporary file behind."""
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 def _encode(net: EmbeddingNet, quantized: bool) -> bytes:
@@ -227,11 +263,13 @@ def load_model(path) -> EmbeddingNet:
             n = out_dim * in_dim
             if len(body) < off + n * 4:
                 raise FormatError("truncated weights", field="weights", offset=4 + off)
-            w = np.frombuffer(body, dtype="<f4", count=n, offset=off).reshape(out_dim, in_dim)
+            w = _finite(np.frombuffer(body, dtype="<f4", count=n, offset=off)
+                        .reshape(out_dim, in_dim), "weights", off)
             off += n * 4
         elif payload == 1:
             if mode != MODE_QUANTIZED:
                 raise FormatError("packed codes in an fp32 file", field="payload", offset=4 + off)
+            block_off = off
             wp = _params(_read_blocks(body, off, out_dim, bit_width), bit_width, off)
             off += out_dim * QPARAMS_DTYPE.itemsize
             nbytes = packed_code_bytes(out_dim * in_dim, bit_width)
@@ -240,16 +278,15 @@ def load_model(path) -> EmbeddingNet:
             codes = unpack_codes(body[off:off + nbytes], out_dim * in_dim,
                                  bit_width).reshape(out_dim, in_dim)
             off += nbytes
-            q = QuantizedTensor(codes=codes, shape=(out_dim, in_dim), params=wp, channel_axis=0)
-            w = dequantize(q).data
+            w = _grid_weight(codes, wp, block_off)
             weight_params.append(wp)
         else:
             raise FormatError(f"unknown payload kind {payload}", field="payload", offset=4 + off)
         if len(body) < off + out_dim * 4:
             raise FormatError("truncated bias", field="bias", offset=4 + off)
-        b = np.frombuffer(body, dtype="<f4", count=out_dim, offset=off)
+        b = _finite(np.frombuffer(body, dtype="<f4", count=out_dim, offset=off), "bias", off)
         off += out_dim * 4
-        layers.append(Linear(weight=Tensor(w), bias=Tensor(b)))
+        layers.append(Linear(weight=w, bias=b))
 
     (act_count,) = take("<H")
     if act_count and mode != MODE_QUANTIZED:

@@ -84,10 +84,12 @@ class QuantParams:
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
         # np.asarray lets one check serve scalar and array fields.
+        if not (np.isfinite(self.range_lo).all() and np.isfinite(self.range_hi).all()):
+            raise DomainError(f"non-finite range [{self.range_lo}, {self.range_hi}]")
         if np.asarray(self.range_lo > self.range_hi).any():
             raise DomainError(f"range_lo {self.range_lo} exceeds range_hi {self.range_hi}")
-        if not np.asarray(self.scale > 0).all():
-            raise DomainError(f"scale must be positive, got {self.scale}")
+        if not (np.asarray(self.scale > 0).all() and np.isfinite(self.scale).all()):
+            raise DomainError(f"scale must be positive and finite, got {self.scale}")
 
     def __eq__(self, other):
         # Field by field, so that records holding arrays compare by value.

@@ -245,6 +245,21 @@ class TestExitCodes:
         assert main(["distill", "--config", str(cfg), "--teacher", str(teacher),
                      "--bits", "8"]) == EXIT_DIMENSION
 
+    def test_weight_scale_overflowing_float32(self, cfg_path, tmp_path):
+        # A huge stored weight scale makes the dequantized weights overflow
+        # float32: a malformed file, not a domain error.
+        path = tmp_path / "student.qfmd"
+        save_model(_small_net(bits=8), path, mode="quantized")
+
+        def huge_scale(body):
+            # header (6 bytes), layer kind (1), out/in dims and payload (9),
+            # then the first weight block starts with its f32 scale
+            struct.pack_into("<f", body, 16, 3e38)
+            return body
+
+        _rewrite_body(path, huge_scale)
+        assert main(["eval", "--config", cfg_path, str(path)]) == EXIT_FORMAT
+
     def test_corrupt_model_file(self, cfg_path, tmp_path):
         bad = tmp_path / "bad.qfmd"
         bad.write_bytes(b"JUNKJUNKJUNKJUNK")

@@ -170,6 +170,38 @@ class TestCorruption:
             load_model(path)
         assert exc.value.field == "qparams"
 
+    def test_zero_point_that_moves_the_codes(self, tmp_path):
+        import struct
+        import zlib
+
+        # With a zero-point of 2**30 the float32 weight s * (c + z) no longer
+        # holds its code c, so the file could not re-save to the same bytes.
+        path = self._saved(tmp_path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<i", blob, 24, 1 << 30)  # first weight block's zero-point
+        struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(bytes(blob[4:-4])) & 0xFFFFFFFF)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError) as exc:
+            load_model(path)
+        assert exc.value.field == "qparams"
+
+    # Counted back from the end of the file: the CRC (4 bytes) follows the
+    # last activation block, which ends in its range_hi; the activation
+    # count and two blocks (36 bytes) follow the last bias value.
+    @pytest.mark.parametrize("field, from_end", [("qparams", 8), ("bias", 44)])
+    def test_non_finite_stored_values(self, tmp_path, field, from_end):
+        import struct
+        import zlib
+
+        path = self._saved(tmp_path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<f", blob, len(blob) - from_end, float("nan"))
+        struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(bytes(blob[4:-4])) & 0xFFFFFFFF)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError) as exc:
+            load_model(path)
+        assert exc.value.field == field
+
     def test_truncated_file(self, tmp_path):
         path = self._saved(tmp_path)
         blob = path.read_bytes()
@@ -218,3 +250,47 @@ class TestSizeReport:
         rep = net_size_report(net, [8])
         assert rep.param_count == net.weight_param_count
         assert rep.overhead_bytes == (16 + 4) * 17 + (16 + 4) * 4
+
+
+class TestAtomicWrites:
+    """Every artifact writer goes through one temp-file-and-rename helper."""
+
+    def _writers(self):
+        from quantdistill.bench_eval import range_correlation, write_range_csv, write_report_json
+        from quantdistill.distiller import KDBatchResult, write_loss_curve
+
+        net = _calibrated_net()
+        return {
+            "model": lambda path: save_model(net, path, mode="quantized"),
+            "loss_curve": lambda path: write_loss_curve(
+                path, [KDBatchResult(loss=0.5, grad_norms=())]),
+            "range_csv": lambda path: write_range_csv(path, range_correlation(net, net)),
+            "report_json": lambda path: write_report_json(path, {"accuracy": 0.5}),
+        }
+
+    @pytest.mark.parametrize("kind", ["model", "loss_curve", "range_csv", "report_json"])
+    def test_failed_rename_keeps_old_file(self, tmp_path, monkeypatch, kind):
+        import os
+
+        path = tmp_path / "artifact"
+        path.write_bytes(b"old contents\n")
+
+        def broken_replace(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", broken_replace)
+        with pytest.raises(OSError):
+            self._writers()[kind](path)
+        assert path.read_bytes() == b"old contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact"]
+
+    def test_unserializable_report_keeps_old_file(self, tmp_path):
+        from quantdistill.bench_eval import write_report_json
+
+        path = tmp_path / "report.json"
+        write_report_json(path, {"accuracy": 0.5})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_report_json(path, {"accuracy": object()})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]

@@ -290,6 +290,17 @@ class TestQuantParamsInvariants:
         with pytest.raises(DimensionError):
             params_from_range(np.zeros(3), np.ones(2), 8)
 
+    @pytest.mark.parametrize("field", ["scale", "range_lo", "range_hi"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fields_rejected(self, field, value):
+        fields = dict(scale=0.5, zero_point=0, bit_width=8, range_lo=-1.0, range_hi=1.0)
+        with pytest.raises(DomainError):
+            QuantParams(**{**fields, field: value})
+        per_channel = {k: (v if k == "bit_width" else np.full(2, v)) for k, v in fields.items()}
+        per_channel[field] = np.array([fields[field], value])
+        with pytest.raises(DomainError):
+            QuantParams(**per_channel)
+
     def test_constant_beyond_int64_zero_point_rejected(self):
         with pytest.raises(DomainError):
             params_from_range(np.array([1e30]), np.array([1e30]), 8)
