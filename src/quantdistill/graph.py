@@ -9,7 +9,8 @@ derived live from the current shadow weights) and every activation site
 passes through a fake-quantization node with parameters frozen at
 calibration time. Biases stay full precision.
 
-Backward passes replay a :class:`GradTape` recorded during the forward.
+Backward passes replay a :class:`GradTape` recorded during the forward;
+the inference forward :func:`embed` records none.
 The fake-quantization nodes use the straight-through estimator: the
 gradient passes unchanged where the input lies inside the node's clipping
 range [range_lo, range_hi] and is zeroed outside, which keeps weight
