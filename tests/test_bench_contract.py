@@ -8,12 +8,13 @@ benchmark run.
 """
 
 import importlib.util
+import threading
 from pathlib import Path
 
 import numpy as np
 
 import quantdistill
-from quantdistill import bench_eval, distiller, graph, quantizer, synth
+from quantdistill import bench_eval, distiller, graph, quantizer, synth, tensor_core
 
 _TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -120,3 +121,53 @@ def test_verify_request_runs_one_stacked_forward_without_ste_masks():
     spans = {name: calls for (_, _, name), (calls, _, _) in tracer.aggregate().items()}
     assert "graph.in_range_mask" not in spans
     assert spans["graph.fake_quant"] == len(student.linear_layers) + student.activation_site_count
+
+
+def test_row_split_verify_request_is_seen_from_the_calling_thread(monkeypatch):
+    # A request over at least 2*BLOCK_ROWS rows splits each long product into
+    # row ranges computed on threads of their own. Those threads run only
+    # numpy, so the clock still records one entry/exit pair per linear and
+    # the tracer records every span from the thread that made the request.
+    monkeypatch.setattr(tensor_core, "WORKERS", 2)
+    started = []
+    start = threading.Thread.start
+
+    def record(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    tracer_mod = _load_tracer()
+    space, teacher, cfg = _tiny_step_inputs()
+    student = distiller.prepare_student(teacher, cfg.bit_width)
+    distiller.calibrate(student, synth.batch_stream(space, 16, 2), 2)
+    pairs = bench_eval.build_pairs(space, 2 * (tensor_core.BLOCK_ROWS // 2 + 1), 4)
+
+    clock = tracer_mod.MatmulClock(quantdistill)
+    clock.install()
+    try:
+        bench_eval.verify(student, pairs)
+    finally:
+        clock.uninstall()
+    assert len(clock.marks) == 2 * len(student.linear_layers)
+    assert len(started) == len(student.linear_layers)
+
+    tracer = tracer_mod.Tracer(quantdistill)
+    open_span = tracer._open
+    threads = set()
+
+    def open_from(name):
+        threads.add(threading.get_ident())
+        return open_span(name)
+
+    tracer._open = open_from
+    tracer.install()
+    try:
+        tracer.scope, tracer.round = "op", 1
+        bench_eval.verify(student, pairs)
+    finally:
+        tracer.uninstall()
+    assert not tracer.failed
+    assert threads == {threading.get_ident()}
+    spans = {name: calls for (_, _, name), (calls, _, _) in tracer.aggregate().items()}
+    assert spans["tensor_core.matmul"] == len(student.linear_layers)

@@ -1,7 +1,11 @@
 """Distillation: KD loss contract, calibration, fine-tuning loop."""
 
+import threading
+
 import numpy as np
 import pytest
+
+from quantdistill import tensor_core
 
 from quantdistill.distiller import (
     DistillConfig,
@@ -16,6 +20,7 @@ from quantdistill.distiller import (
 )
 from quantdistill.errors import DimensionError, DomainError, StateError
 from quantdistill.graph import build_embedding_net, forward_embed, net_fingerprint
+from quantdistill.pretrain import TeacherConfig, train_teacher
 from quantdistill.synth import batch_stream, make_identity_space, sample_unlabeled
 from quantdistill.tensor_core import Tensor, l2_normalize
 
@@ -232,3 +237,39 @@ class TestCurveHelpers:
         assert lines[0] == "step,loss"
         assert lines[1] == "0,0.5"
         assert lines[2] == "1,0.25"
+
+
+class TestTrainingStartsNoThread:
+    """Every product of a training step at the reference shapes (batch 64,
+    64-wide layers, 200 identities) takes the small chunked method, so no
+    step starts a thread, however many CPUs the process may use."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        monkeypatch.setattr(tensor_core, "WORKERS", 8)
+        started = []
+        start = threading.Thread.start
+
+        def record(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", record)
+        return started
+
+    def test_train_teacher_step(self, started):
+        space = make_identity_space(200, 16, 64, 0.15, seed=0)
+        net = build_embedding_net(64, (64, 64), 32, seed=1)
+        losses = train_teacher(net, space, TeacherConfig(iterations=1, batch_size=64))
+        assert len(losses) == 1
+        assert started == []
+
+    def test_distill_step(self, started):
+        space = make_identity_space(200, 16, 64, 0.15, seed=0)
+        teacher = build_embedding_net(64, (64, 64), 32, seed=1)
+        student = prepare_student(teacher, 4)
+        calibrate(student, batch_stream(space, 64, seed=2), 2)
+        cfg = DistillConfig(batch_size=64, iterations=1, bit_width=4)
+        result = distill_step(student, teacher, next(batch_stream(space, 64, seed=3)), cfg)
+        assert 0.0 <= result.loss <= 2.0
+        assert started == []

@@ -73,3 +73,43 @@ def test_all_negative_zero_products_sum_to_positive_zero():
         b = np.full((64, 64), -0.5, dtype=np.float32)
         got = matmul(Tensor(a), Tensor(b)).data
         assert not np.signbit(got).any()
+
+
+B = tensor_core.BLOCK_ROWS
+SPLIT_ROWS = [0, 1, B // 2, B // 2 + 1, B - 1, B, 2 * B - 1, 2 * B, 3 * B + 7]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("m", SPLIT_ROWS)
+def test_row_split_bits_match_k_ordered_loop(monkeypatch, m, workers):
+    # Long products over every row count around the block and range
+    # boundaries (short blocks padded, ranges split across workers) give the
+    # oracle's bits for any worker count, with relu zeros and all-negative
+    # weights so that whole rows of -0.0 products must still sum to +0.0.
+    monkeypatch.setattr(tensor_core, "WORKERS", workers)
+    k, n = 64, 8 if m > 1 else 1
+    assert not (2 <= m * n and k * m * n <= tensor_core.SMALL_PRODUCT)  # the row-block method
+    rng = np.random.default_rng(m * 10 + workers)
+    a = np.maximum(_operand(rng, (m, k), 20, 0.5, False), np.float32(0.0))
+    a[rng.uniform(size=m) < 0.3] = 0.0
+    b = _operand(rng, (k, n), 20, 0.0, True)
+    got = matmul(Tensor(a), Tensor(b)).data
+    want = _k_ordered_loop(a, b)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+def test_error_in_a_later_row_range_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(tensor_core, "WORKERS", 3)
+    sum_rows = tensor_core._sum_rows
+
+    def failing(ad, bd, out, start, stop, work):
+        if start > 0:
+            raise MemoryError(f"rows {start}:{stop}")
+        return sum_rows(ad, bd, out, start, stop, work)
+
+    monkeypatch.setattr(tensor_core, "_sum_rows", failing)
+    a = Tensor(np.ones((3 * B, 24), dtype=np.float32))
+    b = Tensor(np.ones((24, 4), dtype=np.float32))
+    with pytest.raises(MemoryError, match=f"rows {B}:"):
+        matmul(a, b)
