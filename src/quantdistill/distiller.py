@@ -10,12 +10,13 @@ calibrated once, before fine-tuning, and stay frozen afterwards.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, StateError
+from .errors import DimensionError, DomainError, StateError, step_error
 from .graph import (
     EmbeddingNet,
     backward_embed,
@@ -157,7 +158,9 @@ def finetune(student: EmbeddingNet, teacher: EmbeddingNet, data: Iterator[Batch]
              cfg: DistillConfig) -> tuple[EmbeddingNet, list[KDBatchResult]]:
     """Run the full distillation schedule; the teacher is never touched.
 
-    Returns the trained student and the per-step loss curve.
+    Returns the trained student and the per-step loss curve. A step that
+    fails, such as on a non-finite loss or update, raises ``DomainError``
+    naming the width, the step and the last finite loss.
     """
     if not student.is_calibrated:
         raise StateError("student must be calibrated before fine-tuning")
@@ -168,8 +171,16 @@ def finetune(student: EmbeddingNet, teacher: EmbeddingNet, data: Iterator[Batch]
         raise StateError(
             f"student configured for {student.quant_bits}-bit, config says {cfg.bit_width}-bit")
     curve: list[KDBatchResult] = []
-    for _ in range(cfg.iterations):
-        curve.append(distill_step(student, teacher, next(data), cfg))
+    for step in range(cfg.iterations):
+        batch = next(data)
+        try:
+            result = distill_step(student, teacher, batch, cfg)
+            if not math.isfinite(result.loss):
+                raise DomainError(f"KD loss is {result.loss}")
+        except DomainError as exc:
+            raise step_error(f"distill w{cfg.bit_width}", step,
+                             curve[-1].loss if curve else None, exc) from exc
+        curve.append(result)
     return student, curve
 
 

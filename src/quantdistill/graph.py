@@ -470,6 +470,9 @@ def sgd_step(net: EmbeddingNet, grads: dict[int, tuple[Tensor, Tensor]],
         v_w = mom32 * v_w + d_w.data + wd32 * layer.weight.data
         v_b = mom32 * v_b + d_b.data + wd32 * layer.bias.data
         net._velocity[idx] = (v_w, v_b)
-        layer.weight = Tensor._wrap(layer.weight.data - lr32 * v_w)
-        layer.bias = Tensor._wrap(layer.bias.data - lr32 * v_b)
+        try:
+            layer.weight = Tensor._wrap(layer.weight.data - lr32 * v_w)
+            layer.bias = Tensor._wrap(layer.bias.data - lr32 * v_b)
+        except DomainError as exc:
+            raise DomainError(f"SGD update of layer {idx} is not finite") from exc
     return net

@@ -9,11 +9,12 @@ constant because normalized embeddings bound the raw dot products to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, step_error
 from .graph import (
     EmbeddingNet,
     backward_embed,
@@ -55,7 +56,9 @@ def train_teacher(net: EmbeddingNet, space: IdentitySpace,
     """Train the net in place as a classifier over the space's identities.
 
     Returns the per-step cross-entropy curve. The classifier head is local
-    to this function; only the embedding stack persists.
+    to this function; only the embedding stack persists. A step that fails,
+    such as on a non-finite loss or update, raises ``DomainError`` naming
+    the step and the last finite loss.
     """
     rng = np.random.default_rng(cfg.seed)
     head = (rng.standard_normal((space.n_identities, net.embed_dim))
@@ -71,18 +74,23 @@ def train_teacher(net: EmbeddingNet, space: IdentitySpace,
         if step in steps:
             lr /= 10.0
         batch = next(data)
-        emb, tape = forward_embed(net, batch.inputs, quantized=False)
-        logits = matmul(emb, transpose(Tensor._wrap(head.copy())))
-        logits = Tensor._wrap(logits.data * scale)
-        loss, d_logits = softmax_cross_entropy(logits, batch.labels)
-        losses.append(loss)
+        try:
+            emb, tape = forward_embed(net, batch.inputs, quantized=False)
+            logits = matmul(emb, transpose(Tensor._wrap(head.copy())))
+            logits = Tensor._wrap(logits.data * scale)
+            loss, d_logits = softmax_cross_entropy(logits, batch.labels)
+            if not math.isfinite(loss):
+                raise DomainError(f"cross-entropy is {loss}")
+            losses.append(loss)
 
-        d_logits_scaled = Tensor._wrap(d_logits.data * scale)
-        d_emb = matmul(d_logits_scaled, Tensor._wrap(head.copy()))
-        d_head = matmul(transpose(d_logits_scaled), emb)
+            d_logits_scaled = Tensor._wrap(d_logits.data * scale)
+            d_emb = matmul(d_logits_scaled, Tensor._wrap(head.copy()))
+            d_head = matmul(transpose(d_logits_scaled), emb)
 
-        grads = backward_embed(net, tape, d_emb)
-        sgd_step(net, grads, lr, cfg.momentum, cfg.weight_decay)
+            grads = backward_embed(net, tape, d_emb)
+            sgd_step(net, grads, lr, cfg.momentum, cfg.weight_decay)
+        except DomainError as exc:
+            raise step_error("pretrain", step, losses[-1] if losses else None, exc) from exc
         head_v = (np.float32(cfg.momentum) * head_v + d_head.data
                   + np.float32(cfg.weight_decay) * head)
         head = head - np.float32(lr) * head_v

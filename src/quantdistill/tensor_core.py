@@ -13,11 +13,15 @@ on its own. Within that contract the kernel is picked by operand shape:
 small products (the batch-64 training shapes) are formed in bounded
 chunks and folded by one reduction per chunk, large ones (evaluation over
 thousands of rows) loop over the inner index in the transposed layout so
-numpy's inner loop runs along the rows. Both give the same bits.
+numpy's inner loop runs along the rows. Every output row is computed on its
+own, so a long product is split into row ranges run in parallel, one per
+CPU the process may use. All give the same bits.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from typing import Sequence
 
 import numpy as np
@@ -34,8 +38,14 @@ CHUNK_ELEMENTS = 1 << 17
 # multiply whose inner axis is shorter than its buffer (8192 elements over
 # three operands) through copies at several times the cost; blocks at
 # least this long keep the direct loop, and splitting longer inputs keeps
-# a block's sum and product near the per-core L2.
+# a block's sum and product near the per-core L2. A block of more than
+# half this many rows is computed padded to this width, with zero tail
+# columns, which costs less than the copies.
 BLOCK_ROWS = 2731
+# Row ranges a long product is split into, at most: the CPUs in the
+# process's affinity mask. The bits do not depend on it.
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
 
 
 class Tensor:
@@ -109,7 +119,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
       and folded onto the running sum by one reduction per chunk;
     * everything else: a loop over ``k`` in the transposed (n, m) layout,
       in row blocks of at least ``BLOCK_ROWS`` rows, so numpy's inner loop
-      runs along the long ``m`` axis.
+      runs along the long ``m`` axis. The rows are split into up to
+      ``WORKERS`` contiguous ranges of at least ``BLOCK_ROWS`` rows each;
+      the first runs in the caller, each other one on a thread started for
+      the call.
     """
     if a.rank != 2 or b.rank != 2:
         raise DimensionError(f"matmul requires rank-2 operands, got {a.shape} x {b.shape}")
@@ -144,30 +157,74 @@ def _sum_in_chunks(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
 
 
 def _sum_transposed(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
-    """Row blocks of ``a`` of at least BLOCK_ROWS rows each. A block's sum
-    is kept transposed, as (n, rows), and grows by ``b[i, :, None] * a.T[i]``
-    per step, so each numpy loop runs along the block's rows. One work
-    buffer, reused by every block, holds the block's ``a.T``, sum and
-    products."""
+    """Row ranges of ``a``, one per worker, each at least BLOCK_ROWS rows
+    long. Range 0 runs here, ranges 1.. on threads that run only numpy,
+    each into its own rows of ``out``; the first error of the lowest range
+    is raised once every thread has finished."""
     m, k = ad.shape
     n = bd.shape[1]
     out = np.empty((m, n), dtype=np.float32)
     if m == 0:
         return out
-    width = -(-m // max(1, m // BLOCK_ROWS))
-    work = np.empty((k + 2 * n) * width, dtype=np.float32)
-    for s in range(0, m, width):
-        w = min(width, m - s)
-        a_t = work[:k * w].reshape(k, w)
-        acc = work[k * w:(k + n) * w].reshape(n, w)
-        prod = work[(k + n) * w:(k + 2 * n) * w].reshape(n, w)
-        np.copyto(a_t, ad[s:s + w].T)
+    parts = max(1, min(WORKERS, m // BLOCK_ROWS))
+    bounds = [m * p // parts for p in range(parts + 1)]
+    # Work buffers are allocated here: memory a new thread allocates comes
+    # from another malloc arena and raises the process's peak RSS.
+    works = [np.empty((k + 2 * n) * _block_width(bounds[p + 1] - bounds[p]), dtype=np.float32)
+             for p in range(parts)]
+    errors: list[Exception | None] = [None] * parts
+
+    def run(p: int) -> None:
+        try:
+            _sum_rows(ad, bd, out, bounds[p], bounds[p + 1], works[p])
+        except Exception as exc:
+            errors[p] = exc
+
+    threads = [threading.Thread(target=run, args=(p,)) for p in range(1, parts)]
+    for t in threads:
+        t.start()
+    try:
+        run(0)
+    finally:
+        for t in threads:
+            t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return out
+
+
+def _block_width(rows: int) -> int:
+    """Columns of the work buffer for a range of ``rows`` rows: near-equal
+    blocks of at least BLOCK_ROWS rows, or one padded block of BLOCK_ROWS
+    columns for a range of more than half that."""
+    if BLOCK_ROWS // 2 < rows < BLOCK_ROWS:
+        return BLOCK_ROWS
+    return -(-rows // max(1, rows // BLOCK_ROWS))
+
+
+def _sum_rows(ad: np.ndarray, bd: np.ndarray, out: np.ndarray, start: int, stop: int,
+              work: np.ndarray) -> None:
+    """Rows ``start:stop`` of ``out``, a block of ``work``'s width at a time.
+    A block's sum is kept transposed, as (n, width), and grows by
+    ``b[i, :, None] * a.T[i]`` per step, so each numpy loop runs along the
+    block's rows. ``work`` holds the block's ``a.T``, sum and products;
+    columns past the block's rows hold zeros and are not copied out."""
+    k = ad.shape[1]
+    n = bd.shape[1]
+    width = work.size // (k + 2 * n)
+    a_t = work[:k * width].reshape(k, width)
+    acc = work[k * width:(k + n) * width].reshape(n, width)
+    prod = work[(k + n) * width:].reshape(n, width)
+    for s in range(start, stop, width):
+        w = min(width, stop - s)
+        np.copyto(a_t[:, :w], ad[s:s + w].T)
+        a_t[:, w:] = 0.0
         acc.fill(0.0)
         for i in range(k):
             np.multiply(bd[i, :, None], a_t[i], out=prod)
             acc += prod
-        out[s:s + w] = acc.T
-    return out
+        out[s:s + w] = acc[:, :w].T
 
 
 def transpose(t: Tensor) -> Tensor:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 import zlib
 
@@ -244,6 +245,18 @@ class TestExitCodes:
                        + f"out_dir = {tmp_path / 'out'}\n")
         assert main(["distill", "--config", str(cfg), "--teacher", str(teacher),
                      "--bits", "8"]) == EXIT_DIMENSION
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow under test
+    def test_diverging_pretrain_names_stage_step_and_last_loss(self, tmp_path, capsys):
+        # lr 1e9 blows the cross-entropy up within a few steps: the run stops
+        # at the first non-finite loss instead of training on.
+        path = tmp_path / "cfg.txt"
+        path.write_text(SMALL_CONFIG.replace("teacher_lr = 0.1", "teacher_lr = 1e9")
+                        + f"out_dir = {tmp_path / 'out'}\n")
+        assert main(["pretrain", "--config", str(path)]) == EXIT_DIMENSION
+        err = capsys.readouterr().err
+        assert re.search(r"pretrain step \d+: .*last finite loss [0-9.]+\)", err), err
+        assert not (tmp_path / "out" / "teacher.qfmd").exists()
 
     def test_weight_scale_overflowing_float32(self, cfg_path, tmp_path):
         # A huge stored weight scale makes the dequantized weights overflow

@@ -1,5 +1,6 @@
 """Distillation: KD loss contract, calibration, fine-tuning loop."""
 
+import re
 import threading
 
 import numpy as np
@@ -210,6 +211,15 @@ class TestFinetune:
         labeled = batch_stream(space, 16, seed=7, labeled=True)
         with pytest.raises(DomainError):
             distill_step(student, teacher, next(labeled), cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow under test
+    def test_divergence_names_width_step_layer_and_last_loss(self):
+        teacher, student, space, cfg = self._setup(iterations=50)
+        cfg.lr = 1e9
+        with pytest.raises(DomainError) as info:
+            finetune(student, teacher, batch_stream(space, 16, seed=7), cfg)
+        assert re.fullmatch(r"distill w8 step \d+: SGD update of layer \d+ is not finite "
+                            r"\(last finite loss [0-9.]+\)", str(info.value)), info.value
 
     def test_loss_recorded_every_step(self):
         teacher, student, space, cfg = self._setup(iterations=8)
