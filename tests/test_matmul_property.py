@@ -6,6 +6,9 @@ Shapes are drawn on both sides of the kernel's method boundaries (small
 chunked products, single-element outputs, row-blocked long products).
 """
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -113,3 +116,23 @@ def test_error_in_a_later_row_range_reaches_the_caller(monkeypatch):
     b = Tensor(np.ones((24, 4), dtype=np.float32))
     with pytest.raises(MemoryError, match=f"rows {B}:"):
         matmul(a, b)
+
+
+def test_row_ranges_on_more_workers_than_cpus_under_fast_thread_switching(monkeypatch):
+    # Each range writes only its own rows of the shared output: with more
+    # workers than CPUs and the interpreter switching threads every
+    # microsecond, the result still equals the one-worker result.
+    workers = (os.cpu_count() or 1) + 1
+    a = np.random.default_rng(5).standard_normal((workers * B + 3, 24)).astype(np.float32)
+    b = np.random.default_rng(6).standard_normal((24, 4)).astype(np.float32)
+    monkeypatch.setattr(tensor_core, "WORKERS", 1)
+    want = matmul(Tensor(a), Tensor(b)).data
+    monkeypatch.setattr(tensor_core, "WORKERS", workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            got = matmul(Tensor(a), Tensor(b)).data
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+    finally:
+        sys.setswitchinterval(interval)
