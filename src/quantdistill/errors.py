@@ -53,6 +53,6 @@ class ConfigError(QuantDistillError):
 def step_error(stage: str, step: int, last_loss: float | None, cause: object) -> DomainError:
     """Error for a training step that failed, e.g. on a non-finite loss or
     update: names the stage (``pretrain``, ``distill w<b>``), the step and
-    the last finite loss, so a diverging run says where it left the rails."""
+    the last finite loss, so a diverging run says where it failed."""
     last = "none" if last_loss is None else f"{last_loss:.9g}"
     return DomainError(f"{stage} step {step}: {cause} (last finite loss {last})")
