@@ -11,6 +11,7 @@ import os
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
+from .model_store import write_atomic
 from .quantizer import SUPPORTED_BIT_WIDTHS
 
 SEED_ENV_VAR = "QUANTDISTILL_SEED"
@@ -147,12 +148,11 @@ def load_config(path, apply_env_seed: bool = True) -> ExperimentConfig:
 
 
 def write_config(cfg: ExperimentConfig, path) -> None:
-    """Write a config back out in the same flat format."""
+    """Write a config back out in the same flat format, atomically."""
     lines = []
     for f in fields(ExperimentConfig):
         v = getattr(cfg, f.name)
         if isinstance(v, list):
             v = ",".join(str(x) for x in v)
         lines.append(f"{f.name}={v}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))

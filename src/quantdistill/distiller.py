@@ -171,16 +171,18 @@ def finetune(student: EmbeddingNet, teacher: EmbeddingNet, data: Iterator[Batch]
         raise StateError(
             f"student configured for {student.quant_bits}-bit, config says {cfg.bit_width}-bit")
     curve: list[KDBatchResult] = []
-    for step in range(cfg.iterations):
-        batch = next(data)
-        try:
-            result = distill_step(student, teacher, batch, cfg)
-            if not math.isfinite(result.loss):
-                raise DomainError(f"KD loss is {result.loss}")
-        except DomainError as exc:
-            raise step_error(f"distill w{cfg.bit_width}", step,
-                             curve[-1].loss if curve else None, exc) from exc
-        curve.append(result)
+    # Overflow, NaN and log(0) show as the step's DomainError, not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(cfg.iterations):
+            batch = next(data)
+            try:
+                result = distill_step(student, teacher, batch, cfg)
+                if not math.isfinite(result.loss):
+                    raise DomainError(f"KD loss is {result.loss}")
+            except DomainError as exc:
+                raise step_error(f"distill w{cfg.bit_width}", step,
+                                 curve[-1].loss if curve else None, exc) from exc
+            curve.append(result)
     return student, curve
 
 

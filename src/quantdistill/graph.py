@@ -367,7 +367,10 @@ def _walk(net: EmbeddingNet, x: Tensor, quantized: bool, tape: GradTape | None,
             w = layer.weight
             mask = None
             if quantized:
-                wp = net.weight_params(linear_index)
+                try:
+                    wp = net.weight_params(linear_index)
+                except DomainError as exc:
+                    raise DomainError(f"layer {linear_index}: {exc}") from exc
                 w = fake_quant(layer.weight, wp, channel_axis=0)
                 if tape is not None:
                     mask = in_range_mask(layer.weight, wp, channel_axis=0)
@@ -375,6 +378,9 @@ def _walk(net: EmbeddingNet, x: Tensor, quantized: bool, tape: GradTape | None,
                 tape.records.append(_Record(kind="linear", layer_index=linear_index,
                                             inputs=h, mask=mask, weight_used=w))
             h = linear_forward(h, w, layer.bias)
+            # Checked here: the activation fake-quant below clips +-inf to codes.
+            if not np.isfinite(h.data).all():
+                raise DomainError(f"output of layer {linear_index} is not finite")
             linear_index += 1
         else:
             if tape is not None:
@@ -470,9 +476,10 @@ def sgd_step(net: EmbeddingNet, grads: dict[int, tuple[Tensor, Tensor]],
         v_w = mom32 * v_w + d_w.data + wd32 * layer.weight.data
         v_b = mom32 * v_b + d_b.data + wd32 * layer.bias.data
         net._velocity[idx] = (v_w, v_b)
-        try:
-            layer.weight = Tensor._wrap(layer.weight.data - lr32 * v_w)
-            layer.bias = Tensor._wrap(layer.bias.data - lr32 * v_b)
-        except DomainError as exc:
-            raise DomainError(f"SGD update of layer {idx} is not finite") from exc
+        w = layer.weight.data - lr32 * v_w
+        b = layer.bias.data - lr32 * v_b
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise DomainError(f"SGD update of layer {idx} is not finite")
+        layer.weight = Tensor._wrap(w)
+        layer.bias = Tensor._wrap(b)
     return net

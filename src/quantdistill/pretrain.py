@@ -70,28 +70,32 @@ def train_teacher(net: EmbeddingNet, space: IdentitySpace,
     losses: list[float] = []
     lr = cfg.lr
     scale = np.float32(LOGIT_SCALE)
-    for step in range(cfg.iterations):
-        if step in steps:
-            lr /= 10.0
-        batch = next(data)
-        try:
-            emb, tape = forward_embed(net, batch.inputs, quantized=False)
-            logits = matmul(emb, transpose(Tensor._wrap(head.copy())))
-            logits = Tensor._wrap(logits.data * scale)
-            loss, d_logits = softmax_cross_entropy(logits, batch.labels)
-            if not math.isfinite(loss):
-                raise DomainError(f"cross-entropy is {loss}")
-            losses.append(loss)
+    # Overflow, NaN and log(0) show as the step's DomainError, not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(cfg.iterations):
+            if step in steps:
+                lr /= 10.0
+            batch = next(data)
+            try:
+                emb, tape = forward_embed(net, batch.inputs, quantized=False)
+                # head is rebound below, never written in place.
+                head_t = Tensor._wrap(head)
+                logits = matmul(emb, transpose(head_t))
+                logits = Tensor._wrap(logits.data * scale)
+                loss, d_logits = softmax_cross_entropy(logits, batch.labels)
+                if not math.isfinite(loss):
+                    raise DomainError(f"cross-entropy is {loss}")
+                losses.append(loss)
 
-            d_logits_scaled = Tensor._wrap(d_logits.data * scale)
-            d_emb = matmul(d_logits_scaled, Tensor._wrap(head.copy()))
-            d_head = matmul(transpose(d_logits_scaled), emb)
+                d_logits_scaled = Tensor._wrap(d_logits.data * scale)
+                d_emb = matmul(d_logits_scaled, head_t)
+                d_head = matmul(transpose(d_logits_scaled), emb)
 
-            grads = backward_embed(net, tape, d_emb)
-            sgd_step(net, grads, lr, cfg.momentum, cfg.weight_decay)
-        except DomainError as exc:
-            raise step_error("pretrain", step, losses[-1] if losses else None, exc) from exc
-        head_v = (np.float32(cfg.momentum) * head_v + d_head.data
-                  + np.float32(cfg.weight_decay) * head)
-        head = head - np.float32(lr) * head_v
+                grads = backward_embed(net, tape, d_emb)
+                sgd_step(net, grads, lr, cfg.momentum, cfg.weight_decay)
+            except DomainError as exc:
+                raise step_error("pretrain", step, losses[-1] if losses else None, exc) from exc
+            head_v = (np.float32(cfg.momentum) * head_v + d_head.data
+                      + np.float32(cfg.weight_decay) * head)
+            head = head - np.float32(lr) * head_v
     return losses

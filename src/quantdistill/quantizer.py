@@ -213,7 +213,10 @@ def quantize(x: Tensor, params: QuantParams, channel_axis: int | None = None) ->
 def dequantize(q: QuantizedTensor) -> Tensor:
     """Approximate the real values of quantized codes: x ~= s * (code + z)."""
     s, z, _, _ = q.params.broadcast(q.shape, q.channel_axis)
-    return Tensor._wrap((s * (q.codes.astype(np.float64) + z)).astype(np.float32))
+    x = (s * (q.codes.astype(np.float64) + z)).astype(np.float32)
+    if not np.isfinite(x).all():
+        raise DomainError("dequantized values overflow float32")
+    return Tensor._wrap(x)
 
 
 def derive_params(t: Tensor, bit_width: int, channel_axis: int | None = None) -> QuantParams:

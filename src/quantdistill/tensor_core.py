@@ -64,14 +64,14 @@ class Tensor:
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
         """Take ownership of a freshly allocated float32 array without copying.
 
-        Internal fast path; callers must not retain a writable reference.
+        Internal fast path, unchecked: non-finite values pass, to be caught at
+        each linear's output and SGD update in ``graph``. Callers must not
+        retain a writable reference.
         """
         t = object.__new__(cls)
         arr = np.asarray(arr, dtype=np.float32)
         if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)  # keeps 0-d scalars 0-d
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("tensor contains non-finite elements")
         arr.flags.writeable = False
         t._data = arr
         return t

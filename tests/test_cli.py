@@ -4,6 +4,7 @@ import json
 import os
 import re
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -78,6 +79,7 @@ class TestConfigParsing:
         path = tmp_path / "c.txt"
         write_config(cfg, path)
         assert load_config(path, apply_env_seed=False) == cfg
+        assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]
 
     def test_comments_and_blanks_ignored(self, cfg_path):
         cfg = load_config(cfg_path, apply_env_seed=False)
@@ -257,6 +259,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert re.search(r"pretrain step \d+: .*last finite loss [0-9.]+\)", err), err
         assert not (tmp_path / "out" / "teacher.qfmd").exists()
+
+    def test_overflowing_distill_names_layer_without_warnings(self, tmp_path, capsys):
+        # lr 1e5 overflows a linear's output within a few steps; the error
+        # names the layer, and numpy prints no RuntimeWarning ahead of it.
+        path = tmp_path / "cfg.txt"
+        path.write_text(SMALL_CONFIG.replace("lr = 1e-4", "lr = 1e5")
+                        .replace("iterations = 40", "iterations = 200")
+                        + f"out_dir = {tmp_path / 'out'}\n")
+        assert main(["pretrain", "--config", str(path)]) == EXIT_OK
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["distill", "--config", str(path), "--bits", "8",
+                         "--teacher", str(tmp_path / "out" / "teacher.qfmd")]) == EXIT_DIMENSION
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert re.search(r"distill w8 step \d+: .*layer \d+.*last finite loss", err), err
+
+    def test_diverging_pretrain_prints_no_warning(self, tmp_path):
+        # At lr 1e9 a softmax probability underflows to 0 and its log to
+        # -inf: the run still stops with its error alone.
+        path = tmp_path / "cfg.txt"
+        path.write_text(SMALL_CONFIG.replace("teacher_lr = 0.1", "teacher_lr = 1e9")
+                        + f"out_dir = {tmp_path / 'out'}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["pretrain", "--config", str(path)]) == EXIT_DIMENSION
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_weight_scale_overflowing_float32(self, cfg_path, tmp_path):
         # A huge stored weight scale makes the dequantized weights overflow

@@ -257,6 +257,7 @@ class TestAtomicWrites:
 
     def _writers(self):
         from quantdistill.bench_eval import range_correlation, write_range_csv, write_report_json
+        from quantdistill.config import ExperimentConfig, write_config
         from quantdistill.distiller import KDBatchResult, write_loss_curve
 
         net = _calibrated_net()
@@ -266,9 +267,10 @@ class TestAtomicWrites:
                 path, [KDBatchResult(loss=0.5, grad_norms=())]),
             "range_csv": lambda path: write_range_csv(path, range_correlation(net, net)),
             "report_json": lambda path: write_report_json(path, {"accuracy": 0.5}),
+            "config": lambda path: write_config(ExperimentConfig(), path),
         }
 
-    @pytest.mark.parametrize("kind", ["model", "loss_curve", "range_csv", "report_json"])
+    @pytest.mark.parametrize("kind", ["model", "loss_curve", "range_csv", "report_json", "config"])
     def test_failed_rename_keeps_old_file(self, tmp_path, monkeypatch, kind):
         import os
 

@@ -19,6 +19,14 @@ class TestTensor:
         with pytest.raises(DomainError):
             Tensor([float("inf")])
 
+    def test_wrap_does_not_check_finiteness(self):
+        # The constructor checks outside data; the internal fast path leaves
+        # finite checks to the graph's layer boundaries.
+        arr = np.array([1.0, np.nan, np.inf, -np.inf], dtype=np.float32)
+        assert np.array_equal(Tensor._wrap(arr).data, arr, equal_nan=True)
+        with pytest.raises(DomainError):
+            Tensor(arr)
+
     def test_storage_is_immutable(self):
         t = Tensor([1.0, 2.0])
         with pytest.raises(ValueError):
