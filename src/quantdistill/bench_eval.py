@@ -113,18 +113,15 @@ def build_pairs(space: IdentitySpace, n_pairs: int, seed: int) -> PairSet:
     return PairSet(first=first, second=second, same=same)
 
 
-def pair_scores(net: EmbeddingNet, pairs: PairSet,
-                quantized: bool | None = None) -> np.ndarray:
-    """Cosine similarity per pair; quantized mode defaults to the net's state.
+def pair_scores(net: EmbeddingNet, pairs: PairSet) -> np.ndarray:
+    """Cosine similarity per pair, quantized exactly when the net is calibrated.
 
     Both sides go through one tape-free forward, stacked first above
     second; every row is embedded independently, so the scores equal
     those of one forward per side.
     """
-    if quantized is None:
-        quantized = net.is_calibrated
     both = Tensor._wrap(np.concatenate([pairs.first.data, pairs.second.data]))
-    e = embed(net, both, quantized).data.astype(np.float64)
+    e = embed(net, both, net.is_calibrated).data.astype(np.float64)
     n = pairs.n_pairs
     return np.sum(e[:n] * e[n:], axis=1)
 
@@ -164,12 +161,11 @@ def tar_at_far(scores: np.ndarray, same: np.ndarray, far: float) -> float:
 
 
 def verify(net: EmbeddingNet, pairs: PairSet,
-           far_targets=DEFAULT_FAR_TARGETS,
-           quantized: bool | None = None) -> VerificationReport:
+           far_targets=DEFAULT_FAR_TARGETS) -> VerificationReport:
     """Score all pairs and report accuracy and TAR@FAR."""
     if pairs.n_pairs == 0:
         raise DomainError("empty pair set")
-    scores = pair_scores(net, pairs, quantized)
+    scores = pair_scores(net, pairs)
     acc, thr = best_threshold_accuracy(scores, pairs.same)
     tars = {float(f): tar_at_far(scores, pairs.same, float(f)) for f in far_targets}
     genuine = scores[pairs.same]

@@ -21,7 +21,7 @@ from .bench_eval import (
     write_range_csv,
     write_report_json,
 )
-from .config import ExperimentConfig, load_config, validate_bits
+from .config import ExperimentConfig, load_config, parse_value, validate_bits
 from .distiller import (
     DistillConfig,
     calibrate,
@@ -39,7 +39,7 @@ from .errors import (
     StateError,
 )
 from .graph import build_embedding_net
-from .model_store import MODE_QUANTIZED, load_model, net_size_report, save_model
+from .model_store import load_model, net_size_report, save_model
 from .pretrain import TeacherConfig, train_teacher
 from .synth import batch_stream, derive_seed, make_identity_space
 
@@ -80,7 +80,7 @@ def cmd_pretrain(cfg: ExperimentConfig) -> int:
     losses = train_teacher(net, space, tcfg)
 
     pairs = build_pairs(space, cfg.n_pairs, cfg.sub_seed("pairs"))
-    report = verify(net, pairs, cfg.far_targets, quantized=False)
+    report = verify(net, pairs, cfg.far_targets)
 
     model_path = os.path.join(cfg.out_dir, "teacher.qfmd")
     save_model(net, model_path, mode="fp32")
@@ -195,13 +195,6 @@ def cmd_eval(cfg: ExperimentConfig, model_paths: list[str]) -> int:
     return EXIT_OK
 
 
-def _parse_bits(raw: str) -> list[int]:
-    try:
-        return [int(v.strip()) for v in raw.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse bits {raw!r}", field="bits") from exc
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quantdistill",
@@ -229,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "pretrain":
             return cmd_pretrain(cfg)
         if args.command == "distill":
-            bits = _parse_bits(args.bits) if args.bits else None
+            bits = parse_value("bits", args.bits) if args.bits else None
             return cmd_distill(cfg, args.teacher, bits)
         return cmd_eval(cfg, args.models)
     except ConfigError as exc:

@@ -7,6 +7,7 @@ isolation. ``QUANTDISTILL_SEED`` in the environment overrides the seed.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -54,6 +55,10 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"must be finite, got {value}", field=f.name)
         if self.n_identities < 2:
             raise ConfigError("need at least 2 identities (verification is undefined below that)",
                               field="n_identities")
@@ -103,31 +108,29 @@ _INT_LIST_KEYS = {"bits"}
 _FLOAT_LIST_KEYS = {"far_targets"}
 
 
-def _parse_value(key: str, raw: str, target_type: type):
+# Each key's value parses to the type of its default.
+_DEFAULTS = vars(ExperimentConfig())
+
+
+def parse_value(key: str, raw: str):
+    """Parse the raw text of one config value; unknown keys are errors."""
+    if key not in _DEFAULTS:
+        raise ConfigError("unknown key", field=key)
     try:
         if key in _INT_LIST_KEYS:
             return [int(v.strip()) for v in raw.split(",") if v.strip()]
         if key in _FLOAT_LIST_KEYS:
             return [float(v.strip()) for v in raw.split(",") if v.strip()]
-        if target_type is int:
-            return int(raw)
-        if target_type is float:
-            return float(raw)
-        return raw
+        return type(_DEFAULTS[key])(raw)
     except ValueError as exc:
         raise ConfigError(f"cannot parse {raw!r}: {exc}", field=key) from exc
 
 
-def load_config(path, apply_env_seed: bool = True) -> ExperimentConfig:
+def load_config(path) -> ExperimentConfig:
     """Parse a key=value config file; unknown keys are errors."""
-    known = {f.name: f.type for f in fields(ExperimentConfig)}
-    type_map = {f.name: type(getattr(ExperimentConfig(), f.name)) for f in fields(ExperimentConfig)}
     values: dict = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError:
-        raise
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
     for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -135,10 +138,8 @@ def load_config(path, apply_env_seed: bool = True) -> ExperimentConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key=value, got {stripped!r}")
         key, raw = (s.strip() for s in stripped.split("=", 1))
-        if key not in known:
-            raise ConfigError("unknown key", field=key)
-        values[key] = _parse_value(key, raw, type_map[key])
-    if apply_env_seed and SEED_ENV_VAR in os.environ:
+        values[key] = parse_value(key, raw)
+    if SEED_ENV_VAR in os.environ:
         try:
             values["seed"] = int(os.environ[SEED_ENV_VAR])
         except ValueError as exc:

@@ -452,9 +452,8 @@ def backward_embed(net: EmbeddingNet, tape: GradTape,
 
 def sgd_step(net: EmbeddingNet, grads: dict[int, tuple[Tensor, Tensor]],
              lr: float, momentum: float = 0.0, weight_decay: float = 0.0) -> EmbeddingNet:
-    """SGD with momentum and decoupled-from-nothing classic weight decay.
+    """Apply :func:`sgd_update` to every weight and bias that has a gradient.
 
-    v <- momentum * v + grad + weight_decay * w;  w <- w - lr * v.
     Updates the shadow weights in place (quantized views refresh on the
     next forward) and returns the net for chaining.
     """
@@ -470,16 +469,22 @@ def sgd_step(net: EmbeddingNet, grads: dict[int, tuple[Tensor, Tensor]],
             net._velocity[idx] = (np.zeros(layer.weight.shape, dtype=np.float32),
                                   np.zeros(layer.bias.shape, dtype=np.float32))
         v_w, v_b = net._velocity[idx]
-        lr32 = np.float32(lr)
-        mom32 = np.float32(momentum)
-        wd32 = np.float32(weight_decay)
-        v_w = mom32 * v_w + d_w.data + wd32 * layer.weight.data
-        v_b = mom32 * v_b + d_b.data + wd32 * layer.bias.data
+        w, v_w = sgd_update(layer.weight.data, v_w, d_w.data, lr, momentum, weight_decay)
+        b, v_b = sgd_update(layer.bias.data, v_b, d_b.data, lr, momentum, weight_decay)
         net._velocity[idx] = (v_w, v_b)
-        w = layer.weight.data - lr32 * v_w
-        b = layer.bias.data - lr32 * v_b
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise DomainError(f"SGD update of layer {idx} is not finite")
         layer.weight = Tensor._wrap(w)
         layer.bias = Tensor._wrap(b)
     return net
+
+
+def sgd_update(w: np.ndarray, v: np.ndarray, grad: np.ndarray, lr: float,
+               momentum: float, weight_decay: float) -> tuple[np.ndarray, np.ndarray]:
+    """SGD with momentum and classic weight decay on one float32 array.
+
+    v <- momentum * v + grad + weight_decay * w;  w <- w - lr * v, every
+    operation in float32. Returns the new (w, v) as fresh arrays.
+    """
+    v = np.float32(momentum) * v + grad + np.float32(weight_decay) * w
+    return w - np.float32(lr) * v, v

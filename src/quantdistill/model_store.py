@@ -299,7 +299,10 @@ def load_model(path) -> EmbeddingNet:
     if off != len(body):
         raise FormatError(f"{len(body) - off} trailing bytes", field="trailer", offset=4 + off)
 
-    net = EmbeddingNet(layers)
+    try:
+        net = EmbeddingNet(layers)
+    except DimensionError as exc:
+        raise FormatError(f"layer stack: {exc}", field="layers") from exc
     if mode == MODE_QUANTIZED:
         if len(weight_params) != len(net.linear_layers):
             raise FormatError("weight parameter blocks do not match linear layers",
@@ -377,10 +380,10 @@ def size_report(param_count: int, bit_widths: list[int],
                       quantized_bytes=quantized, ratios=ratios, overhead_bytes=overhead)
 
 
-def net_size_report(net: EmbeddingNet, bit_widths: list[int],
-                    include_overhead: bool = True) -> SizeReport:
-    """Size report for a concrete net (weights quantized, biases counted as overhead)."""
+def net_size_report(net: EmbeddingNet, bit_widths: list[int]) -> SizeReport:
+    """Size report for a concrete net (weights quantized, per-channel
+    parameter blocks and biases counted as overhead)."""
     channels = sum(l.out_dim for l in net.linear_layers)
     biases = sum(l.bias.size for l in net.linear_layers)
-    return size_report(net.weight_param_count, bit_widths, include_overhead,
+    return size_report(net.weight_param_count, bit_widths, include_overhead=True,
                        channel_count=channels, bias_count=biases)

@@ -20,12 +20,16 @@ from .graph import (
     backward_embed,
     forward_embed,
     sgd_step,
+    sgd_update,
     softmax_cross_entropy,
 )
 from .synth import IdentitySpace, batch_stream
 from .tensor_core import Tensor, matmul, transpose
 
 LOGIT_SCALE = 16.0
+# Learning rate drops by 10x at these fractions of the schedule,
+# mirroring the usual step decay of full-scale embedding training.
+LR_MILESTONES = (0.5, 0.8)
 
 
 @dataclass
@@ -38,17 +42,14 @@ class TeacherConfig:
     momentum: float = 0.9
     weight_decay: float = 5e-4
     seed: int = 0
-    # Learning rate drops by 10x at these fractions of the schedule,
-    # mirroring the usual step decay of full-scale embedding training.
-    milestones: tuple[float, ...] = (0.5, 0.8)
 
     def __post_init__(self):
         if self.iterations < 1:
             raise DomainError(f"iterations must be >= 1, got {self.iterations}")
         if self.batch_size < 1:
             raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
-            raise DomainError(f"lr must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise DomainError(f"lr must be positive and finite, got {self.lr}")
 
 
 def train_teacher(net: EmbeddingNet, space: IdentitySpace,
@@ -64,7 +65,7 @@ def train_teacher(net: EmbeddingNet, space: IdentitySpace,
     head = (rng.standard_normal((space.n_identities, net.embed_dim))
             / np.sqrt(net.embed_dim)).astype(np.float32)
     head_v = np.zeros_like(head)
-    steps = {int(f * cfg.iterations) for f in cfg.milestones}
+    steps = {int(f * cfg.iterations) for f in LR_MILESTONES}
 
     data = batch_stream(space, cfg.batch_size, cfg.seed, labeled=True)
     losses: list[float] = []
@@ -95,7 +96,6 @@ def train_teacher(net: EmbeddingNet, space: IdentitySpace,
                 sgd_step(net, grads, lr, cfg.momentum, cfg.weight_decay)
             except DomainError as exc:
                 raise step_error("pretrain", step, losses[-1] if losses else None, exc) from exc
-            head_v = (np.float32(cfg.momentum) * head_v + d_head.data
-                      + np.float32(cfg.weight_decay) * head)
-            head = head - np.float32(lr) * head_v
+            head, head_v = sgd_update(head, head_v, d_head.data, lr, cfg.momentum,
+                                      cfg.weight_decay)
     return losses

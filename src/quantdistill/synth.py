@@ -53,16 +53,18 @@ class Batch:
     """One batch of inputs; labels are present only on the pretraining path."""
 
     inputs: Tensor
-    labels: tuple[int, ...] | None = None
+    labels: np.ndarray | None = None  # read-only int64, one per row
 
     def __post_init__(self):
         if self.inputs.rank != 2:
             raise DomainError(f"batch inputs must be rank 2, got {self.inputs.shape}")
         if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(int(l) for l in self.labels))
-            if len(self.labels) != self.inputs.shape[0]:
+            labels = np.array(self.labels, dtype=np.int64)
+            if labels.shape != (self.inputs.shape[0],):
                 raise DomainError(
-                    f"{len(self.labels)} labels for batch of {self.inputs.shape[0]}")
+                    f"labels of shape {labels.shape} for batch of {self.inputs.shape[0]}")
+            labels.flags.writeable = False
+            object.__setattr__(self, "labels", labels)
 
     @property
     def size(self) -> int:
@@ -95,31 +97,29 @@ def make_identity_space(n_identities: int, latent_dim: int, input_dim: int,
 
 def render_latents(space: IdentitySpace, latents: np.ndarray) -> Tensor:
     """Map latent rows through the fixed mixing matrix and tanh."""
-    mixed = matmul(Tensor(latents.astype(np.float32)), Tensor._wrap(space.mixing.copy()))
+    mixed = matmul(Tensor(latents.astype(np.float32)), Tensor._wrap(space.mixing))
     return Tensor._wrap(np.tanh(mixed.data))
 
 
-def _draw(space: IdentitySpace, m: int, rng: np.random.Generator) -> tuple[Tensor, np.ndarray]:
-    ids = rng.integers(0, space.n_identities, size=m)
-    noise = rng.standard_normal((m, space.latent_dim)) * space.noise_sigma
+def _draw(space: IdentitySpace, ids: np.ndarray, rng: np.random.Generator) -> Tensor:
+    """One input per identity index: its prototype plus fresh noise, rendered."""
+    noise = rng.standard_normal((ids.size, space.latent_dim)) * space.noise_sigma
     latents = space.prototypes[ids].astype(np.float64) + noise
-    return render_latents(space, latents), ids
+    return render_latents(space, latents)
 
 
 def sample_unlabeled(space: IdentitySpace, m: int, seed: int) -> Batch:
-    """Batch of m inputs with identity labels discarded."""
-    if m < 1:
-        raise DomainError(f"batch size must be >= 1, got {m}")
-    inputs, _ = _draw(space, m, np.random.default_rng(seed))
-    return Batch(inputs=inputs, labels=None)
+    """The inputs of sample_labeled with the same seed, labels discarded."""
+    return Batch(inputs=sample_labeled(space, m, seed).inputs)
 
 
 def sample_labeled(space: IdentitySpace, m: int, seed: int) -> Batch:
-    """Like sample_unlabeled with the same seed, but labels retained."""
+    """Batch of m inputs of uniformly drawn identities, with their labels."""
     if m < 1:
         raise DomainError(f"batch size must be >= 1, got {m}")
-    inputs, ids = _draw(space, m, np.random.default_rng(seed))
-    return Batch(inputs=inputs, labels=tuple(int(i) for i in ids))
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, space.n_identities, size=m)
+    return Batch(inputs=_draw(space, ids, rng), labels=ids)
 
 
 def sample_for_identities(space: IdentitySpace, ids, seed: int) -> Tensor:
@@ -129,10 +129,7 @@ def sample_for_identities(space: IdentitySpace, ids, seed: int) -> Tensor:
         raise DomainError("no identities requested")
     if ids.min() < 0 or ids.max() >= space.n_identities:
         raise DomainError(f"identity index out of range [0, {space.n_identities})")
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((ids.size, space.latent_dim)) * space.noise_sigma
-    latents = space.prototypes[ids].astype(np.float64) + noise
-    return render_latents(space, latents)
+    return _draw(space, ids, np.random.default_rng(seed))
 
 
 def batch_stream(space: IdentitySpace, batch_size: int, seed: int,

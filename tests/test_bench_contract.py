@@ -2,9 +2,11 @@
 
 ``perfbench/tracer.py`` patches the package from outside: every public
 layer function, ``RangeObserver.update``/``freeze``, ``QuantParams``'
-``__post_init__``, and the ``forward_embed`` tape records it reads. A
-refactor that removes one of those fails here, in tier-1, instead of in a
-benchmark run.
+``__post_init__``, and the ``forward_embed`` tape records it reads.
+``perfbench/workloads.py`` finds pretrain's step boundaries by replacing
+``pretrain.batch_stream``, and runs distillation as bare ``distill_step``
+calls. A refactor that breaks one of those fails here, in tier-1, instead
+of in a benchmark run.
 """
 
 import importlib.util
@@ -14,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 import quantdistill
-from quantdistill import bench_eval, distiller, graph, quantizer, synth, tensor_core
+from quantdistill import bench_eval, distiller, graph, pretrain, quantizer, synth, tensor_core
 
 _TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -171,3 +173,35 @@ def test_row_split_verify_request_is_seen_from_the_calling_thread(monkeypatch):
     assert threads == {threading.get_ident()}
     spans = {name: calls for (_, _, name), (calls, _, _) in tracer.aggregate().items()}
     assert spans["tensor_core.matmul"] == len(student.linear_layers)
+
+
+def test_train_teacher_draws_every_batch_through_pretrain_batch_stream(monkeypatch):
+    drawn = []
+
+    def counted(*args, **kwargs):
+        for batch in synth.batch_stream(*args, **kwargs):
+            drawn.append(batch)
+            yield batch
+
+    monkeypatch.setattr(pretrain, "batch_stream", counted)
+    space, teacher, _ = _tiny_step_inputs()
+    losses = pretrain.train_teacher(teacher, space,
+                                    pretrain.TeacherConfig(iterations=3, batch_size=16))
+    assert len(losses) == len(drawn) == 3
+
+
+def test_distill_step_carries_momentum_like_finetune():
+    # The benchmark calls distill_step(student, teacher, batch, cfg) once per
+    # step, so the momentum must carry over through those four arguments.
+    space, teacher, cfg = _tiny_step_inputs()
+    cfg.iterations = 2
+    students = []
+    for _ in range(2):
+        student = distiller.prepare_student(teacher, cfg.bit_width)
+        distiller.calibrate(student, synth.batch_stream(space, 16, 2), 2)
+        students.append(student)
+    stream = synth.batch_stream(space, 16, 3)
+    for _ in range(2):
+        distiller.distill_step(students[0], teacher, next(stream), cfg)
+    distiller.finetune(students[1], teacher, synth.batch_stream(space, 16, 3), cfg)
+    assert graph.net_fingerprint(students[0]) == graph.net_fingerprint(students[1])

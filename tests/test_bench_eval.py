@@ -198,10 +198,6 @@ class TestVerify:
         scaled = verify(net, pairs, [0.1])
         assert scaled.accuracy == pytest.approx(base.accuracy)
 
-    def test_uncalibrated_net_defaults_to_fp(self):
-        net, pairs = self._trained_pairs()
-        assert verify(net, pairs, [0.1]) == verify(net, pairs, [0.1], quantized=False)
-
     @pytest.mark.parametrize("bits", [None, 8, 6])
     def test_pair_scores_equal_per_side_forwards(self, bits):
         net, pairs = self._trained_pairs()

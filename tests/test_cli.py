@@ -20,7 +20,7 @@ from quantdistill.cli import (
 )
 from quantdistill.config import ExperimentConfig, load_config, write_config
 from quantdistill.errors import ConfigError
-from quantdistill.graph import build_embedding_net, observe_activations
+from quantdistill.graph import Linear, Relu, build_embedding_net, observe_activations
 from quantdistill.model_store import save_model
 from quantdistill.quantizer import RangeObserver
 from quantdistill.tensor_core import Tensor
@@ -44,6 +44,10 @@ calibration_batches = 4
 n_pairs = 100
 far_targets = 0.05
 """
+
+# Every float field of ExperimentConfig.
+NON_FINITE_FIELDS = ["lr", "teacher_lr", "noise_sigma", "momentum", "weight_decay"]
+
 
 
 def _small_net(bits=None):
@@ -74,15 +78,17 @@ def cfg_path(tmp_path):
 
 
 class TestConfigParsing:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("QUANTDISTILL_SEED", raising=False)
         cfg = ExperimentConfig(seed=9, bits=[8])
         path = tmp_path / "c.txt"
         write_config(cfg, path)
-        assert load_config(path, apply_env_seed=False) == cfg
+        assert load_config(path) == cfg
         assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]
 
-    def test_comments_and_blanks_ignored(self, cfg_path):
-        cfg = load_config(cfg_path, apply_env_seed=False)
+    def test_comments_and_blanks_ignored(self, cfg_path, monkeypatch):
+        monkeypatch.delenv("QUANTDISTILL_SEED", raising=False)
+        cfg = load_config(cfg_path)
         assert cfg.seed == 7
         assert cfg.bits == [8, 6]
         assert cfg.far_targets == [0.05]
@@ -100,6 +106,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as exc:
             load_config(path)
         assert exc.value.field == "n_identities"
+
+    @pytest.mark.parametrize("field", NON_FINITE_FIELDS)
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_rejected(self, field, value):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(**{field: float(value)})
+        assert exc.value.field == field
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         path = tmp_path / "c.txt"
@@ -191,6 +204,18 @@ class TestExitCodes:
         path = tmp_path / "c.txt"
         path.write_text("n_identities = 1\n")
         assert main(["pretrain", "--config", str(path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("field", NON_FINITE_FIELDS)
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_config_value_stops_before_training(self, tmp_path, capsys,
+                                                           field, value):
+        path = tmp_path / "c.txt"
+        path.write_text(f"{field} = {value}\nout_dir = {tmp_path / 'out'}\n")
+        assert main(["pretrain", "--config", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"config error: {field}: must be finite" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path):
         assert main(["pretrain", "--config", str(tmp_path / "nope.txt")]) == EXIT_IO
@@ -300,6 +325,19 @@ class TestExitCodes:
             return body
 
         _rewrite_body(path, huge_scale)
+        assert main(["eval", "--config", cfg_path, str(path)]) == EXIT_FORMAT
+
+    @pytest.mark.parametrize("layers", [
+        [Relu()],
+        [],
+        [Linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2))),
+         Linear(Tensor(np.zeros((2, 5))), Tensor(np.zeros(2)))],
+    ], ids=["relu-only", "empty", "dims-do-not-compose"])
+    def test_layer_stack_that_is_no_net(self, cfg_path, tmp_path, layers):
+        net = _small_net()
+        net.layers = layers
+        path = tmp_path / "teacher.qfmd"
+        save_model(net, path, mode="fp32")
         assert main(["eval", "--config", cfg_path, str(path)]) == EXIT_FORMAT
 
     def test_corrupt_model_file(self, cfg_path, tmp_path):

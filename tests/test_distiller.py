@@ -124,6 +124,12 @@ class TestDistillConfig:
         with pytest.raises(DomainError):
             DistillConfig(bit_width=5)
 
+    @pytest.mark.parametrize("config", [DistillConfig, TeacherConfig])
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_lr(self, config, lr):
+        with pytest.raises(DomainError, match="lr must be positive and finite"):
+            config(lr=lr)
+
 
 class TestCalibrate:
     def test_produces_one_param_per_site(self):

@@ -5,6 +5,8 @@ import pytest
 
 from quantdistill.errors import DomainError, FormatError, StateError
 from quantdistill.graph import (
+    Linear,
+    Relu,
     build_embedding_net,
     forward_embed,
     net_fingerprint,
@@ -208,6 +210,22 @@ class TestCorruption:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(FormatError):
             load_model(path)
+
+    @pytest.mark.parametrize("layers", [
+        [Relu()],
+        [],
+        [Linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2))),
+         Linear(Tensor(np.zeros((2, 5))), Tensor(np.zeros(2)))],
+    ], ids=["relu-only", "empty", "dims-do-not-compose"])
+    def test_layer_stack_that_is_no_net(self, tmp_path, layers):
+        # A valid CRC around a stack EmbeddingNet refuses: a malformed file.
+        net = build_embedding_net(3, (), 2, seed=0)
+        net.layers = layers
+        path = tmp_path / "net.qfmd"
+        save_model(net, path, mode="fp32")
+        with pytest.raises(FormatError) as exc:
+            load_model(path)
+        assert exc.value.field == "layers"
 
 
 class TestSizeReport:
