@@ -28,7 +28,6 @@ from .graph import (
     EmbeddingNet,
     GradTape,
     Linear,
-    Relu,
     build_embedding_net,
     clone_net,
     fake_quant,

@@ -21,7 +21,6 @@ from .model_store import write_atomic
 from .synth import IdentitySpace, derive_seed, sample_for_identities
 from .tensor_core import Tensor
 
-DEFAULT_PAIR_COUNT = 2000
 DEFAULT_FAR_TARGETS = (0.01,)
 
 

@@ -78,6 +78,10 @@ class ExperimentConfig:
             raise ConfigError("must be >= 0", field="iterations")
         if self.lr <= 0:
             raise ConfigError("must be positive", field="lr")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError("must be in [0, 1)", field="momentum")
+        if self.weight_decay < 0:
+            raise ConfigError("must be non-negative", field="weight_decay")
         validate_bits(self.bits)
         if self.calibration_batches < 1:
             raise ConfigError("must be >= 1", field="calibration_batches")

@@ -66,10 +66,9 @@ class DistillConfig:
 
 @dataclass(frozen=True)
 class KDBatchResult:
-    """Loss and per-layer weight-gradient norms for one distillation step."""
+    """Loss of one distillation step."""
 
     loss: float
-    grad_norms: tuple[float, ...]
 
 
 def kd_loss(fq: Tensor, ft: Tensor) -> float:
@@ -148,9 +147,8 @@ def distill_step(student: EmbeddingNet, teacher: EmbeddingNet, batch: Batch,
     fq, tape = forward_embed(student, batch.inputs, quantized=True)
     loss = kd_loss(fq, ft)
     grads = backward_embed(student, tape, kd_loss_grad(fq, ft))
-    norms = tuple(float(np.linalg.norm(grads[i][0].data)) for i in sorted(grads))
     sgd_step(student, grads, cfg.lr, cfg.momentum, cfg.weight_decay)
-    return KDBatchResult(loss=loss, grad_norms=norms)
+    return KDBatchResult(loss=loss)
 
 
 def finetune(student: EmbeddingNet, teacher: EmbeddingNet, data: Iterator[Batch],

@@ -1,13 +1,14 @@
 """Differentiable computation graph for small embedding networks.
 
-An :class:`EmbeddingNet` is an ordered stack of fully connected layers and
-relu activations, finished by L2 normalization of the embedding rows. The
-full-precision ("shadow") weights are the single source of truth; when the
-net runs in quantized mode every weight passes through a fake-quantization
-node (quantize-then-dequantize, per-channel over output rows, parameters
-derived live from the current shadow weights) and every activation site
-passes through a fake-quantization node with parameters frozen at
-calibration time. Biases stay full precision.
+An :class:`EmbeddingNet` is an ordered stack of fully connected layers
+with a relu between each two, finished by L2 normalization of the
+embedding rows. The full-precision ("shadow") weights are the single
+source of truth; when the net runs in quantized mode every weight passes
+through a fake-quantization node (quantize-then-dequantize, per-channel
+over output rows, parameters derived live from the current shadow
+weights) and every activation site passes through a fake-quantization
+node with parameters frozen at calibration time. Biases stay full
+precision.
 
 Backward passes replay a :class:`GradTape` recorded during the forward;
 the inference forward :func:`embed` records none.
@@ -58,40 +59,33 @@ class Linear:
         return self.weight.shape[1]
 
 
-class Relu:
-    """Marker node for an elementwise relu between linear layers."""
-
-    def __repr__(self) -> str:
-        return "Relu()"
-
-
 class EmbeddingNet:
-    """Layer stack ending in an L2-normalized embedding head.
+    """Linears with a relu between each two, ending in an L2-normalized
+    embedding head.
+
+    ``layers`` holds the linears. Activation site ``i`` follows linear
+    ``i``, after its relu if it has one.
 
     Quantization state:
 
     * ``quant_bits`` — bit width used for both weights and activations
       when running in quantized mode (None = not configured).
     * ``activation_params`` — frozen per-site activation QuantParams, one
-      per activation site (after each relu plus after the final linear),
-      produced by calibration.
+      per activation site, produced by calibration.
     * ``frozen_weight_params`` — one per-channel weight QuantParams per
       linear layer, pinned by loading a quantized model file. When absent,
       weight parameters are re-derived from the live shadow weights on
       every forward pass (see :meth:`weight_params`).
     """
 
-    def __init__(self, layers: Sequence[Linear | Relu]):
+    def __init__(self, layers: Sequence[Linear]):
         layers = list(layers)
-        if not layers or not isinstance(layers[-1], Linear):
-            raise DimensionError("network must end in a linear embedding layer")
-        prev = None
-        for layer in layers:
-            if isinstance(layer, Linear):
-                if prev is not None and layer.in_dim != prev:
-                    raise DimensionError(
-                        f"layer input dim {layer.in_dim} does not compose with previous output {prev}")
-                prev = layer.out_dim
+        if not layers:
+            raise DimensionError("network needs at least one linear layer")
+        for prev, layer in zip(layers, layers[1:]):
+            if layer.in_dim != prev.out_dim:
+                raise DimensionError(
+                    f"layer input dim {layer.in_dim} does not compose with previous output {prev.out_dim}")
         self.layers = layers
         self.quant_bits: int | None = None
         self.activation_params: list[QuantParams] | None = None
@@ -101,29 +95,21 @@ class EmbeddingNet:
     # -- structure ---------------------------------------------------------
 
     @property
-    def linear_layers(self) -> list[Linear]:
-        return [l for l in self.layers if isinstance(l, Linear)]
-
-    @property
     def input_dim(self) -> int:
-        return self.linear_layers[0].in_dim
+        return self.layers[0].in_dim
 
     @property
     def embed_dim(self) -> int:
-        return self.linear_layers[-1].out_dim
+        return self.layers[-1].out_dim
 
     @property
     def activation_site_count(self) -> int:
         """Fake-quant sites: one after each relu, one after the final linear."""
-        return sum(1 for l in self.layers if isinstance(l, Relu)) + 1
-
-    @property
-    def param_count(self) -> int:
-        return sum(l.weight.size + l.bias.size for l in self.linear_layers)
+        return len(self.layers)
 
     @property
     def weight_param_count(self) -> int:
-        return sum(l.weight.size for l in self.linear_layers)
+        return sum(l.weight.size for l in self.layers)
 
     def set_quantization(self, bit_width: int) -> "EmbeddingNet":
         if bit_width not in SUPPORTED_BIT_WIDTHS:
@@ -139,7 +125,7 @@ class EmbeddingNet:
         shadow weight."""
         if self.frozen_weight_params is not None:
             return self.frozen_weight_params[linear_index]
-        return derive_params(self.linear_layers[linear_index].weight, self.quant_bits,
+        return derive_params(self.layers[linear_index].weight, self.quant_bits,
                              channel_axis=0)
 
     @property
@@ -147,14 +133,8 @@ class EmbeddingNet:
         return self.quant_bits is not None and self.activation_params is not None
 
     def same_architecture(self, other: "EmbeddingNet") -> bool:
-        if len(self.layers) != len(other.layers):
-            return False
-        for a, b in zip(self.layers, other.layers):
-            if isinstance(a, Linear) != isinstance(b, Linear):
-                return False
-            if isinstance(a, Linear) and (a.weight.shape != b.weight.shape):
-                return False
-        return True
+        return ([l.weight.shape for l in self.layers]
+                == [l.weight.shape for l in other.layers])
 
 
 def build_embedding_net(input_dim: int,
@@ -168,23 +148,17 @@ def build_embedding_net(input_dim: int,
     """
     rng = np.random.default_rng(seed)
     dims = [input_dim, *hidden_dims, embed_dim]
-    layers: list[Linear | Relu] = []
-    for i in range(len(dims) - 1):
-        fan_in, fan_out = dims[i], dims[i + 1]
+    layers = []
+    for fan_in, fan_out in zip(dims, dims[1:]):
         w = rng.standard_normal((fan_out, fan_in)) / np.sqrt(fan_in)
         layers.append(Linear(weight=Tensor(w.astype(np.float32)),
                              bias=Tensor.zeros((fan_out,))))
-        if i < len(dims) - 2:
-            layers.append(Relu())
     return EmbeddingNet(layers)
 
 
 def clone_net(net: EmbeddingNet) -> EmbeddingNet:
     """Independent copy sharing no mutable state (tensors are immutable)."""
-    out = EmbeddingNet([
-        Linear(weight=l.weight, bias=l.bias) if isinstance(l, Linear) else Relu()
-        for l in net.layers
-    ])
+    out = EmbeddingNet([Linear(weight=l.weight, bias=l.bias) for l in net.layers])
     out.quant_bits = net.quant_bits
     out.activation_params = list(net.activation_params) if net.activation_params else None
     out.frozen_weight_params = (
@@ -197,7 +171,7 @@ def net_fingerprint(net: EmbeddingNet) -> str:
     import hashlib
 
     h = hashlib.sha256()
-    for layer in net.linear_layers:
+    for layer in net.layers:
         h.update(layer.weight.data.tobytes())
         h.update(layer.bias.data.tobytes())
     return h.hexdigest()
@@ -346,6 +320,8 @@ def _walk(net: EmbeddingNet, x: Tensor, quantized: bool, tape: GradTape | None,
           observers: list[RangeObserver] | None = None) -> Tensor:
     """The layer stack up to, not including, the final L2 normalization.
 
+    Each linear ``i`` is followed by a relu unless it is the last, then by
+    activation site ``i``: one index names both the layer and the site.
     With a ``tape``, appends the records :func:`backward_embed` replays;
     with ``observers``, feeds each activation site's input to its observer.
     """
@@ -357,45 +333,38 @@ def _walk(net: EmbeddingNet, x: Tensor, quantized: bool, tape: GradTape | None,
         if net.activation_params is None:
             raise StateError("quantized forward requires calibrated activation ranges")
 
-    # Activation sites: after each relu and after the final linear.
     last = len(net.layers) - 1
-    site = 0
-    linear_index = 0
     h = x
     for i, layer in enumerate(net.layers):
-        if isinstance(layer, Linear):
-            w = layer.weight
-            mask = None
-            if quantized:
-                try:
-                    wp = net.weight_params(linear_index)
-                except DomainError as exc:
-                    raise DomainError(f"layer {linear_index}: {exc}") from exc
-                w = fake_quant(layer.weight, wp, channel_axis=0)
-                if tape is not None:
-                    mask = in_range_mask(layer.weight, wp, channel_axis=0)
+        w = layer.weight
+        mask = None
+        if quantized:
+            try:
+                wp = net.weight_params(i)
+            except DomainError as exc:
+                raise DomainError(f"layer {i}: {exc}") from exc
+            w = fake_quant(layer.weight, wp, channel_axis=0)
             if tape is not None:
-                tape.records.append(_Record(kind="linear", layer_index=linear_index,
-                                            inputs=h, mask=mask, weight_used=w))
-            h = linear_forward(h, w, layer.bias)
-            # Checked here: the activation fake-quant below clips +-inf to codes.
-            if not np.isfinite(h.data).all():
-                raise DomainError(f"output of layer {linear_index} is not finite")
-            linear_index += 1
-        else:
+                mask = in_range_mask(layer.weight, wp, channel_axis=0)
+        if tape is not None:
+            tape.records.append(_Record(kind="linear", layer_index=i,
+                                        inputs=h, mask=mask, weight_used=w))
+        h = linear_forward(h, w, layer.bias)
+        # Checked here: the activation fake-quant below clips +-inf to codes.
+        if not np.isfinite(h.data).all():
+            raise DomainError(f"output of layer {i} is not finite")
+        if i < last:
             if tape is not None:
                 tape.records.append(_Record(kind="relu", inputs=h))
             h = relu(h)
-        if i == last or isinstance(layer, Relu):
-            if observers is not None:
-                observers[site].update(h)
-            if quantized:
-                p = net.activation_params[site]
-                if tape is not None:
-                    tape.records.append(_Record(kind="act_quant", inputs=h,
-                                                mask=in_range_mask(h, p)))
-                h = fake_quant(h, p)
-            site += 1
+        if observers is not None:
+            observers[i].update(h)
+        if quantized:
+            p = net.activation_params[i]
+            if tape is not None:
+                tape.records.append(_Record(kind="act_quant", inputs=h,
+                                            mask=in_range_mask(h, p)))
+            h = fake_quant(h, p)
     return h
 
 
@@ -457,11 +426,10 @@ def sgd_step(net: EmbeddingNet, grads: dict[int, tuple[Tensor, Tensor]],
     Updates the shadow weights in place (quantized views refresh on the
     next forward) and returns the net for chaining.
     """
-    linears = net.linear_layers
     for idx in sorted(grads):
-        if not 0 <= idx < len(linears):
+        if not 0 <= idx < len(net.layers):
             raise DimensionError(f"gradient for unknown layer {idx}")
-        layer = linears[idx]
+        layer = net.layers[idx]
         d_w, d_b = grads[idx]
         if d_w.shape != layer.weight.shape or d_b.shape != layer.bias.shape:
             raise DimensionError(f"gradient shapes {d_w.shape}/{d_b.shape} do not match layer {idx}")

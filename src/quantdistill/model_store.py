@@ -6,8 +6,8 @@ File layout (QFMD, all multi-byte values little-endian)::
     version      u16  1
     mode         u8   0 = fp32, 1 = quantized
     bit_width    u8   0 for fp32 files
-    layer_count  u16
-    per layer:
+    layer_count  u16  2L - 1 for a net of L linears
+    per layer, alternating linear, relu, ..., linear:
       kind       u8   0 = linear, 1 = relu
       linear only:
         out_dim  u32
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, FormatError, StateError
-from .graph import EmbeddingNet, Linear, Relu
+from .graph import EmbeddingNet, Linear
 from .quantizer import SUPPORTED_BIT_WIDTHS, QuantParams, QuantizedTensor, dequantize, quantize
 from .tensor_core import Tensor
 
@@ -186,22 +186,19 @@ def _encode(net: EmbeddingNet, quantized: bool) -> bytes:
     body += struct.pack("<H", MODEL_VERSION)
     body += struct.pack("<BB", MODE_QUANTIZED if quantized else MODE_FP32,
                         net.quant_bits if quantized else 0)
-    body += struct.pack("<H", len(net.layers))
-    linear_index = 0
-    for layer in net.layers:
-        if isinstance(layer, Relu):
-            body += struct.pack("<B", 1)
-            continue
+    body += struct.pack("<H", 2 * len(net.layers) - 1)
+    for i, layer in enumerate(net.layers):
+        if i:
+            body += struct.pack("<B", 1)  # the relu between linears i - 1 and i
         out_dim, in_dim = layer.weight.shape
         body += struct.pack("<BIIB", 0, out_dim, in_dim, 1 if quantized else 0)
         if quantized:
-            wp = net.weight_params(linear_index)
+            wp = net.weight_params(i)
             body += _pack_qparams(wp)
             body += pack_codes(quantize(layer.weight, wp, channel_axis=0).codes, net.quant_bits)
         else:
             body += layer.weight.data.astype("<f4").tobytes()
         body += layer.bias.data.astype("<f4").tobytes()
-        linear_index += 1
     act = net.activation_params if (quantized and net.activation_params) else []
     body += struct.pack("<H", len(act))
     for p in act:
@@ -249,12 +246,13 @@ def load_model(path) -> EmbeddingNet:
                           field="bit_width", offset=7)
     (layer_count,) = take("<H")
 
-    layers: list[Linear | Relu] = []
+    kinds: list[int] = []
+    layers: list[Linear] = []
     weight_params: list[QuantParams] = []
     for _ in range(layer_count):
         (kind,) = take("<B")
+        kinds.append(kind)
         if kind == 1:
-            layers.append(Relu())
             continue
         if kind != 0:
             raise FormatError(f"unknown layer kind {kind}", field="layer_kind", offset=4 + off - 1)
@@ -287,6 +285,9 @@ def load_model(path) -> EmbeddingNet:
         b = _finite(np.frombuffer(body, dtype="<f4", count=out_dim, offset=off), "bias", off)
         off += out_dim * 4
         layers.append(Linear(weight=w, bias=b))
+    if kinds != [0, 1] * (layer_count // 2) + [0]:
+        raise FormatError(f"{layer_count} layers do not alternate linear, relu, ..., linear",
+                          field="layers")
 
     (act_count,) = take("<H")
     if act_count and mode != MODE_QUANTIZED:
@@ -304,7 +305,7 @@ def load_model(path) -> EmbeddingNet:
     except DimensionError as exc:
         raise FormatError(f"layer stack: {exc}", field="layers") from exc
     if mode == MODE_QUANTIZED:
-        if len(weight_params) != len(net.linear_layers):
+        if len(weight_params) != len(net.layers):
             raise FormatError("weight parameter blocks do not match linear layers",
                               field="layers")
         if len(act_params) != net.activation_site_count:
@@ -353,20 +354,20 @@ class SizeReport:
         }
 
 
-def size_report(param_count: int, bit_widths: list[int],
-                include_overhead: bool = False, *,
+def size_report(param_count: int, bit_widths: list[int], *,
                 channel_count: int = 0, bias_count: int = 0) -> SizeReport:
     """Payload bytes and compression ratios for the given bit widths.
 
-    The payload obeys the exact law param_count * b / 8 bytes. With
-    ``include_overhead`` the per-channel parameter blocks (17 bytes each)
-    and full-precision biases are added to the quantized totals, which is
-    what a real packed file carries on top of the code payload.
+    The payload obeys the exact law param_count * b / 8 bytes. The
+    per-channel parameter blocks (17 bytes each) of ``channel_count``
+    channels and ``bias_count`` full-precision biases are added to the
+    quantized totals, which is what a real packed file carries on top of
+    the code payload.
     """
     if param_count <= 0:
         raise DomainError(f"param_count must be positive, got {param_count}")
     fp32_bytes = param_count * FP32_BYTES_PER_PARAM
-    overhead = (channel_count * QPARAMS_DTYPE.itemsize + bias_count * 4) if include_overhead else 0
+    overhead = channel_count * QPARAMS_DTYPE.itemsize + bias_count * 4
     quantized = {}
     ratios = {}
     for b in bit_widths:
@@ -383,7 +384,7 @@ def size_report(param_count: int, bit_widths: list[int],
 def net_size_report(net: EmbeddingNet, bit_widths: list[int]) -> SizeReport:
     """Size report for a concrete net (weights quantized, per-channel
     parameter blocks and biases counted as overhead)."""
-    channels = sum(l.out_dim for l in net.linear_layers)
-    biases = sum(l.bias.size for l in net.linear_layers)
-    return size_report(net.weight_param_count, bit_widths, include_overhead=True,
+    channels = sum(l.out_dim for l in net.layers)
+    biases = sum(l.bias.size for l in net.layers)
+    return size_report(net.weight_param_count, bit_widths,
                        channel_count=channels, bias_count=biases)

@@ -2,7 +2,8 @@
 
 ``perfbench/tracer.py`` patches the package from outside: every public
 layer function, ``RangeObserver.update``/``freeze``, ``QuantParams``'
-``__post_init__``, and the ``forward_embed`` tape records it reads.
+``__post_init__``, and the ``forward_embed`` tape records it reads, whose
+kinds tell a weight STE mask from an activation one.
 ``perfbench/workloads.py`` finds pretrain's step boundaries by replacing
 ``pretrain.batch_stream``, and runs distillation as bare ``distill_step``
 calls. A refactor that breaks one of those fails here, in tier-1, instead
@@ -14,6 +15,7 @@ import threading
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import quantdistill
 from quantdistill import bench_eval, distiller, graph, pretrain, quantizer, synth, tensor_core
@@ -74,11 +76,32 @@ def test_tracer_installs_and_uninstalls_around_a_traced_distill_step():
         assert spans.get(name), name
     counts = {name: value for (_, _, name), value in tracer.counters.items()}
     # one per-channel record per linear layer, plus one per frozen activation site
-    linears, sites = len(teacher.linear_layers), teacher.activation_site_count
+    linears, sites = len(teacher.layers), teacher.activation_site_count
     assert counts["quantizer.qparams_built"] == linears + sites
     assert spans["quantizer.derive_params"] == linears
     assert counts["graph.ste.weight_elements.w8"] == teacher.weight_param_count
     assert counts["graph.ste_masks.consumed"] == linears + sites
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_quantized_tape_puts_each_activation_site_after_its_relu(depth):
+    # The tracer counts a mask on a "linear" record as a weight mask and
+    # any other mask as an activation mask.
+    space, _, cfg = _tiny_step_inputs()
+    net = graph.build_embedding_net(12, (16,) * (depth - 1), 8, seed=1)
+    student = distiller.prepare_student(net, cfg.bit_width)
+    observers = [quantizer.RangeObserver() for _ in range(student.activation_site_count)]
+    batch = next(synth.batch_stream(space, 16, 2))
+    graph.observe_activations(student, batch.inputs, observers)
+    assert all(o.running_lo >= 0 for o in observers[:-1])
+    assert observers[-1].running_lo < 0
+    student.activation_params = [o.freeze(cfg.bit_width) for o in observers]
+    _, tape = graph.forward_embed(student, batch.inputs, quantized=True)
+    kinds = [rec.kind for rec in tape.records]
+    assert kinds == (["linear", "relu", "act_quant"] * (depth - 1)
+                     + ["linear", "act_quant", "normalize"])
+    assert ([rec.mask is not None for rec in tape.records]
+            == [kind in ("linear", "act_quant") for kind in kinds])
 
 
 def test_matmul_clock_installs_and_uninstalls_around_a_distill_step():
@@ -110,7 +133,7 @@ def test_verify_request_runs_one_stacked_forward_without_ste_masks():
             bench_eval.verify(net, pairs)
         finally:
             clock.uninstall()
-        assert len(clock.marks) == 2 * len(net.linear_layers)
+        assert len(clock.marks) == 2 * len(net.layers)
 
     tracer = tracer_mod.Tracer(quantdistill)
     tracer.install()
@@ -122,7 +145,7 @@ def test_verify_request_runs_one_stacked_forward_without_ste_masks():
     assert not tracer.failed
     spans = {name: calls for (_, _, name), (calls, _, _) in tracer.aggregate().items()}
     assert "graph.in_range_mask" not in spans
-    assert spans["graph.fake_quant"] == len(student.linear_layers) + student.activation_site_count
+    assert spans["graph.fake_quant"] == len(student.layers) + student.activation_site_count
 
 
 def test_row_split_verify_request_is_seen_from_the_calling_thread(monkeypatch):
@@ -151,8 +174,8 @@ def test_row_split_verify_request_is_seen_from_the_calling_thread(monkeypatch):
         bench_eval.verify(student, pairs)
     finally:
         clock.uninstall()
-    assert len(clock.marks) == 2 * len(student.linear_layers)
-    assert len(started) == len(student.linear_layers)
+    assert len(clock.marks) == 2 * len(student.layers)
+    assert len(started) == len(student.layers)
 
     tracer = tracer_mod.Tracer(quantdistill)
     open_span = tracer._open
@@ -172,7 +195,7 @@ def test_row_split_verify_request_is_seen_from_the_calling_thread(monkeypatch):
     assert not tracer.failed
     assert threads == {threading.get_ident()}
     spans = {name: calls for (_, _, name), (calls, _, _) in tracer.aggregate().items()}
-    assert spans["tensor_core.matmul"] == len(student.linear_layers)
+    assert spans["tensor_core.matmul"] == len(student.layers)
 
 
 def test_train_teacher_draws_every_batch_through_pretrain_batch_stream(monkeypatch):

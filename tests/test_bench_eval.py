@@ -191,8 +191,8 @@ class TestVerify:
         base = verify(net, pairs, [0.1])
         from quantdistill.graph import Linear
 
-        last = net.linear_layers[-1]
-        net.layers[net.layers.index(last)] = Linear(
+        last = net.layers[-1]
+        net.layers[-1] = Linear(
             weight=Tensor(last.weight.data * np.float32(7.0)),
             bias=Tensor(last.bias.data * np.float32(7.0)))
         scaled = verify(net, pairs, [0.1])

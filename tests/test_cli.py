@@ -20,7 +20,7 @@ from quantdistill.cli import (
 )
 from quantdistill.config import ExperimentConfig, load_config, write_config
 from quantdistill.errors import ConfigError
-from quantdistill.graph import Linear, Relu, build_embedding_net, observe_activations
+from quantdistill.graph import build_embedding_net, observe_activations
 from quantdistill.model_store import save_model
 from quantdistill.quantizer import RangeObserver
 from quantdistill.tensor_core import Tensor
@@ -208,6 +208,19 @@ class TestExitCodes:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    # SGD diverges with momentum >= 1 or a negative weight decay
+    @pytest.mark.parametrize("field, value", [("momentum", "-0.1"), ("momentum", "1.0"),
+                                              ("momentum", "1.5"), ("weight_decay", "-2")])
+    def test_out_of_range_sgd_value_stops_before_training(self, tmp_path, capsys,
+                                                          field, value):
+        path = tmp_path / "c.txt"
+        path.write_text(SMALL_CONFIG + f"{field} = {value}\nout_dir = {tmp_path / 'out'}\n")
+        assert main(["pretrain", "--config", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"config error: {field}: " in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert main(["pretrain", "--config", str(tmp_path / "nope.txt")]) == EXIT_IO
 
@@ -252,10 +265,10 @@ class TestExitCodes:
         # A weight row spanning one float32 ulp at 10.0 derives a zero-point
         # near 2.7e9, which no stored int32 block can hold.
         net = _small_net()
-        w = net.linear_layers[0].weight.data.copy()
+        w = net.layers[0].weight.data.copy()
         w[0] = np.where(np.arange(w.shape[1]) % 2, np.nextafter(np.float32(10.0), np.inf),
                         np.float32(10.0))
-        net.linear_layers[0].weight = Tensor(w)
+        net.layers[0].weight = Tensor(w)
         teacher = tmp_path / "teacher.qfmd"
         save_model(net, teacher, mode="fp32")
         cfg = tmp_path / "cfg0.txt"
@@ -318,17 +331,18 @@ class TestExitCodes:
         _rewrite_body(path, huge_scale)
         assert main(["eval", "--config", cfg_path, str(path)]) == EXIT_FORMAT
 
-    @pytest.mark.parametrize("layers", [
-        [Relu()],
+    @pytest.mark.parametrize("stack", [
+        ["relu"],
         [],
-        [Linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2))),
-         Linear(Tensor(np.zeros((2, 5))), Tensor(np.zeros(2)))],
-    ], ids=["relu-only", "empty", "dims-do-not-compose"])
-    def test_layer_stack_that_is_no_net(self, cfg_path, tmp_path, layers):
-        net = _small_net()
-        net.layers = layers
+        [(2, 3), "relu", (2, 5)],
+        [(4, 3), "relu", "relu", (2, 4)],
+        [(4, 3), (2, 4)],
+        [(2, 3), "relu"],
+    ], ids=["relu-only", "empty", "dims-do-not-compose", "two-relus", "two-linears",
+            "trailing-relu"])
+    def test_layer_stack_that_is_no_net(self, cfg_path, tmp_path, layer_stack_file, stack):
         path = tmp_path / "teacher.qfmd"
-        save_model(net, path, mode="fp32")
+        path.write_bytes(layer_stack_file(stack))
         assert main(["eval", "--config", cfg_path, str(path)]) == EXIT_FORMAT
 
     def test_corrupt_model_file(self, cfg_path, tmp_path):

@@ -232,14 +232,13 @@ class TestFinetune:
         _, curve = finetune(student, teacher, batch_stream(space, 16, seed=7), cfg)
         assert len(curve) == 8
         assert all(0.0 <= r.loss <= 2.0 for r in curve)
-        assert all(len(r.grad_norms) == 2 for r in curve)
 
 
 class TestCurveHelpers:
     def test_smoothed_losses_window_means(self):
         from quantdistill.distiller import KDBatchResult
 
-        curve = [KDBatchResult(loss=float(v), grad_norms=()) for v in range(10)]
+        curve = [KDBatchResult(loss=float(v)) for v in range(10)]
         sm = smoothed_losses(curve, window=5)
         assert sm == [2.0, 7.0]
 
@@ -247,8 +246,7 @@ class TestCurveHelpers:
         from quantdistill.distiller import KDBatchResult
 
         path = tmp_path / "loss.csv"
-        write_loss_curve(path, [KDBatchResult(loss=0.5, grad_norms=()),
-                                KDBatchResult(loss=0.25, grad_norms=())])
+        write_loss_curve(path, [KDBatchResult(loss=0.5), KDBatchResult(loss=0.25)])
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "step,loss"
         assert lines[1] == "0,0.5"

@@ -17,7 +17,7 @@ def _net(bits):
     The last bias keeps every embedding away from zero, whose rows the
     final normalization rejects, at 4 bits too."""
     net = build_embedding_net(IN_DIM, HIDDEN, EMBED_DIM, seed=3)
-    last = net.linear_layers[-1]
+    last = net.layers[-1]
     last.bias = Tensor(np.full(EMBED_DIM, 4.0, dtype=np.float32))
     if bits is not None:
         net.set_quantization(bits)

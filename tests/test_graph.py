@@ -7,7 +7,6 @@ from quantdistill.errors import DimensionError, StateError
 from quantdistill.graph import (
     EmbeddingNet,
     Linear,
-    Relu,
     backward_embed,
     build_embedding_net,
     clone_net,
@@ -171,22 +170,22 @@ class TestSgdStep:
         net = self._one_param_net(1.0)
         grads = {0: (Tensor([[0.5]]), Tensor([0.0]))}
         sgd_step(net, grads, lr=0.0, momentum=0.9, weight_decay=5e-4)
-        assert net.linear_layers[0].weight.tolist() == [[1.0]]
+        assert net.layers[0].weight.tolist() == [[1.0]]
 
     def test_single_step_arithmetic(self):
         # oracle: v = 0.5, w = 1 - 0.1 * 0.5 = 0.95
         net = self._one_param_net(1.0)
         sgd_step(net, {0: (Tensor([[0.5]]), Tensor([0.0]))}, lr=0.1)
-        assert net.linear_layers[0].weight.tolist()[0][0] == pytest.approx(0.95, rel=1e-6)
+        assert net.layers[0].weight.tolist()[0][0] == pytest.approx(0.95, rel=1e-6)
 
     def test_two_momentum_steps(self):
         # oracle: v1 = 1, w1 = -0.1; v2 = 0.9 + 1 = 1.9, w2 = -0.1 - 0.19 = -0.29
         net = self._one_param_net(0.0)
         g = {0: (Tensor([[1.0]]), Tensor([0.0]))}
         sgd_step(net, g, lr=0.1, momentum=0.9)
-        assert net.linear_layers[0].weight.tolist()[0][0] == pytest.approx(-0.1, rel=1e-6)
+        assert net.layers[0].weight.tolist()[0][0] == pytest.approx(-0.1, rel=1e-6)
         sgd_step(net, g, lr=0.1, momentum=0.9)
-        assert net.linear_layers[0].weight.tolist()[0][0] == pytest.approx(-0.29, rel=1e-6)
+        assert net.layers[0].weight.tolist()[0][0] == pytest.approx(-0.29, rel=1e-6)
 
     def test_grad_shape_mismatch(self):
         net = self._one_param_net(0.0)
@@ -294,12 +293,12 @@ class TestBackwardEmbed:
         probe = rng.standard_normal((4, 3)).astype(np.float32)
         out, tape = forward_embed(net, Tensor(x), quantized=False)
         grads = backward_embed(net, tape, Tensor(probe))
-        w0 = net.linear_layers[0].weight.data.astype(np.float64)
+        w0 = net.layers[0].weight.data.astype(np.float64)
 
         def loss(wv):
             trial = clone_net(net)
             trial.layers[0] = Linear(weight=Tensor(wv.astype(np.float32)),
-                                     bias=net.linear_layers[0].bias)
+                                     bias=net.layers[0].bias)
             y, _ = forward_embed(trial, Tensor(x), quantized=False)
             return float(np.sum(y.data.astype(np.float64) * probe))
 
@@ -321,7 +320,7 @@ class TestBackwardEmbed:
         real = graph_mod.matmul
         monkeypatch.setattr(graph_mod, "matmul", lambda a, b: calls.append(1) or real(a, b))
         grads = backward_embed(net, tape, g)
-        assert len(calls) == 2 * len(net.linear_layers) - 1
+        assert len(calls) == 2 * len(net.layers) - 1
         assert grads.keys() == expected.keys()
         for idx, (d_w, d_b) in grads.items():
             assert np.array_equal(d_w.data, expected[idx][0].data)

@@ -5,8 +5,6 @@ import pytest
 
 from quantdistill.errors import DomainError, FormatError, StateError
 from quantdistill.graph import (
-    Linear,
-    Relu,
     build_embedding_net,
     forward_embed,
     net_fingerprint,
@@ -211,18 +209,20 @@ class TestCorruption:
         with pytest.raises(FormatError):
             load_model(path)
 
-    @pytest.mark.parametrize("layers", [
-        [Relu()],
+    @pytest.mark.parametrize("stack", [
+        ["relu"],
         [],
-        [Linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2))),
-         Linear(Tensor(np.zeros((2, 5))), Tensor(np.zeros(2)))],
-    ], ids=["relu-only", "empty", "dims-do-not-compose"])
-    def test_layer_stack_that_is_no_net(self, tmp_path, layers):
-        # A valid CRC around a stack EmbeddingNet refuses: a malformed file.
-        net = build_embedding_net(3, (), 2, seed=0)
-        net.layers = layers
+        [(2, 3), "relu", (2, 5)],
+        [(4, 3), "relu", "relu", (2, 4)],
+        [(4, 3), (2, 4)],
+        [(2, 3), "relu"],
+    ], ids=["relu-only", "empty", "dims-do-not-compose", "two-relus", "two-linears",
+            "trailing-relu"])
+    def test_layer_stack_that_is_no_net(self, tmp_path, layer_stack_file, stack):
+        # A valid CRC around a stack that is not linears with a relu
+        # between each two: a malformed file.
         path = tmp_path / "net.qfmd"
-        save_model(net, path, mode="fp32")
+        path.write_bytes(layer_stack_file(stack))
         with pytest.raises(FormatError) as exc:
             load_model(path)
         assert exc.value.field == "layers"
@@ -251,8 +251,7 @@ class TestSizeReport:
         assert rep.ratios[6] == pytest.approx(49.01 / 261.22, rel=0.005)
 
     def test_overhead_increases_ratio_beyond_law(self):
-        rep = size_report(10_000, [8], include_overhead=True,
-                          channel_count=64, bias_count=64)
+        rep = size_report(10_000, [8], channel_count=64, bias_count=64)
         assert rep.overhead_bytes == 64 * 17 + 64 * 4
         assert rep.ratios[8] > 8 / 32
         assert rep.ratios[8] == pytest.approx(8 / 32 + rep.overhead_bytes / rep.fp32_bytes)
@@ -282,7 +281,7 @@ class TestAtomicWrites:
         return {
             "model": lambda path: save_model(net, path, mode="quantized"),
             "loss_curve": lambda path: write_loss_curve(
-                path, [KDBatchResult(loss=0.5, grad_norms=())]),
+                path, [KDBatchResult(loss=0.5)]),
             "range_csv": lambda path: write_range_csv(path, range_correlation(net, net)),
             "report_json": lambda path: write_report_json(path, {"accuracy": 0.5}),
             "config": lambda path: write_config(ExperimentConfig(), path),

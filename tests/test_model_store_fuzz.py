@@ -1,9 +1,13 @@
-"""Property: a single mutated byte never loads as a different model.
+"""Properties of the model file loader.
 
-Any one byte of a small w8a8 QFMD file is changed and the CRC recomputed,
-so only the mutation is wrong. Loading must then either fail with
-``FormatError`` (CLI exit 3) or give a net that re-saves to exactly the
-mutated bytes: a field the loader accepts is carried through unchanged.
+A single mutated byte never loads as a different model. Any one byte of
+a small w8a8 QFMD file is changed and the CRC recomputed, so only the
+mutation is wrong. Loading must then either fail with ``FormatError``
+(CLI exit 3) or give a net that re-saves to exactly the mutated bytes: a
+field the loader accepts is carried through unchanged.
+
+A file's layer stack alternates linear, relu, ..., linear. Every such net
+saves and reloads to the same bytes, and every other stack is rejected.
 """
 
 import struct
@@ -54,3 +58,43 @@ def test_single_byte_mutation_is_rejected_or_round_trips(saved, data, delta):
         return
     save_model(net, again, mode="quantized" if net.is_calibrated else "fp32")
     assert again.read_bytes() == bytes(mutated)
+
+
+@pytest.fixture(scope="module")
+def stacks_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("stacks")
+
+
+@settings(max_examples=100)
+@given(widths=st.lists(st.integers(1, 9), min_size=2, max_size=5),
+       seed=st.integers(0, 2**16))
+def test_alternating_net_reloads_to_the_same_bytes(stacks_dir, widths, seed):
+    net = build_embedding_net(widths[0], widths[1:-1], widths[-1], seed=seed)
+    first, again = stacks_dir / "net.qfmd", stacks_dir / "again.qfmd"
+    for mode in ("fp32", "quantized"):
+        if mode == "quantized":
+            net.set_quantization(8)
+            observers = [RangeObserver() for _ in range(net.activation_site_count)]
+            x = np.random.default_rng(seed).standard_normal((8, widths[0]))
+            observe_activations(net, Tensor(x.astype(np.float32)), observers)
+            net.activation_params = [o.freeze(8) for o in observers]
+        save_model(net, first, mode=mode)
+        blob = first.read_bytes()
+        assert struct.unpack_from("<H", blob, 8)[0] == 2 * len(net.layers) - 1
+        save_model(load_model(first), again, mode=mode)
+        assert again.read_bytes() == blob
+
+
+@given(kinds=st.lists(st.sampled_from(["linear", "relu"]), max_size=7),
+       width=st.integers(1, 4))
+def test_only_alternating_stacks_load(stacks_dir, layer_stack_file, kinds, width):
+    blob = layer_stack_file(["relu" if k == "relu" else (width, width) for k in kinds])
+    path, again = stacks_dir / "stack.qfmd", stacks_dir / "stack-again.qfmd"
+    path.write_bytes(blob)
+    if kinds == ["linear", "relu"] * (len(kinds) // 2) + ["linear"]:
+        save_model(load_model(path), again, mode="fp32")
+        assert again.read_bytes() == blob
+        return
+    with pytest.raises(FormatError) as exc:
+        load_model(path)
+    assert exc.value.field == "layers"

@@ -84,7 +84,7 @@ def _injector(net, target, flat_index, value):
     def poison(batch):
         if target is None:
             return Batch(_poison(batch.inputs.data, flat_index, value), batch.labels)
-        layer = net.linear_layers[target]
+        layer = net.layers[target]
         layer.weight = _poison(layer.weight.data, flat_index, value)
     return poison
 
