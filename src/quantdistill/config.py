@@ -11,6 +11,7 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 
+from .distiller import DEFAULT_CALIBRATION_BATCHES
 from .errors import ConfigError
 from .model_store import write_atomic
 from .quantizer import SUPPORTED_BIT_WIDTHS
@@ -43,7 +44,7 @@ class ExperimentConfig:
     momentum: float = 0.9
     weight_decay: float = 5e-4
     bits: list[int] = field(default_factory=lambda: [8, 6])
-    calibration_batches: int = 16
+    calibration_batches: int = DEFAULT_CALIBRATION_BATCHES
 
     # evaluation
     n_pairs: int = 2000

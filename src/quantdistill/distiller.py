@@ -20,6 +20,7 @@ from .errors import DimensionError, DomainError, StateError, step_error
 from .graph import (
     EmbeddingNet,
     backward_embed,
+    check_sgd_params,
     clone_net,
     forward_embed,
     observe_activations,
@@ -60,6 +61,7 @@ class DistillConfig:
             raise DomainError(f"iterations must be >= 0, got {self.iterations}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise DomainError(f"lr must be positive and finite, got {self.lr}")
+        check_sgd_params(self.momentum, self.weight_decay)
         if self.bit_width not in SUPPORTED_BIT_WIDTHS:
             raise DomainError(f"unsupported bit width {self.bit_width}")
 

@@ -20,6 +20,7 @@ gradients alive despite the piecewise-constant forward.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -445,6 +446,17 @@ def sgd_step(net: EmbeddingNet, grads: dict[int, tuple[Tensor, Tensor]],
         layer.weight = Tensor._wrap(w)
         layer.bias = Tensor._wrap(b)
     return net
+
+
+def check_sgd_params(momentum: float, weight_decay: float) -> None:
+    """Raise ``DomainError`` naming the field unless ``0 <= momentum < 1``
+    and ``weight_decay`` is finite and non-negative: the bounds that the
+    config file's ``ExperimentConfig`` enforces, for callers that build
+    ``DistillConfig`` or ``TeacherConfig`` directly."""
+    if not 0 <= momentum < 1:
+        raise DomainError(f"momentum must be in [0, 1), got {momentum}")
+    if not (math.isfinite(weight_decay) and weight_decay >= 0):
+        raise DomainError(f"weight_decay must be finite and >= 0, got {weight_decay}")
 
 
 def sgd_update(w: np.ndarray, v: np.ndarray, grad: np.ndarray, lr: float,

@@ -18,6 +18,7 @@ from .errors import DomainError, step_error
 from .graph import (
     EmbeddingNet,
     backward_embed,
+    check_sgd_params,
     forward_embed,
     sgd_step,
     sgd_update,
@@ -50,6 +51,7 @@ class TeacherConfig:
             raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise DomainError(f"lr must be positive and finite, got {self.lr}")
+        check_sgd_params(self.momentum, self.weight_decay)
 
 
 def train_teacher(net: EmbeddingNet, space: IdentitySpace,

@@ -10,12 +10,15 @@ fused multiply-add vary by build. ``matmul`` fixes the order instead: each
 output element starts at +0.0 and adds its float32 products one at a time
 in inner-index order, with every multiply and every add rounded to float32
 on its own. Within that contract the kernel is picked by operand shape:
-small products (the batch-64 training shapes) are formed in bounded
-chunks and folded by one reduction per chunk, large ones (evaluation over
-thousands of rows) loop over the inner index in the transposed layout so
-numpy's inner loop runs along the rows. Every output row is computed on its
-own, so a long product is split into row ranges run in parallel, one per
-CPU the process may use. All give the same bits.
+small products (the batch-64 training shapes) are formed a bounded chunk
+at a time by a no-sum ``einsum`` and folded by one reduction per chunk
+(each einsum element is a single float32 product, exact in any
+evaluation, so only its zero sign can differ, and the fold from +0.0
+drops that), large ones (evaluation over thousands of rows) loop over the
+inner index in the transposed layout so numpy's inner loop runs along the
+rows. Every output row is computed on its own, so a long product is split
+into row ranges run in parallel, one per CPU the process may use. All
+give the same bits.
 """
 
 from __future__ import annotations
@@ -116,7 +119,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     * ``k*m*n <= SMALL_PRODUCT`` and ``2 <= m*n <= CHUNK_ELEMENTS/2``
       (the batch-64 training shapes): products formed a k-chunk at a time
-      and folded onto the running sum by one reduction per chunk;
+      by a no-sum ``einsum`` and folded onto the running sum by one
+      reduction per chunk. Each einsum element is one product of two
+      float32 values, exact in float64, so it rounds to the same float32
+      however it is evaluated;
     * everything else: a loop over ``k`` in the transposed (n, m) layout,
       in row blocks of at least ``BLOCK_ROWS`` rows, so numpy's inner loop
       runs along the long ``m`` axis. The rows are split into up to
@@ -139,18 +145,30 @@ def _sum_in_chunks(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
     """Slot 0 of ``buf`` holds the running sum and slots 1.. one k-chunk of
     products; ``np.add.reduce`` over axis 0 adds the slots in order, element
     by element. (With a single output element numpy would sum pairwise,
-    which is why ``matmul`` requires ``m*n >= 2`` here.)"""
+    which is why ``matmul`` requires ``m*n >= 2`` here.)
+
+    The products come from ``einsum("ir,ij->irj")``, whose subscripts sum
+    over no index, so each element it writes is exactly one product
+    ``a[r, i] * b[i, j]``. A product of two float32 values is exact in
+    float64, so every evaluation of it rounds to the same float32 value,
+    including overflow to +-inf and underflow. The one difference from
+    ``np.multiply`` is the sign of a zero product: einsum may write +0.0
+    where multiply writes -0.0. The fold starts at +0.0, and a float32
+    sum that starts at +0.0 never becomes -0.0 (x + (-0.0) is x, and
+    x + y rounds to -0.0 only when both are -0.0), so adding either zero
+    leaves the running sum unchanged and the result has the same bits.
+    Unlike ``np.multiply``, einsum warns of no overflowing product; the finite
+    checks at each layer's output are the guard."""
     m, k = ad.shape
     n = bd.shape[1]
     chunks = -(-k // (CHUNK_ELEMENTS // (m * n) - 1))
     size = -(-k // chunks)
     buf = np.empty((size + 1, m, n), dtype=np.float32)
     buf[0] = 0.0
-    a_cols = ad.T[:, :, None]
-    b_rows = bd[:, None, :]
+    a_t = ad.T
     for s in range(0, k, size):
         e = min(s + size, k)
-        np.multiply(a_cols[s:e], b_rows[s:e], out=buf[1:e - s + 1])
+        np.einsum("ir,ij->irj", a_t[s:e], bd[s:e], out=buf[1:e - s + 1])
         total = np.add.reduce(buf[:e - s + 1], axis=0)
         buf[0] = total
     return total

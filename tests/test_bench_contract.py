@@ -228,3 +228,63 @@ def test_distill_step_carries_momentum_like_finetune():
         distiller.distill_step(students[0], teacher, next(stream), cfg)
     distiller.finetune(students[1], teacher, synth.batch_stream(space, 16, 3), cfg)
     assert graph.net_fingerprint(students[0]) == graph.net_fingerprint(students[1])
+
+
+class _ThreadedMarks(list):
+    """A clock's mark list that also records the thread of every mark."""
+
+    def __init__(self):
+        super().__init__()
+        self.threads = set()
+
+    def append(self, mark):
+        self.threads.add(threading.get_ident())
+        super().append(mark)
+
+
+def test_training_steps_are_seen_from_the_calling_thread(monkeypatch):
+    # metrics.floors cuts every operation into pieces at matmul calls and
+    # takes the fastest piece at each position, which holds only while each
+    # step makes the same matmul calls, one after another, from the thread
+    # that runs the step. At the benchmark's shapes (the reference net,
+    # batch 64) a step is 12 matmuls: 1 for the batch draw plus 11 in
+    # distill_step, or 12 for a train_teacher step, and starts no thread.
+    started = []
+    start = threading.Thread.start
+
+    def record(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    tracer_mod = _load_tracer()
+    space = synth.make_identity_space(200, 16, 64, 0.15, seed=0)
+    teacher = graph.build_embedding_net(64, (64, 64), 32, seed=1)
+    cfg = distiller.DistillConfig(batch_size=64, iterations=1, bit_width=8)
+    student = distiller.prepare_student(teacher, cfg.bit_width)
+    distiller.calibrate(student, synth.batch_stream(space, 64, 2), 2)
+    stream = synth.batch_stream(space, 64, 3)
+
+    clock = tracer_mod.MatmulClock(quantdistill)
+    clock.marks = _ThreadedMarks()
+    clock.install()
+    try:
+        batch = next(stream)
+        drawn = len(clock.marks)
+        distiller.distill_step(student, teacher, batch, cfg)
+    finally:
+        clock.uninstall()
+    assert (drawn, len(clock.marks)) == (2 * 1, 2 * 12)
+    assert clock.marks.threads == {threading.get_ident()}
+
+    clock = tracer_mod.MatmulClock(quantdistill)
+    clock.marks = _ThreadedMarks()
+    clock.install()
+    try:
+        pretrain.train_teacher(graph.clone_net(teacher), space,
+                               pretrain.TeacherConfig(iterations=2, batch_size=64))
+    finally:
+        clock.uninstall()
+    assert len(clock.marks) == 2 * 24
+    assert clock.marks.threads == {threading.get_ident()}
+    assert not started

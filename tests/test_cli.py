@@ -82,6 +82,11 @@ class TestConfigParsing:
         assert load_config(path) == cfg
         assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]
 
+    def test_calibration_batches_default_is_the_distiller_default(self):
+        from quantdistill.distiller import DEFAULT_CALIBRATION_BATCHES
+
+        assert ExperimentConfig().calibration_batches == DEFAULT_CALIBRATION_BATCHES
+
     def test_comments_and_blanks_ignored(self, cfg_path, monkeypatch):
         monkeypatch.delenv("QUANTDISTILL_SEED", raising=False)
         cfg = load_config(cfg_path)

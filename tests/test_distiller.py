@@ -130,6 +130,23 @@ class TestDistillConfig:
         with pytest.raises(DomainError, match="lr must be positive and finite"):
             config(lr=lr)
 
+    @pytest.mark.parametrize("config", [DistillConfig, TeacherConfig])
+    @pytest.mark.parametrize("momentum", [-0.1, 1.0, 1.5])
+    def test_rejects_momentum_outside_unit_interval(self, config, momentum):
+        with pytest.raises(DomainError, match=r"momentum must be in \[0, 1\)"):
+            config(momentum=momentum)
+
+    @pytest.mark.parametrize("config", [DistillConfig, TeacherConfig])
+    @pytest.mark.parametrize("weight_decay", [-2.0, float("nan")])
+    def test_rejects_negative_or_non_finite_weight_decay(self, config, weight_decay):
+        with pytest.raises(DomainError, match="weight_decay must be finite and >= 0"):
+            config(weight_decay=weight_decay)
+
+    @pytest.mark.parametrize("config", [DistillConfig, TeacherConfig])
+    def test_accepts_sgd_values_at_their_bounds(self, config):
+        assert config(momentum=0.0, weight_decay=0.0).momentum == 0.0
+        assert config(momentum=0.9, weight_decay=5e-4).weight_decay == 5e-4
+
 
 class TestCalibrate:
     def test_produces_one_param_per_site(self):

@@ -69,13 +69,61 @@ def test_matmul_bits_match_k_ordered_loop(shape, seed, spread, zero_frac, zero_r
     assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
-def test_all_negative_zero_products_sum_to_positive_zero():
-    # relu zeros times negative weights: every product is -0.0, on both methods
-    for m in (1, 64, 2 * tensor_core.BLOCK_ROWS):
-        a = np.zeros((m, 64), dtype=np.float32)
-        b = np.full((64, 64), -0.5, dtype=np.float32)
+@given(shape=SHAPES,
+       seed=st.integers(0, 2**32 - 1),
+       spread=st.sampled_from([0, 20, 40, 70]),
+       zero_frac=st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+def test_signed_operands_match_k_ordered_loop_through_overflow(shape, seed, spread,
+                                                               zero_frac):
+    # Backward products take signed upstream gradients and d_logits, which
+    # may hold -0.0. With exponents up to +-70 products overflow to +-inf
+    # (and sums of opposite infinities to NaN) or underflow to subnormals
+    # and zeros of either sign; the bits must still be the oracle's.
+    m, k, n = shape
+    rng = np.random.default_rng(seed)
+    a = _operand(rng, (m, k), spread, zero_frac, False)
+    a[rng.uniform(size=(m, k)) < zero_frac / 2] = -0.0
+    b = _operand(rng, (k, n), spread, zero_frac / 2, False)
+    with np.errstate(all="ignore"):
         got = matmul(Tensor(a), Tensor(b)).data
-        assert not np.signbit(got).any()
+        want = _k_ordered_loop(a, b)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+# (m, k, n) of every product in a batch-64 training step of the reference
+# net (64 -> 64 -> 64 -> 32, 200 identities): forward and backward of the
+# linears, the batch draw's latent projection, and the classifier head.
+TRAINING_SHAPES = [(64, 64, 64), (64, 64, 32), (32, 64, 64), (64, 32, 64), (64, 16, 64),
+                   (64, 32, 200), (64, 200, 32), (200, 64, 32)]
+
+
+@pytest.mark.parametrize("m, k, n", TRAINING_SHAPES)
+def test_training_shapes_take_the_chunked_method(monkeypatch, m, k, n):
+    def not_chunked(ad, bd):
+        raise AssertionError(f"({m}, {k}, {n}) took the row-block method")
+
+    monkeypatch.setattr(tensor_core, "_sum_transposed", not_chunked)
+    rng = np.random.default_rng(m * k + n)
+    a = _operand(rng, (m, k), 20, 0.3, False)
+    a[rng.uniform(size=(m, k)) < 0.1] = -0.0
+    b = _operand(rng, (k, n), 20, 0.1, False)
+    got = matmul(Tensor(a), Tensor(b)).data
+    want = _k_ordered_loop(a, b)
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+def test_all_negative_zero_products_sum_to_positive_zero():
+    # Every product is -0.0: relu zeros times negative weights, a negative
+    # gradient times +0.0, or -0.0 times a positive value. m = 1 and 64 take
+    # the chunked method, 2 * BLOCK_ROWS the row-block method.
+    for a_value, b_value in ((0.0, -0.5), (-0.5, 0.0), (-0.0, 0.5)):
+        for m in (1, 64, 2 * tensor_core.BLOCK_ROWS):
+            a = np.full((m, 64), a_value, dtype=np.float32)
+            b = np.full((64, 64), b_value, dtype=np.float32)
+            got = matmul(Tensor(a), Tensor(b)).data
+            assert got.shape == (m, 64)
+            assert not np.signbit(got).any()
 
 
 B = tensor_core.BLOCK_ROWS
