@@ -120,7 +120,7 @@ def pair_scores(net: EmbeddingNet, pairs: PairSet) -> np.ndarray:
     those of one forward per side.
     """
     both = Tensor._wrap(np.concatenate([pairs.first.data, pairs.second.data]))
-    e = embed(net, both, net.is_calibrated).data.astype(np.float64)
+    e = embed(net, both).data.astype(np.float64)
     n = pairs.n_pairs
     return np.sum(e[:n] * e[n:], axis=1)
 
@@ -147,7 +147,10 @@ def best_threshold_accuracy(scores: np.ndarray, same: np.ndarray) -> tuple[float
 
 
 def tar_at_far(scores: np.ndarray, same: np.ndarray, far: float) -> float:
-    """TAR with the acceptance threshold set at the FAR quantile of imposters."""
+    """TAR with the acceptance threshold set at the FAR quantile of imposters;
+    ``far`` must lie in [0, 1]."""
+    if not 0 <= far <= 1:
+        raise DomainError(f"FAR target must be in [0, 1], got {far}")
     imposter = np.sort(scores[~same])[::-1]
     genuine = scores[same]
     if imposter.size == 0 or genuine.size == 0:

@@ -11,7 +11,8 @@ node with parameters frozen at calibration time. Biases stay full
 precision.
 
 Backward passes replay a :class:`GradTape` recorded during the forward;
-the inference forward :func:`embed` records none.
+the inference forward :func:`embed` records none, and runs quantized
+exactly when the net is calibrated.
 The fake-quantization nodes use the straight-through estimator: the
 gradient passes unchanged where the input lies inside the node's clipping
 range [range_lo, range_hi] and is zeroed outside, which keeps weight
@@ -126,8 +127,7 @@ class EmbeddingNet:
         shadow weight."""
         if self.frozen_weight_params is not None:
             return self.frozen_weight_params[linear_index]
-        return derive_params(self.layers[linear_index].weight, self.quant_bits,
-                             channel_axis=0)
+        return derive_params(self.layers[linear_index].weight, self.quant_bits)
 
     @property
     def is_calibrated(self) -> bool:
@@ -181,7 +181,7 @@ def net_fingerprint(net: EmbeddingNet) -> str:
 # -- differentiable nodes ----------------------------------------------------
 
 
-def fake_quant(x: Tensor, params: QuantParams, channel_axis: int | None = None) -> Tensor:
+def fake_quant(x: Tensor, params: QuantParams) -> Tensor:
     """Quantize-then-dequantize: real-valued output snapped to the code grid.
 
     One float64 pass with the arithmetic of ``quantize`` then
@@ -189,7 +189,7 @@ def fake_quant(x: Tensor, params: QuantParams, channel_axis: int | None = None) 
     to even, clip to the codes, add z, multiply by s), so the output is
     bit-identical to the two-step path without building integer codes.
     """
-    s, z, _, _ = params.broadcast(x.shape, channel_axis)
+    s, z, _, _ = params.broadcast(x.shape)
     t = x.data.astype(np.float64)
     t /= s
     t -= z
@@ -200,19 +200,17 @@ def fake_quant(x: Tensor, params: QuantParams, channel_axis: int | None = None) 
     return Tensor._wrap(t.astype(np.float32))
 
 
-def in_range_mask(x: Tensor, params: QuantParams,
-                  channel_axis: int | None = None) -> np.ndarray:
+def in_range_mask(x: Tensor, params: QuantParams) -> np.ndarray:
     """Indicator of [range_lo, range_hi] per element (the STE pass-through set)."""
-    _, _, lo, hi = params.broadcast(x.shape, channel_axis)
+    _, _, lo, hi = params.broadcast(x.shape)
     return ((x.data >= lo) & (x.data <= hi)).astype(np.float32)
 
 
-def fake_quant_backward(x: Tensor, params: QuantParams, upstream: Tensor,
-                        channel_axis: int | None = None) -> Tensor:
+def fake_quant_backward(x: Tensor, params: QuantParams, upstream: Tensor) -> Tensor:
     """Straight-through estimator: upstream gradient gated by the range mask."""
     if upstream.shape != x.shape:
         raise DimensionError(f"upstream shape {upstream.shape} != input shape {x.shape}")
-    return Tensor._wrap(upstream.data * in_range_mask(x, params, channel_axis))
+    return Tensor._wrap(upstream.data * in_range_mask(x, params))
 
 
 def linear_forward(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -307,14 +305,15 @@ def forward_embed(net: EmbeddingNet, x: Tensor, quantized: bool) -> tuple[Tensor
     return l2_normalize(h), tape
 
 
-def embed(net: EmbeddingNet, x: Tensor, quantized: bool) -> Tensor:
-    """The embeddings of :func:`forward_embed`, bit for bit, without a tape.
+def embed(net: EmbeddingNet, x: Tensor) -> Tensor:
+    """The embeddings of :func:`forward_embed`, bit for bit, without a tape,
+    quantized exactly when the net is calibrated.
 
     The inference forward: it records nothing and computes no STE mask.
     Every row is computed independently of the others, so a batch may
     stack unrelated inputs.
     """
-    return l2_normalize(_walk(net, x, quantized, None))
+    return l2_normalize(_walk(net, x, net.is_calibrated, None))
 
 
 def _walk(net: EmbeddingNet, x: Tensor, quantized: bool, tape: GradTape | None,
@@ -344,9 +343,9 @@ def _walk(net: EmbeddingNet, x: Tensor, quantized: bool, tape: GradTape | None,
                 wp = net.weight_params(i)
             except DomainError as exc:
                 raise DomainError(f"layer {i}: {exc}") from exc
-            w = fake_quant(layer.weight, wp, channel_axis=0)
+            w = fake_quant(layer.weight, wp)
             if tape is not None:
-                mask = in_range_mask(layer.weight, wp, channel_axis=0)
+                mask = in_range_mask(layer.weight, wp)
         if tape is not None:
             tape.records.append(_Record(kind="linear", layer_index=i,
                                         inputs=h, mask=mask, weight_used=w))

@@ -12,7 +12,7 @@ File layout (QFMD, all multi-byte values little-endian)::
       linear only:
         out_dim  u32
         in_dim   u32
-        payload  u8   0 = raw fp32 weights, 1 = packed codes
+        payload  u8   the file's mode: 0 = raw fp32 weights, 1 = packed codes
         payload 0: out*in f32 weights (row-major)
         payload 1: out x qparams block, then ceil(out*in*b/8) packed code
                    bytes (codes offset to unsigned, b bits each, LSB-first)
@@ -27,6 +27,9 @@ block's bit width equals the header's. Codes are packed at their true
 bit width so the file size obeys the b/32 payload law. Files are written atomically
 (temp file + rename) and contain no timestamps, so identical nets produce
 identical bytes.
+
+The loader checks each field against this layout at the byte it reads, so
+a ``FormatError`` names the field at fault and, where known, its file offset.
 """
 
 from __future__ import annotations
@@ -134,14 +137,14 @@ def _finite(values: np.ndarray, field: str, offset: int) -> Tensor:
 def _grid_weight(codes: np.ndarray, wp: QuantParams, offset: int) -> Tensor:
     """The dequantized weight of stored codes, checked to hold exactly those
     codes: a model that loads re-saves to the same bytes."""
-    q = QuantizedTensor(codes=codes, shape=codes.shape, params=wp, channel_axis=0)
+    q = QuantizedTensor(codes=codes, shape=codes.shape, params=wp)
     try:
         with np.errstate(over="ignore"):  # reported below as a FormatError
             w = dequantize(q)
     except DomainError as exc:
         raise FormatError("weight parameters overflow the dequantized weights",
                           field="qparams", offset=4 + offset) from exc
-    if not np.array_equal(quantize(w, wp, channel_axis=0).codes, q.codes):
+    if not np.array_equal(quantize(w, wp).codes, q.codes):
         raise FormatError("weight parameters do not reproduce the stored codes",
                           field="qparams", offset=4 + offset)
     return w
@@ -195,7 +198,7 @@ def _encode(net: EmbeddingNet, quantized: bool) -> bytes:
         if quantized:
             wp = net.weight_params(i)
             body += _pack_qparams(wp)
-            body += pack_codes(quantize(layer.weight, wp, channel_axis=0).codes, net.quant_bits)
+            body += pack_codes(quantize(layer.weight, wp).codes, net.quant_bits)
         else:
             body += layer.weight.data.astype("<f4").tobytes()
         body += layer.bias.data.astype("<f4").tobytes()
@@ -245,28 +248,32 @@ def load_model(path) -> EmbeddingNet:
         raise FormatError(f"bit width {bit_width} in a {('fp32', 'quantized')[mode]} file",
                           field="bit_width", offset=7)
     (layer_count,) = take("<H")
+    if layer_count % 2 == 0:
+        raise FormatError(f"{layer_count} layers cannot alternate linear, relu, ..., linear",
+                          field="layers", offset=8)
 
-    kinds: list[int] = []
     layers: list[Linear] = []
     weight_params: list[QuantParams] = []
-    for _ in range(layer_count):
+    for j in range(layer_count):
         (kind,) = take("<B")
-        kinds.append(kind)
+        if kind != j % 2:
+            raise FormatError(f"layer {j} has kind {kind}, expected {j % 2}: layers "
+                              "alternate linear, relu, ..., linear", field="layers",
+                              offset=4 + off - 1)
         if kind == 1:
             continue
-        if kind != 0:
-            raise FormatError(f"unknown layer kind {kind}", field="layer_kind", offset=4 + off - 1)
         out_dim, in_dim, payload = take("<IIB")
-        if payload == 0:
+        if payload != mode:
+            raise FormatError(f"payload kind {payload} in a {('fp32', 'quantized')[mode]} file",
+                              field="payload", offset=4 + off - 1)
+        if mode == MODE_FP32:
             n = out_dim * in_dim
             if len(body) < off + n * 4:
                 raise FormatError("truncated weights", field="weights", offset=4 + off)
             w = _finite(np.frombuffer(body, dtype="<f4", count=n, offset=off)
                         .reshape(out_dim, in_dim), "weights", off)
             off += n * 4
-        elif payload == 1:
-            if mode != MODE_QUANTIZED:
-                raise FormatError("packed codes in an fp32 file", field="payload", offset=4 + off)
+        else:
             block_off = off
             wp = _params(_read_blocks(body, off, out_dim, bit_width), bit_width, off)
             off += out_dim * QPARAMS_DTYPE.itemsize
@@ -278,16 +285,11 @@ def load_model(path) -> EmbeddingNet:
             off += nbytes
             w = _grid_weight(codes, wp, block_off)
             weight_params.append(wp)
-        else:
-            raise FormatError(f"unknown payload kind {payload}", field="payload", offset=4 + off)
         if len(body) < off + out_dim * 4:
             raise FormatError("truncated bias", field="bias", offset=4 + off)
         b = _finite(np.frombuffer(body, dtype="<f4", count=out_dim, offset=off), "bias", off)
         off += out_dim * 4
         layers.append(Linear(weight=w, bias=b))
-    if kinds != [0, 1] * (layer_count // 2) + [0]:
-        raise FormatError(f"{layer_count} layers do not alternate linear, relu, ..., linear",
-                          field="layers")
 
     (act_count,) = take("<H")
     if act_count and mode != MODE_QUANTIZED:
@@ -305,9 +307,6 @@ def load_model(path) -> EmbeddingNet:
     except DimensionError as exc:
         raise FormatError(f"layer stack: {exc}", field="layers") from exc
     if mode == MODE_QUANTIZED:
-        if len(weight_params) != len(net.layers):
-            raise FormatError("weight parameter blocks do not match linear layers",
-                              field="layers")
         if len(act_params) != net.activation_site_count:
             raise FormatError(
                 f"{len(act_params)} activation parameters for "

@@ -9,14 +9,16 @@ z = round(lo * (2**b - 1) / (hi - lo) + 2**(b-1)); dequantization
 approximates x as s * (code + z). Rounding is half-to-even everywhere,
 which is deterministic and bias-free.
 
-One record, :class:`QuantParams`, holds the parameters at either
-granularity, with one shape rule:
+Weights are quantized per output channel and activations per tensor.
+A weight is a rank-2 ``[out, in]`` array, so an output channel is a row,
+and the parameters alone fix the layout. One record, :class:`QuantParams`,
+holds them at either granularity, with one shape rule:
 
 * Per-tensor: ``scale``, ``zero_point``, ``range_lo`` and ``range_hi`` are
-  plain Python scalars.
+  plain Python scalars, and apply to a tensor of any shape.
 * Per-channel: the same four fields are read-only 1-D arrays with one
-  entry per slice along the channel axis (float32 scale and range, int64
-  zero-point), and the one ``bit_width`` is shared by every slice.
+  entry per row of a rank-2 tensor (float32 scale and range, int64
+  zero-point), and the one ``bit_width`` is shared by every row.
 
 Notes on representation:
 
@@ -57,7 +59,7 @@ class QuantParams:
     """Affine quantization parameters for one tensor or for each of its slices.
 
     Scalar fields describe a whole tensor; 1-D array fields (see the
-    module notes) describe the slices along a channel axis.
+    module notes) describe the rows of a rank-2 tensor.
     """
 
     scale: float | np.ndarray
@@ -110,30 +112,23 @@ class QuantParams:
     def code_max(self) -> int:
         return (1 << (self.bit_width - 1)) - 1
 
-    def broadcast(self, shape: tuple[int, ...], channel_axis: int | None):
+    def broadcast(self, shape: tuple[int, ...]):
         """(scale, zero_point, range_lo, range_hi) ready to broadcast over a
-        tensor of ``shape``: per-channel fields are laid along
-        ``channel_axis``, which must be None for per-tensor parameters."""
+        tensor of ``shape``: per-tensor fields fit any shape, per-channel
+        fields are laid along the rows of a rank-2 tensor with one row each."""
         fields = (self.scale, self.zero_point, self.range_lo, self.range_hi)
         if not self.per_channel:
-            if channel_axis is not None:
-                raise DimensionError("per-tensor parameters must not carry a channel axis")
             return fields
-        if channel_axis is None or not 0 <= channel_axis < len(shape):
-            raise DimensionError(f"invalid channel axis {channel_axis} for shape {shape}")
-        if len(self.scale) != shape[channel_axis]:
-            raise DimensionError(
-                f"{len(self.scale)} channel params for axis of size {shape[channel_axis]}")
-        bshape = [1] * len(shape)
-        bshape[channel_axis] = -1
-        return tuple(f.reshape(bshape) for f in fields)
+        if len(shape) != 2 or shape[0] != len(self.scale):
+            raise DimensionError(f"{len(self.scale)} per-row params for shape {shape}")
+        return tuple(f[:, None] for f in fields)
 
 
 def params_from_range(lo, hi, bit_width: int) -> QuantParams:
     """Build QuantParams from observed range endpoints.
 
     Scalar endpoints give per-tensor parameters; equal-length 1-D arrays
-    give per-channel parameters, one entry per slice, derived by the same
+    give per-channel parameters, one entry per row, derived by the same
     arithmetic. Endpoints are snapped to float32 (the storage precision)
     before the scale and zero-point are derived, so parameters rebuilt
     from a saved model are identical to the originals.
@@ -176,14 +171,12 @@ def params_from_range(lo, hi, bit_width: int) -> QuantParams:
 class QuantizedTensor:
     """Integer codes plus the parameters that produced them.
 
-    ``params`` is per-tensor, or per-channel over the slices along
-    ``channel_axis``.
+    ``params`` is per-tensor, or per-channel over the rows of rank-2 codes.
     """
 
     codes: np.ndarray
     shape: tuple[int, ...]
     params: QuantParams
-    channel_axis: int | None = None
 
     def __post_init__(self):
         codes = np.ascontiguousarray(self.codes, dtype=np.int32)
@@ -192,7 +185,7 @@ class QuantizedTensor:
         object.__setattr__(self, "shape", tuple(self.shape))
         if codes.shape != self.shape:
             raise DimensionError(f"codes shape {codes.shape} != declared {self.shape}")
-        self.params.broadcast(self.shape, self.channel_axis)  # raises on a layout mismatch
+        self.params.broadcast(self.shape)  # raises on a layout mismatch
         if codes.size and (codes.min() < self.params.code_min
                            or codes.max() > self.params.code_max):
             raise DomainError("codes outside the representable range")
@@ -202,39 +195,31 @@ class QuantizedTensor:
         return self.params.bit_width
 
 
-def quantize(x: Tensor, params: QuantParams, channel_axis: int | None = None) -> QuantizedTensor:
+def quantize(x: Tensor, params: QuantParams) -> QuantizedTensor:
     """Map a real tensor to integer codes; out-of-range values saturate."""
-    s, z, _, _ = params.broadcast(x.shape, channel_axis)
+    s, z, _, _ = params.broadcast(x.shape)
     t = np.rint(x.data.astype(np.float64) / s - z)
     codes = np.clip(t, params.code_min, params.code_max).astype(np.int32)
-    return QuantizedTensor(codes=codes, shape=x.shape, params=params, channel_axis=channel_axis)
+    return QuantizedTensor(codes=codes, shape=x.shape, params=params)
 
 
 def dequantize(q: QuantizedTensor) -> Tensor:
     """Approximate the real values of quantized codes: x ~= s * (code + z)."""
-    s, z, _, _ = q.params.broadcast(q.shape, q.channel_axis)
+    s, z, _, _ = q.params.broadcast(q.shape)
     x = (s * (q.codes.astype(np.float64) + z)).astype(np.float32)
     if not np.isfinite(x).all():
         raise DomainError("dequantized values overflow float32")
     return Tensor._wrap(x)
 
 
-def derive_params(t: Tensor, bit_width: int, channel_axis: int | None = None) -> QuantParams:
-    """Quantization parameters from tensor extrema.
-
-    With ``channel_axis`` set, each slice along that axis gets its own
-    parameters from the slice's extrema (per-channel granularity);
-    otherwise one set of parameters covers the whole tensor.
-    """
+def derive_params(t: Tensor, bit_width: int) -> QuantParams:
+    """Per-channel parameters of a rank-2 tensor: each row gets its own,
+    from the row's extrema."""
     if t.size == 0:
         raise DomainError("cannot derive parameters for an empty tensor")
-    if channel_axis is None:
-        return params_from_range(float(t.data.min()), float(t.data.max()), bit_width)
-    if not 0 <= channel_axis < t.rank:
-        raise DimensionError(f"axis {channel_axis} out of range for rank {t.rank}")
-    reduce_axes = tuple(a for a in range(t.rank) if a != channel_axis)
-    return params_from_range(t.data.min(axis=reduce_axes), t.data.max(axis=reduce_axes),
-                             bit_width)
+    if t.rank != 2:
+        raise DimensionError(f"per-row parameters need a rank-2 tensor, got shape {t.shape}")
+    return params_from_range(t.data.min(axis=1), t.data.max(axis=1), bit_width)
 
 
 class RangeObserver:

@@ -10,7 +10,9 @@ calls. A refactor that breaks one of those fails here, in tier-1, instead
 of in a benchmark run.
 """
 
+import ast
 import importlib.util
+import re
 import threading
 from pathlib import Path
 
@@ -20,7 +22,8 @@ import pytest
 import quantdistill
 from quantdistill import bench_eval, distiller, graph, pretrain, quantizer, synth, tensor_core
 
-_TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+_TRACER_PATH = _PERFBENCH / "tracer.py"
 
 
 def _load_tracer():
@@ -288,3 +291,33 @@ def test_training_steps_are_seen_from_the_calling_thread(monkeypatch):
     assert len(clock.marks) == 2 * 24
     assert clock.marks.threads == {threading.get_ident()}
     assert not started
+
+
+def test_every_span_the_metrics_read_is_recorded():
+    # A metric that reads a span nobody records reads 0 on working code, so
+    # renaming a traced function (say quantizer.derive_params) must fail
+    # here rather than silently zero its metric.
+    readers = {"span", "self_ms", "calls", "incl_ms", "round_or_setup"}
+    read = set()
+    for node in ast.walk(ast.parse((_PERFBENCH / "metrics.py").read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in readers:
+            read.update(arg.value for arg in node.args if isinstance(arg, ast.Constant)
+                        and isinstance(arg.value, str)
+                        and re.fullmatch(r"\w+\.[\w.]+", arg.value))
+    assert "quantizer.derive_params" in read
+
+    tracer = _load_tracer().Tracer(quantdistill)
+    wrapped = set()
+    wrap = tracer._wrap
+
+    def recording_wrap(layer, fname, fn, hook=None):
+        wrapped.add(f"{layer}.{fname}")
+        return wrap(layer, fname, fn, hook)
+
+    tracer._wrap = recording_wrap
+    tracer.install()
+    tracer.uninstall()
+    # The benchmark loop's own span, and the names the tracer's hooks give.
+    named_elsewhere = {"bench.op", "graph.forward.teacher", "graph.forward.student",
+                       "synth.batch_wait"}
+    assert read - wrapped - named_elsewhere == set()

@@ -168,6 +168,20 @@ class TestTarAtFar:
             achieved = np.mean(scores[~same] > thr)
             assert achieved <= far
 
+    # genuine 0.9, 0.5, 0.3, 0.6; imposter 0.4, 0.1, 0.2, 0.05
+    SCORES = np.array([0.9, 0.5, 0.3, 0.6, 0.4, 0.1, 0.2, 0.05])
+    SAME = np.array([True] * 4 + [False] * 4)
+
+    @pytest.mark.parametrize("far", [-0.25, -1, float("nan"), float("inf"), 1.5])
+    def test_far_outside_unit_interval_rejected(self, far):
+        # A negative FAR would index the imposter scores from the low end.
+        with pytest.raises(DomainError, match=f"got {far}"):
+            tar_at_far(self.SCORES, self.SAME, far)
+
+    def test_far_at_the_ends_of_unit_interval(self):
+        assert tar_at_far(self.SCORES, self.SAME, 0.0) == 0.75
+        assert tar_at_far(self.SCORES, self.SAME, 1.0) == 1.0
+
 
 class TestVerify:
     def _trained_pairs(self):

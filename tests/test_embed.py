@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from quantdistill.errors import DimensionError, DomainError, StateError
+from quantdistill.errors import DimensionError, DomainError
 from quantdistill.graph import build_embedding_net, embed, forward_embed, observe_activations
 from quantdistill.quantizer import RangeObserver
 from quantdistill.tensor_core import BLOCK_ROWS, Tensor
@@ -35,9 +35,8 @@ def _net(bits):
 def test_embed_equals_forward_embed(bits, rows):
     net = _net(bits)
     x = Tensor(np.random.default_rng(rows).standard_normal((rows, IN_DIM)).astype(np.float32))
-    quantized = bits is not None
-    got = embed(net, x, quantized).data
-    expected = forward_embed(net, x, quantized)[0].data
+    got = embed(net, x).data
+    expected = forward_embed(net, x, bits is not None)[0].data
     assert got.shape == (rows, EMBED_DIM)
     assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
 
@@ -45,9 +44,7 @@ def test_embed_equals_forward_embed(bits, rows):
 def test_embed_checks_like_forward_embed():
     net = _net(None)
     with pytest.raises(DimensionError):
-        embed(net, Tensor(np.zeros((2, IN_DIM + 1), dtype=np.float32)), False)
-    with pytest.raises(StateError):
-        embed(net, Tensor(np.ones((2, IN_DIM), dtype=np.float32)), True)
+        embed(net, Tensor(np.zeros((2, IN_DIM + 1), dtype=np.float32)))
 
 
 def test_calibration_walk_leaves_normalization_out():
@@ -56,7 +53,7 @@ def test_calibration_walk_leaves_normalization_out():
     net = build_embedding_net(IN_DIM, HIDDEN, EMBED_DIM, seed=3)
     x = Tensor(np.zeros((2, IN_DIM), dtype=np.float32))
     with pytest.raises(DomainError):
-        embed(net, x, False)
+        embed(net, x)
     observers = [RangeObserver() for _ in range(net.activation_site_count)]
     observe_activations(net, x, observers)
     assert [(o.running_lo, o.running_hi, o.count) for o in observers] == [(0.0, 0.0, 1)] * 3

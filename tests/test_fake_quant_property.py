@@ -19,10 +19,10 @@ from quantdistill.quantizer import dequantize, params_from_range, quantize  # no
 from quantdistill.tensor_core import Tensor  # noqa: E402
 
 
-def _assert_fused_matches_two_step(x: np.ndarray, params, channel_axis):
+def _assert_fused_matches_two_step(x: np.ndarray, params):
     t = Tensor(x)
-    fused = fake_quant(t, params, channel_axis).data
-    two_step = dequantize(quantize(t, params, channel_axis)).data
+    fused = fake_quant(t, params).data
+    two_step = dequantize(quantize(t, params)).data
     assert fused.dtype == two_step.dtype == np.float32
     assert np.array_equal(fused.view(np.uint32), two_step.view(np.uint32))
 
@@ -48,21 +48,19 @@ def test_fused_matches_two_step_on_random_ranges(seed, rows, width, bits, per_ch
                                                                              p=[0.1, 0.9])
         params = params_from_range(lo, hi, bits)
         x = _random_values(rng, (rows, width), lo[:, None], hi[:, None])
-        axis = 0
     else:
         lo = float(rng.standard_normal() * magnitude)
         hi = lo + float(abs(rng.standard_normal()) * magnitude)
         params = params_from_range(lo, hi, bits)
         x = _random_values(rng, (rows, width), lo, hi)
-        axis = None
-    _assert_fused_matches_two_step(x, params, axis)
-    _assert_fused_matches_two_step(_near_half_codes(rng, params, x.shape, axis), params, axis)
+    _assert_fused_matches_two_step(x, params)
+    _assert_fused_matches_two_step(_near_half_codes(rng, params, x.shape), params)
 
 
-def _near_half_codes(rng, params, shape, channel_axis) -> np.ndarray:
+def _near_half_codes(rng, params, shape) -> np.ndarray:
     """The float32 values nearest s * (z + k + 1/2) and their neighbours one
     ulp away, where single and double precision division round differently."""
-    s, z, _, _ = params.broadcast(shape, channel_axis)
+    s, z, _, _ = params.broadcast(shape)
     k = rng.integers(params.code_min - 2, params.code_max + 2, size=shape) + 0.5
     x = (s * (z + k)).astype(np.float32)
     nudged = np.nextafter(x, rng.choice(np.float32([-np.inf, np.inf]), size=shape))
@@ -87,4 +85,4 @@ def test_fused_matches_two_step_on_half_code_boundaries(exponents, offset, bits,
     half = np.arange(params.code_min - 4, params.code_max + 4) + 0.5  # some outside the range
     x = (s * (z + half)).astype(np.float32)
     assert np.all(x.astype(np.float64) / s - z == half)
-    _assert_fused_matches_two_step(x, params, 0 if per_channel else None)
+    _assert_fused_matches_two_step(x, params)

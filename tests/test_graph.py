@@ -73,7 +73,7 @@ class TestFakeQuant:
     def test_per_channel_mask(self):
         ps = params_from_range(np.array([-1.0, 0.0]), np.array([1.0, 2.0]), 8)
         x = Tensor([[-2.0, 0.5], [1.0, 3.0]])
-        mask = in_range_mask(x, ps, channel_axis=0)
+        mask = in_range_mask(x, ps)
         assert mask.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_forward_snaps_to_grid(self):

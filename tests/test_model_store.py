@@ -1,5 +1,8 @@
 """Model files: packing, round trips, corruption handling, size law."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -33,6 +36,12 @@ def _calibrated_net(bits=8, seed=0):
                             observers)
     net.activation_params = [o.freeze(bits) for o in observers]
     return net
+
+
+def _with_crc(blob: bytearray) -> bytes:
+    """The file bytes with the CRC recomputed, so only the mutation is wrong."""
+    struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(bytes(blob[4:-4])) & 0xFFFFFFFF)
+    return bytes(blob)
 
 
 class TestCodePacking:
@@ -201,6 +210,37 @@ class TestCorruption:
         with pytest.raises(FormatError) as exc:
             load_model(path)
         assert exc.value.field == field
+
+    # A 10-byte header, then the first linear: kind at 10, out_dim and
+    # in_dim at 11-18, payload at 19.
+    @pytest.mark.parametrize("mode, payload", [("fp32", 1), ("fp32", 7),
+                                               ("quantized", 0), ("quantized", 7)])
+    def test_payload_other_than_the_mode_reported_at_its_byte(self, tmp_path, mode, payload):
+        path = tmp_path / "net.qfmd"
+        save_model(_calibrated_net(), path, mode=mode)
+        blob = bytearray(path.read_bytes())
+        blob[19] = payload
+        path.write_bytes(_with_crc(blob))
+        with pytest.raises(FormatError) as exc:
+            load_model(path)
+        assert (exc.value.field, exc.value.offset) == ("payload", 19)
+
+    @pytest.mark.parametrize("mode", ["fp32", "quantized"])
+    def test_relu_read_as_linear_reported_at_its_byte(self, tmp_path, mode):
+        net = _calibrated_net()
+        out_dim, in_dim = net.layers[0].weight.shape
+        weights = (out_dim * 17 + packed_code_bytes(out_dim * in_dim, 8) if mode == "quantized"
+                   else 4 * out_dim * in_dim)
+        relu_at = 20 + weights + 4 * out_dim
+        path = tmp_path / "net.qfmd"
+        save_model(net, path, mode=mode)
+        blob = bytearray(path.read_bytes())
+        assert blob[relu_at] == 1
+        blob[relu_at] = 0
+        path.write_bytes(_with_crc(blob))
+        with pytest.raises(FormatError) as exc:
+            load_model(path)
+        assert (exc.value.field, exc.value.offset) == ("layers", relu_at)
 
     def test_truncated_file(self, tmp_path):
         path = self._saved(tmp_path)

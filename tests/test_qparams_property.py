@@ -67,7 +67,7 @@ def test_per_channel_derivation_matches_scalar_oracle(seed, rows, width, bits):
     rng = np.random.default_rng(seed)
     w = np.stack([_row(rng, int(rng.integers(0, 6)), width) for _ in range(rows)])
     los, his = w.min(axis=1), w.max(axis=1)
-    _assert_matches_oracle(derive_params(Tensor(w), bits, channel_axis=0), los, his, bits)
+    _assert_matches_oracle(derive_params(Tensor(w), bits), los, his, bits)
     # float64 endpoints are snapped to float32 first, as scalars are
     wide = rng.uniform(0.0, 1e-7, size=rows)
     _assert_matches_oracle(params_from_range(los - wide, his + wide, bits),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quantdistill.errors import DimensionError, DomainError, StateError
+from quantdistill.graph import fake_quant, in_range_mask
 from quantdistill.quantizer import (
     QuantizedTensor,
     QuantParams,
@@ -156,20 +157,16 @@ class TestDegenerate:
 
 
 class TestDeriveParams:
-    def test_per_tensor_global_extrema(self):
-        p = derive_params(Tensor([[-1, 1], [0, 4]]), 8)
-        assert (p.range_lo, p.range_hi) == (-1.0, 4.0)
-
     def test_per_channel_row_extrema(self):
-        ps = derive_params(Tensor([[-1, 1], [0, 4]]), 8, channel_axis=0)
+        ps = derive_params(Tensor([[-1, 1], [0, 4]]), 8)
         assert (ps.range_lo.tolist(), ps.range_hi.tolist()) == ([-1.0, 0.0], [1.0, 4.0])
-        assert ps == derive_params(Tensor([[-1, 1], [0, 4]]), 8, channel_axis=0)
-        assert ps != derive_params(Tensor([[-1, 1], [0, 5]]), 8, channel_axis=0)
+        assert ps == derive_params(Tensor([[-1, 1], [0, 4]]), 8)
+        assert ps != derive_params(Tensor([[-1, 1], [0, 5]]), 8)
 
     def test_constant_tensor_fallback(self):
         p = derive_params(Tensor([[2.0, 2.0]]), 8)
-        assert p.range_lo == p.range_hi == 2.0
-        assert p.scale == 1.0
+        assert p.range_lo.tolist() == p.range_hi.tolist() == [2.0]
+        assert p.scale.tolist() == [1.0]
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
@@ -177,7 +174,7 @@ class TestDeriveParams:
 
     def test_bad_axis_rejected(self):
         with pytest.raises(DimensionError):
-            derive_params(Tensor([[1.0, 2.0]]), 8, channel_axis=5)
+            derive_params(Tensor([1.0, 2.0]), 8)
 
     def test_per_channel_round_trip_not_worse_per_slice(self):
         # Per-channel params use a grid at least as fine as the per-tensor
@@ -189,10 +186,10 @@ class TestDeriveParams:
         for _ in range(20):
             w = rng.standard_normal((4, 512)) * rng.uniform(0.05, 3.0, size=(4, 1))
             t = Tensor(w.astype(np.float32))
-            per_tensor = derive_params(t, 8)
-            per_channel = derive_params(t, 8, channel_axis=0)
+            per_tensor = params_from_range(float(t.data.min()), float(t.data.max()), 8)
+            per_channel = derive_params(t, 8)
             err_t = np.abs(dequantize(quantize(t, per_tensor)).data - t.data)
-            err_c = np.abs(dequantize(quantize(t, per_channel, channel_axis=0)).data - t.data)
+            err_c = np.abs(dequantize(quantize(t, per_channel)).data - t.data)
             assert np.all(per_channel.scale <= per_tensor.scale + 1e-9)
             for row in range(4):
                 if per_channel.scale[row] <= 0.9 * per_tensor.scale:
@@ -225,17 +222,48 @@ class TestQuantizedTensor:
     def test_per_channel_needs_matching_params(self):
         p = params_from_range(np.array([-1.0]), np.array([1.0]), 8)
         with pytest.raises(DimensionError):
-            QuantizedTensor(codes=np.zeros((2, 3), dtype=np.int32), shape=(2, 3),
-                            params=p, channel_axis=0)
+            QuantizedTensor(codes=np.zeros((2, 3), dtype=np.int32), shape=(2, 3), params=p)
 
-    def test_layout_must_match_granularity(self):
-        codes = np.zeros((2, 3), dtype=np.int32)
+
+# The three operations that lay parameters over a tensor.
+LAYOUT_OPS = {
+    "quantize": lambda x, p: quantize(x, p).codes,
+    "fake_quant": lambda x, p: fake_quant(x, p).data,
+    "in_range_mask": in_range_mask,
+}
+
+
+@pytest.mark.parametrize("op", sorted(LAYOUT_OPS))
+@pytest.mark.parametrize("per_channel, shape, fits", [
+    (True, (2, 3), True),
+    (True, (2,), False),       # rank 1, as long as the parameters
+    (True, (2, 1, 3), False),  # rank 3, leading axis as long as the parameters
+    (True, (3, 2), False),     # wrong row count
+    (False, (5,), True),
+    (False, (2, 3), True),
+    (False, (2, 1, 3), True),
+])
+def test_layout_follows_from_params_and_shape(op, per_channel, shape, fits):
+    # Per-channel parameters fit the rows of a rank-2 tensor and nothing
+    # else; per-tensor parameters fit any shape. Where they fit, each row
+    # (per-channel) or the flattened tensor (per-tensor) gives what a
+    # per-tensor op on it alone gives.
+    apply = LAYOUT_OPS[op]
+    lo, hi = np.array([-1.0, 0.0]), np.array([1.0, 2.5])
+    p = params_from_range(lo, hi, 6) if per_channel else params_from_range(-1.0, 2.5, 6)
+    x = Tensor(np.linspace(-2.0, 3.0, int(np.prod(shape))).reshape(shape).astype(np.float32))
+    if not fits:
         with pytest.raises(DimensionError):
-            QuantizedTensor(codes=codes, shape=(2, 3),
-                            params=params_from_range(-1.0, 1.0, 8), channel_axis=0)
-        with pytest.raises(DimensionError):
-            QuantizedTensor(codes=codes, shape=(2, 3),
-                            params=params_from_range(np.zeros(2), np.ones(2), 8))
+            apply(x, p)
+        return
+    got = apply(x, p)
+    if per_channel:
+        expected = np.stack([apply(Tensor(row), params_from_range(float(lo[i]), float(hi[i]), 6))
+                             for i, row in enumerate(x.data)])
+    else:
+        expected = apply(Tensor(x.data.ravel()), p).reshape(shape)
+    assert got.shape == shape
+    assert np.array_equal(got, expected)
 
 
 class TestRangeObserver:
