@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, fields
 
 from .distiller import DEFAULT_CALIBRATION_BATCHES
 from .errors import ConfigError
-from .model_store import write_atomic
 from .quantizer import SUPPORTED_BIT_WIDTHS
 
 SEED_ENV_VAR = "QUANTDISTILL_SEED"
@@ -152,13 +151,3 @@ def load_config(path) -> ExperimentConfig:
                               field="seed") from exc
     return ExperimentConfig(**values)
 
-
-def write_config(cfg: ExperimentConfig, path) -> None:
-    """Write a config back out in the same flat format, atomically."""
-    lines = []
-    for f in fields(ExperimentConfig):
-        v = getattr(cfg, f.name)
-        if isinstance(v, list):
-            v = ",".join(str(x) for x in v)
-        lines.append(f"{f.name}={v}")
-    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))

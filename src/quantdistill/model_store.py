@@ -10,14 +10,15 @@ File layout (QFMD, all multi-byte values little-endian)::
     per layer, alternating linear, relu, ..., linear:
       kind       u8   0 = linear, 1 = relu
       linear only:
-        out_dim  u32
-        in_dim   u32
+        out_dim  u32  non-zero
+        in_dim   u32  non-zero; the previous linear's out_dim
         payload  u8   the file's mode: 0 = raw fp32 weights, 1 = packed codes
         payload 0: out*in f32 weights (row-major)
         payload 1: out x qparams block, then ceil(out*in*b/8) packed code
                    bytes (codes offset to unsigned, b bits each, LSB-first)
         bias     out x f32
-    activation_count u16, then that many qparams blocks
+    activation_count u16  L in a quantized file, 0 in an fp32 file; then
+                          that many qparams blocks
     crc32        u32  over everything between magic and this field
 
 A qparams block is scale f32, zero_point i32, bit_width u8, range_lo f32,
@@ -28,8 +29,11 @@ bit width so the file size obeys the b/32 payload law. Files are written atomica
 (temp file + rename) and contain no timestamps, so identical nets produce
 identical bytes.
 
-The loader checks each field against this layout at the byte it reads, so
-a ``FormatError`` names the field at fault and, where known, its file offset.
+The loader reads the file through one bounded cursor and checks each field
+against this layout at the byte it reads, so a ``FormatError`` names the
+field at fault and its file offset. A stack whose dimensions do not compose
+or that holds a zero-width linear is malformed like any other stack the
+saver cannot write.
 """
 
 from __future__ import annotations
@@ -103,27 +107,23 @@ def _pack_qparams(p: QuantParams) -> bytes:
     return blocks.tobytes()
 
 
-def _read_blocks(body: bytes, offset: int, count: int, bit_width: int) -> np.ndarray:
-    """``count`` blocks at ``offset``, checked against the header bit width."""
-    if len(body) < offset + count * QPARAMS_DTYPE.itemsize:
-        raise FormatError("truncated quantization parameters", field="qparams", offset=4 + offset)
-    blocks = np.frombuffer(body, dtype=QPARAMS_DTYPE, count=count, offset=offset)
-    if np.any(blocks["bit_width"] != bit_width):
-        raise FormatError(f"block bit width {blocks['bit_width'].max()} in a "
-                          f"{bit_width}-bit file", field="qparams", offset=4 + offset)
-    return blocks
-
-
 def _params(fields, bit_width: int, offset: int) -> QuantParams:
-    """QuantParams from block fields: per-channel from an array of blocks,
-    per-tensor from a single block."""
+    """QuantParams from the fields of blocks read at file offset ``offset``:
+    per-channel from an array of blocks, per-tensor from a single block.
+    Every block's bit width must equal the header's."""
+    widths = np.atleast_1d(fields["bit_width"])
+    if np.any(widths != bit_width):
+        i = int(np.argmax(widths != bit_width))  # the first wrong block
+        raise FormatError(f"block bit width {widths[i]} in a {bit_width}-bit file",
+                          field="qparams",  # its width byte follows scale and zero-point
+                          offset=offset + i * QPARAMS_DTYPE.itemsize + 8)
     try:
         return QuantParams(scale=fields["scale"], zero_point=fields["zero_point"],
                            bit_width=bit_width, range_lo=fields["range_lo"],
                            range_hi=fields["range_hi"])
     except (DomainError, DimensionError) as exc:
         raise FormatError(f"invalid quantization parameters: {exc}",
-                          field="qparams", offset=4 + offset) from exc
+                          field="qparams", offset=offset) from exc
 
 
 def _finite(values: np.ndarray, field: str, offset: int) -> Tensor:
@@ -131,7 +131,7 @@ def _finite(values: np.ndarray, field: str, offset: int) -> Tensor:
         return Tensor(values)
     except DomainError as exc:
         raise FormatError(f"stored {field} are not finite", field=field,
-                          offset=4 + offset) from exc
+                          offset=offset) from exc
 
 
 def _grid_weight(codes: np.ndarray, wp: QuantParams, offset: int) -> Tensor:
@@ -143,14 +143,19 @@ def _grid_weight(codes: np.ndarray, wp: QuantParams, offset: int) -> Tensor:
             w = dequantize(q)
     except DomainError as exc:
         raise FormatError("weight parameters overflow the dequantized weights",
-                          field="qparams", offset=4 + offset) from exc
+                          field="qparams", offset=offset) from exc
     if not np.array_equal(quantize(w, wp).codes, q.codes):
         raise FormatError("weight parameters do not reproduce the stored codes",
-                          field="qparams", offset=4 + offset)
+                          field="qparams", offset=offset)
     return w
 
 
 # -- save / load ---------------------------------------------------------------
+
+# The writer and the reader share these layouts.
+_HEADER = struct.Struct("<HBBH")  # version, mode, bit_width, layer_count
+_LINEAR = struct.Struct("<IIB")  # out_dim, in_dim, payload; follows the kind byte
+_ACTIVATION_COUNT = struct.Struct("<H")
 
 
 def save_model(net: EmbeddingNet, path, mode: str) -> None:
@@ -185,16 +190,14 @@ def write_atomic(path, data: bytes) -> None:
 
 
 def _encode(net: EmbeddingNet, quantized: bool) -> bytes:
-    body = bytearray()
-    body += struct.pack("<H", MODEL_VERSION)
-    body += struct.pack("<BB", MODE_QUANTIZED if quantized else MODE_FP32,
-                        net.quant_bits if quantized else 0)
-    body += struct.pack("<H", 2 * len(net.layers) - 1)
+    mode = MODE_QUANTIZED if quantized else MODE_FP32
+    body = bytearray(_HEADER.pack(MODEL_VERSION, mode, net.quant_bits if quantized else 0,
+                                 2 * len(net.layers) - 1))
     for i, layer in enumerate(net.layers):
         if i:
-            body += struct.pack("<B", 1)  # the relu between linears i - 1 and i
-        out_dim, in_dim = layer.weight.shape
-        body += struct.pack("<BIIB", 0, out_dim, in_dim, 1 if quantized else 0)
+            body.append(1)  # the relu between linears i - 1 and i
+        body.append(0)
+        body += _LINEAR.pack(*layer.weight.shape, mode)
         if quantized:
             wp = net.weight_params(i)
             body += _pack_qparams(wp)
@@ -202,8 +205,8 @@ def _encode(net: EmbeddingNet, quantized: bool) -> bytes:
         else:
             body += layer.weight.data.astype("<f4").tobytes()
         body += layer.bias.data.astype("<f4").tobytes()
-    act = net.activation_params if (quantized and net.activation_params) else []
-    body += struct.pack("<H", len(act))
+    act = net.activation_params if quantized else []
+    body += _ACTIVATION_COUNT.pack(len(act))
     for p in act:
         body += _pack_qparams(p)
     crc = zlib.crc32(bytes(body)) & 0xFFFFFFFF
@@ -219,35 +222,33 @@ def load_model(path) -> EmbeddingNet:
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 4 or blob[:4] != MODEL_MAGIC:
+    if blob[:4] != MODEL_MAGIC:
         raise FormatError(f"bad magic {blob[:4]!r}", field="magic", offset=0)
     if len(blob) < 8 + 4:
         raise FormatError("file shorter than minimal layout", field="header", offset=len(blob))
-    body, stored_crc = blob[4:-4], struct.unpack("<I", blob[-4:])[0]
-    if zlib.crc32(body) & 0xFFFFFFFF != stored_crc:
-        raise FormatError("payload checksum mismatch", field="checksum", offset=len(blob) - 4)
+    end = len(blob) - 4  # the body runs from offset 4 to the CRC
+    if zlib.crc32(blob[4:end]) & 0xFFFFFFFF != struct.unpack_from("<I", blob, end)[0]:
+        raise FormatError("payload checksum mismatch", field="checksum", offset=end)
 
-    off = 0
+    off = 4
 
-    def take(fmt: str):
+    def take(size: int, field: str) -> int:
+        """Move past the next ``size`` bytes of the body; return their file offset."""
         nonlocal off
-        s = struct.Struct(fmt)
-        if len(body) < off + s.size:
-            raise FormatError("truncated header", field="header", offset=4 + off)
-        vals = s.unpack_from(body, off)
-        off += s.size
-        return vals
+        if off + size > end:
+            raise FormatError(f"truncated {field}", field=field, offset=off)
+        off += size
+        return off - size
 
-    (version,) = take("<H")
+    version, mode, bit_width, layer_count = _HEADER.unpack_from(blob, take(_HEADER.size, "header"))
     if version != MODEL_VERSION:
         raise FormatError(f"unsupported version {version}", field="version", offset=4)
-    mode, bit_width = take("<BB")
     if mode not in (MODE_FP32, MODE_QUANTIZED):
         raise FormatError(f"unknown mode {mode}", field="mode", offset=6)
+    mode_name = ("fp32", "quantized")[mode]
     if bit_width not in (SUPPORTED_BIT_WIDTHS if mode == MODE_QUANTIZED else (0,)):
-        raise FormatError(f"bit width {bit_width} in a {('fp32', 'quantized')[mode]} file",
+        raise FormatError(f"bit width {bit_width} in a {mode_name} file",
                           field="bit_width", offset=7)
-    (layer_count,) = take("<H")
     if layer_count % 2 == 0:
         raise FormatError(f"{layer_count} layers cannot alternate linear, relu, ..., linear",
                           field="layers", offset=8)
@@ -255,62 +256,56 @@ def load_model(path) -> EmbeddingNet:
     layers: list[Linear] = []
     weight_params: list[QuantParams] = []
     for j in range(layer_count):
-        (kind,) = take("<B")
-        if kind != j % 2:
-            raise FormatError(f"layer {j} has kind {kind}, expected {j % 2}: layers "
-                              "alternate linear, relu, ..., linear", field="layers",
-                              offset=4 + off - 1)
-        if kind == 1:
+        at = take(1, "layers")
+        if blob[at] != j % 2:
+            raise FormatError(f"layer {j} has kind {blob[at]}, expected {j % 2}: layers "
+                              "alternate linear, relu, ..., linear", field="layers", offset=at)
+        if j % 2:
             continue
-        out_dim, in_dim, payload = take("<IIB")
+        at = take(_LINEAR.size, "layers")
+        out_dim, in_dim, payload = _LINEAR.unpack_from(blob, at)
+        if out_dim == 0 or in_dim == 0:
+            raise FormatError(f"zero-width linear {out_dim}x{in_dim}", field="layers",
+                              offset=at if out_dim == 0 else at + 4)
+        if layers and in_dim != layers[-1].out_dim:
+            raise FormatError(f"layer input dim {in_dim} does not compose with previous "
+                              f"output {layers[-1].out_dim}", field="layers", offset=at + 4)
         if payload != mode:
-            raise FormatError(f"payload kind {payload} in a {('fp32', 'quantized')[mode]} file",
-                              field="payload", offset=4 + off - 1)
+            raise FormatError(f"payload kind {payload} in a {mode_name} file",
+                              field="payload", offset=at + 8)
+        n = out_dim * in_dim
         if mode == MODE_FP32:
-            n = out_dim * in_dim
-            if len(body) < off + n * 4:
-                raise FormatError("truncated weights", field="weights", offset=4 + off)
-            w = _finite(np.frombuffer(body, dtype="<f4", count=n, offset=off)
-                        .reshape(out_dim, in_dim), "weights", off)
-            off += n * 4
+            at = take(4 * n, "weights")
+            w = _finite(np.frombuffer(blob, dtype="<f4", count=n, offset=at)
+                        .reshape(out_dim, in_dim), "weights", at)
         else:
-            block_off = off
-            wp = _params(_read_blocks(body, off, out_dim, bit_width), bit_width, off)
-            off += out_dim * QPARAMS_DTYPE.itemsize
-            nbytes = packed_code_bytes(out_dim * in_dim, bit_width)
-            if len(body) < off + nbytes:
-                raise FormatError("truncated codes", field="codes", offset=4 + off)
-            codes = unpack_codes(body[off:off + nbytes], out_dim * in_dim,
-                                 bit_width).reshape(out_dim, in_dim)
-            off += nbytes
-            w = _grid_weight(codes, wp, block_off)
+            block_at = take(out_dim * QPARAMS_DTYPE.itemsize, "qparams")
+            wp = _params(np.frombuffer(blob, dtype=QPARAMS_DTYPE, count=out_dim, offset=block_at),
+                         bit_width, block_at)
+            nbytes = packed_code_bytes(n, bit_width)
+            at = take(nbytes, "codes")
+            codes = unpack_codes(blob[at:at + nbytes], n, bit_width).reshape(out_dim, in_dim)
+            w = _grid_weight(codes, wp, block_at)
             weight_params.append(wp)
-        if len(body) < off + out_dim * 4:
-            raise FormatError("truncated bias", field="bias", offset=4 + off)
-        b = _finite(np.frombuffer(body, dtype="<f4", count=out_dim, offset=off), "bias", off)
-        off += out_dim * 4
+        at = take(4 * out_dim, "bias")
+        b = _finite(np.frombuffer(blob, dtype="<f4", count=out_dim, offset=at), "bias", at)
         layers.append(Linear(weight=w, bias=b))
 
-    (act_count,) = take("<H")
-    if act_count and mode != MODE_QUANTIZED:
-        raise FormatError(f"{act_count} activation parameter blocks in an fp32 file",
-                          field="activations", offset=4 + off - 2)
-    blocks = _read_blocks(body, off, act_count, bit_width)
-    act_params = [_params(block, bit_width, off + i * QPARAMS_DTYPE.itemsize)
+    at = take(_ACTIVATION_COUNT.size, "activations")
+    (act_count,) = _ACTIVATION_COUNT.unpack_from(blob, at)
+    sites = len(layers) if mode == MODE_QUANTIZED else 0
+    if act_count != sites:
+        raise FormatError(f"{act_count} activation parameter blocks for {sites} sites "
+                          f"in a {mode_name} file", field="activations", offset=at)
+    at = take(act_count * QPARAMS_DTYPE.itemsize, "qparams")
+    blocks = np.frombuffer(blob, dtype=QPARAMS_DTYPE, count=act_count, offset=at)
+    act_params = [_params(block, bit_width, at + i * QPARAMS_DTYPE.itemsize)
                   for i, block in enumerate(blocks)]
-    off += act_count * QPARAMS_DTYPE.itemsize
-    if off != len(body):
-        raise FormatError(f"{len(body) - off} trailing bytes", field="trailer", offset=4 + off)
+    if off != end:
+        raise FormatError(f"{end - off} trailing bytes", field="trailer", offset=off)
 
-    try:
-        net = EmbeddingNet(layers)
-    except DimensionError as exc:
-        raise FormatError(f"layer stack: {exc}", field="layers") from exc
+    net = EmbeddingNet(layers)
     if mode == MODE_QUANTIZED:
-        if len(act_params) != net.activation_site_count:
-            raise FormatError(
-                f"{len(act_params)} activation parameters for "
-                f"{net.activation_site_count} sites", field="activations")
         net.quant_bits = bit_width
         net.activation_params = act_params
         net.frozen_weight_params = weight_params

@@ -6,6 +6,7 @@ import re
 import struct
 import warnings
 import zlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from quantdistill.cli import (
     EXIT_OK,
     main,
 )
-from quantdistill.config import ExperimentConfig, load_config, write_config
+from quantdistill.config import ExperimentConfig, load_config
 from quantdistill.errors import ConfigError
 from quantdistill.graph import build_embedding_net, observe_activations
 from quantdistill.model_store import save_model
@@ -76,11 +77,22 @@ def cfg_path(tmp_path):
 class TestConfigParsing:
     def test_round_trip(self, tmp_path, monkeypatch):
         monkeypatch.delenv("QUANTDISTILL_SEED", raising=False)
-        cfg = ExperimentConfig(seed=9, bits=[8])
+        cfg = ExperimentConfig(
+            seed=9, n_identities=30, latent_dim=5, input_dim=12, noise_sigma=0.25,
+            hidden_dim=10, embed_dim=6, teacher_iterations=40, teacher_lr=0.05,
+            batch_size=16, iterations=7, lr=0.002, momentum=0.5, weight_decay=0.001,
+            bits=[4, 8], calibration_batches=3, n_pairs=100, far_targets=[0.1, 0.02],
+            out_dir="elsewhere")
+        default = ExperimentConfig()
+        assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(cfg))
         path = tmp_path / "c.txt"
-        write_config(cfg, path)
+        path.write_text(
+            "seed = 9\nn_identities = 30\nlatent_dim = 5\ninput_dim = 12\n"
+            "noise_sigma = 0.25\nhidden_dim = 10\nembed_dim = 6\nteacher_iterations = 40\n"
+            "teacher_lr = 0.05\nbatch_size = 16\niterations = 7\nlr = 0.002\n"
+            "momentum = 0.5\nweight_decay = 0.001\nbits = 4, 8\ncalibration_batches = 3\n"
+            "n_pairs = 100\nfar_targets = 0.1, 0.02\nout_dir = elsewhere\n")
         assert load_config(path) == cfg
-        assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]
 
     def test_calibration_batches_default_is_the_distiller_default(self):
         from quantdistill.distiller import DEFAULT_CALIBRATION_BATCHES
@@ -343,8 +355,9 @@ class TestExitCodes:
         [(4, 3), "relu", "relu", (2, 4)],
         [(4, 3), (2, 4)],
         [(2, 3), "relu"],
+        [(3, 0)],
     ], ids=["relu-only", "empty", "dims-do-not-compose", "two-relus", "two-linears",
-            "trailing-relu"])
+            "trailing-relu", "zero-width"])
     def test_layer_stack_that_is_no_net(self, cfg_path, tmp_path, layer_stack_file, stack):
         path = tmp_path / "teacher.qfmd"
         path.write_bytes(layer_stack_file(stack))

@@ -314,7 +314,8 @@ class TestBackwardEmbed:
         rng = np.random.default_rng(8)
         x = Tensor(rng.standard_normal((16, 6)).astype(np.float32))
         g = Tensor(rng.standard_normal((16, net.embed_dim)).astype(np.float32))
-        expected = _backward_with_every_input_gradient(forward_embed(net, x, quantized=True)[1], g)
+        expected = _backward_with_every_input_gradient(
+            net, forward_embed(net, x, quantized=True)[1], g)
         _, tape = forward_embed(net, x, quantized=True)
         calls = []
         real = graph_mod.matmul
@@ -327,19 +328,50 @@ class TestBackwardEmbed:
             assert np.array_equal(d_b.data, expected[idx][1].data)
 
 
-def _backward_with_every_input_gradient(tape, g):
-    """Oracle: the tape replayed with linear_backward on every linear."""
+    def test_ste_gates_are_fake_quant_backward(self):
+        # Training gates its gradients by acceptance criterion 3's function:
+        # each tape mask is in_range_mask of the gated value under the net's
+        # parameters, so backward_embed equals a replay through
+        # fake_quant_backward. Inputs past the calibrated range make the
+        # activation masks block some elements.
+        net = _calibrated_net(bits=6, hidden=(16, 16))
+        rng = np.random.default_rng(10)
+        x = Tensor(3 * rng.standard_normal((16, 6)).astype(np.float32))
+        g = Tensor(rng.standard_normal((16, net.embed_dim)).astype(np.float32))
+        _, tape = forward_embed(net, x, quantized=True)
+        acts = [r for r in tape.records if r.kind == "act_quant"]
+        linears = [r for r in tape.records if r.kind == "linear"]
+        assert len(acts) == len(linears) == len(net.layers)
+        for i, (act, lin) in enumerate(zip(acts, linears)):
+            assert np.array_equal(act.mask, in_range_mask(act.inputs, net.activation_params[i]))
+            assert np.array_equal(lin.mask, in_range_mask(net.layers[i].weight,
+                                                          net.weight_params(i)))
+        assert any(not act.mask.all() for act in acts)
+        expected = _backward_with_every_input_gradient(net, tape, g)
+        grads = backward_embed(net, tape, g)
+        for idx, (d_w, d_b) in grads.items():
+            assert np.array_equal(d_w.data, expected[idx][0].data)
+            assert np.array_equal(d_b.data, expected[idx][1].data)
+
+
+def _backward_with_every_input_gradient(net, tape, g):
+    """Oracle: the tape replayed with linear_backward on every linear, each
+    STE gate applied by fake_quant_backward under the net's parameters
+    rather than read from the tape."""
     grads = {}
+    site = len(net.layers)
     for rec in reversed(tape.records):
         if rec.kind == "normalize":
             g = l2_normalize_backward(rec.inputs, g)
         elif rec.kind == "act_quant":
-            g = Tensor._wrap(g.data * rec.mask)
+            site -= 1
+            g = fake_quant_backward(rec.inputs, net.activation_params[site], g)
         elif rec.kind == "relu":
             g = Tensor._wrap(g.data * (rec.inputs.data > 0).astype(np.float32))
         else:
+            i = rec.layer_index
             g, d_w, d_b = linear_backward(rec.inputs, rec.weight_used, g)
-            grads[rec.layer_index] = (Tensor._wrap(d_w.data * rec.mask), d_b)
+            grads[i] = (fake_quant_backward(net.layers[i].weight, net.weight_params(i), d_w), d_b)
     return grads
 
 

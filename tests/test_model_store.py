@@ -179,6 +179,19 @@ class TestCorruption:
             load_model(path)
         assert exc.value.field == "qparams"
 
+    def test_block_width_disagreeing_with_header_reported_at_its_byte(self, tmp_path):
+        # The first linear's blocks start at 20; a block's bit width byte
+        # follows its scale and zero-point.
+        path = self._saved(tmp_path)  # an 8-bit file
+        blob = bytearray(path.read_bytes())
+        width_at = 20 + 17 + 8  # the second block's
+        assert blob[width_at] == 8
+        blob[width_at] = 6
+        path.write_bytes(_with_crc(blob))
+        with pytest.raises(FormatError, match="block bit width 6 in a 8-bit file") as exc:
+            load_model(path)
+        assert (exc.value.field, exc.value.offset) == ("qparams", width_at)
+
     def test_zero_point_that_moves_the_codes(self, tmp_path):
         import struct
         import zlib
@@ -249,23 +262,30 @@ class TestCorruption:
         with pytest.raises(FormatError):
             load_model(path)
 
-    @pytest.mark.parametrize("stack", [
-        ["relu"],
-        [],
-        [(2, 3), "relu", (2, 5)],
-        [(4, 3), "relu", "relu", (2, 4)],
-        [(4, 3), (2, 4)],
-        [(2, 3), "relu"],
+    # The layer count sits at 8. The first linear's kind is at 10, its
+    # out_dim at 11 and in_dim at 15; a 2x3 fp32 linear and a relu put the
+    # second linear's out_dim at 54 and in_dim at 58.
+    @pytest.mark.parametrize("stack, offset", [
+        (["relu"], 10),
+        ([], 8),
+        ([(2, 3), "relu", (2, 5)], 58),
+        ([(4, 3), "relu", "relu", (2, 4)], 8),
+        ([(4, 3), (2, 4)], 8),
+        ([(2, 3), "relu"], 8),
+        ([(0, 3)], 11),
+        ([(3, 0)], 15),
+        ([(2, 3), "relu", (0, 2)], 54),
     ], ids=["relu-only", "empty", "dims-do-not-compose", "two-relus", "two-linears",
-            "trailing-relu"])
-    def test_layer_stack_that_is_no_net(self, tmp_path, layer_stack_file, stack):
+            "trailing-relu", "no-outputs", "no-inputs", "later-no-outputs"])
+    def test_layer_stack_that_is_no_net(self, tmp_path, layer_stack_file, stack, offset):
         # A valid CRC around a stack that is not linears with a relu
-        # between each two: a malformed file.
+        # between each two, or whose linears have no width or do not
+        # compose: a malformed file, reported at the byte at fault.
         path = tmp_path / "net.qfmd"
         path.write_bytes(layer_stack_file(stack))
         with pytest.raises(FormatError) as exc:
             load_model(path)
-        assert exc.value.field == "layers"
+        assert (exc.value.field, exc.value.offset) == ("layers", offset)
 
 
 class TestSizeReport:
@@ -314,7 +334,6 @@ class TestAtomicWrites:
 
     def _writers(self):
         from quantdistill.bench_eval import range_correlation, write_range_csv, write_report_json
-        from quantdistill.config import ExperimentConfig, write_config
         from quantdistill.distiller import KDBatchResult, write_loss_curve
 
         net = _calibrated_net()
@@ -324,10 +343,9 @@ class TestAtomicWrites:
                 path, [KDBatchResult(loss=0.5)]),
             "range_csv": lambda path: write_range_csv(path, range_correlation(net, net)),
             "report_json": lambda path: write_report_json(path, {"accuracy": 0.5}),
-            "config": lambda path: write_config(ExperimentConfig(), path),
         }
 
-    @pytest.mark.parametrize("kind", ["model", "loss_curve", "range_csv", "report_json", "config"])
+    @pytest.mark.parametrize("kind", ["model", "loss_curve", "range_csv", "report_json"])
     def test_failed_rename_keeps_old_file(self, tmp_path, monkeypatch, kind):
         import os
 

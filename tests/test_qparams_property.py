@@ -4,7 +4,9 @@ The oracle is the original one-row-at-a-time derivation (float32-snapped
 endpoints, float32 scale, half-to-even zero-point, the constant-row
 fallback). Scale and range are compared as float32 bits and the
 zero-point exactly, over rows that are constant, tied, non-negative,
-one float32 ulp wide or spread over many binades.
+one float32 ulp wide or spread over many binades. Over the same rows,
+parameters derived from a weight pass every element of it through the
+STE mask.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
+from quantdistill.graph import in_range_mask  # noqa: E402
 from quantdistill.quantizer import derive_params, params_from_range  # noqa: E402
 from quantdistill.tensor_core import Tensor  # noqa: E402
 
@@ -72,6 +75,17 @@ def test_per_channel_derivation_matches_scalar_oracle(seed, rows, width, bits):
     wide = rng.uniform(0.0, 1e-7, size=rows)
     _assert_matches_oracle(params_from_range(los - wide, his + wide, bits),
                            los - wide, his + wide, bits)
+
+
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 70), width=st.integers(1, 9),
+       bits=st.sampled_from([4, 6, 8]))
+def test_live_weight_parameters_pass_every_weight(seed, rows, width, bits):
+    # In training a weight's parameters are derived from the weight itself,
+    # so each row's range is its own float32 minimum and maximum and the
+    # weight STE mask passes every element.
+    rng = np.random.default_rng(seed)
+    w = Tensor(np.stack([_row(rng, int(rng.integers(0, 6)), width) for _ in range(rows)]))
+    assert np.all(in_range_mask(w, derive_params(w, bits)) == 1.0)
 
 
 @given(a=st.floats(-2.0**60, 2.0**60, width=32), b=st.floats(-2.0**60, 2.0**60, width=32),
