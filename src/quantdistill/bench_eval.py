@@ -208,8 +208,7 @@ def range_correlation(net_a: EmbeddingNet, net_b: EmbeddingNet) -> RangeCorrelat
                                   mean_iou=float(np.mean(ious)))
 
 
-def write_range_csv(path, report: RangeCorrelationReport,
-                    source_a: str = "a", source_b: str = "b") -> None:
+def write_range_csv(path, report: RangeCorrelationReport, source_a: str, source_b: str) -> None:
     """Export intervals as `depth,lo,hi,source` rows for external plotting."""
     lines = ["depth,lo,hi,source"]
     for depth, (lo, hi) in enumerate(report.intervals_a):

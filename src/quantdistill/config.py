@@ -1,5 +1,8 @@
 """Experiment configuration: flat key=value files with # comments.
 
+``ExperimentConfig`` is the one home of the pipeline's default values;
+the stage configs it fills (``TeacherConfig``, ``DistillConfig``) have none.
+
 All randomness flows from the single ``seed`` through named sub-seeds
 (teacher, data, distill, pairs), so components stay reproducible in
 isolation. ``QUANTDISTILL_SEED`` in the environment overrides the seed.
@@ -11,6 +14,7 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 
+from .bench_eval import DEFAULT_FAR_TARGETS
 from .distiller import DEFAULT_CALIBRATION_BATCHES
 from .errors import ConfigError
 from .quantizer import SUPPORTED_BIT_WIDTHS
@@ -38,6 +42,8 @@ class ExperimentConfig:
 
     # distillation
     batch_size: int = 64
+    # production scale runs 11K iterations at lr 1e-4; the desk-scale task
+    # keeps the rate and scales the step count down with the task
     iterations: int = 2000
     lr: float = 1e-4
     momentum: float = 0.9
@@ -47,14 +53,11 @@ class ExperimentConfig:
 
     # evaluation
     n_pairs: int = 2000
-    far_targets: list[float] = field(default_factory=lambda: [0.01])
+    far_targets: list[float] = field(default_factory=lambda: list(DEFAULT_FAR_TARGETS))
 
     out_dir: str = "runs"
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -62,12 +65,14 @@ class ExperimentConfig:
         if self.n_identities < 2:
             raise ConfigError("need at least 2 identities (verification is undefined below that)",
                               field="n_identities")
-        if self.latent_dim < 2 or self.input_dim < 2:
-            raise ConfigError("dims must be >= 2", field="latent_dim/input_dim")
+        for key in ("latent_dim", "input_dim"):
+            if getattr(self, key) < 2:
+                raise ConfigError("must be >= 2", field=key)
         if self.noise_sigma < 0:
             raise ConfigError("must be non-negative", field="noise_sigma")
-        if self.hidden_dim < 1 or self.embed_dim < 1:
-            raise ConfigError("network dims must be >= 1", field="hidden_dim/embed_dim")
+        for key in ("hidden_dim", "embed_dim"):
+            if getattr(self, key) < 1:
+                raise ConfigError("must be >= 1", field=key)
         if self.teacher_iterations < 1:
             raise ConfigError("must be >= 1", field="teacher_iterations")
         if self.teacher_lr <= 0:
@@ -82,7 +87,13 @@ class ExperimentConfig:
             raise ConfigError("must be in [0, 1)", field="momentum")
         if self.weight_decay < 0:
             raise ConfigError("must be non-negative", field="weight_decay")
-        validate_bits(self.bits)
+        if not self.bits:
+            raise ConfigError("at least one bit width required", field="bits")
+        for b in self.bits:
+            if b not in SUPPORTED_BIT_WIDTHS:
+                raise ConfigError(f"bit width {b} not in {SUPPORTED_BIT_WIDTHS}", field="bits")
+        if len(set(self.bits)) != len(self.bits):
+            raise ConfigError(f"repeated bit width in {self.bits}", field="bits")
         if self.calibration_batches < 1:
             raise ConfigError("must be >= 1", field="calibration_batches")
         if self.n_pairs < 2 or self.n_pairs % 2 != 0:
@@ -97,22 +108,8 @@ class ExperimentConfig:
         return derive_seed(self.seed, label)
 
 
-def validate_bits(bits: list[int]) -> None:
-    """A bit-width list names at least one supported width, each once."""
-    if not bits:
-        raise ConfigError("at least one bit width required", field="bits")
-    for b in bits:
-        if b not in SUPPORTED_BIT_WIDTHS:
-            raise ConfigError(f"bit width {b} not in {SUPPORTED_BIT_WIDTHS}", field="bits")
-    if len(set(bits)) != len(bits):
-        raise ConfigError(f"repeated bit width in {bits}", field="bits")
-
-
-_INT_LIST_KEYS = {"bits"}
-_FLOAT_LIST_KEYS = {"far_targets"}
-
-
-# Each key's value parses to the type of its default.
+# Each key's value parses to the type of its default; a list key's elements
+# parse to the type of its default's elements.
 _DEFAULTS = vars(ExperimentConfig())
 
 
@@ -120,12 +117,11 @@ def parse_value(key: str, raw: str):
     """Parse the raw text of one config value; unknown keys are errors."""
     if key not in _DEFAULTS:
         raise ConfigError("unknown key", field=key)
+    default = _DEFAULTS[key]
     try:
-        if key in _INT_LIST_KEYS:
-            return [int(v.strip()) for v in raw.split(",") if v.strip()]
-        if key in _FLOAT_LIST_KEYS:
-            return [float(v.strip()) for v in raw.split(",") if v.strip()]
-        return type(_DEFAULTS[key])(raw)
+        if isinstance(default, list):
+            return [type(default[0])(v.strip()) for v in raw.split(",") if v.strip()]
+        return type(default)(raw)
     except ValueError as exc:
         raise ConfigError(f"cannot parse {raw!r}: {exc}", field=key) from exc
 
@@ -142,6 +138,8 @@ def load_config(path) -> ExperimentConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key=value, got {stripped!r}")
         key, raw = (s.strip() for s in stripped.split("=", 1))
+        if key in values:
+            raise ConfigError(f"line {lineno}: key set a second time", field=key)
         values[key] = parse_value(key, raw)
     if SEED_ENV_VAR in os.environ:
         try:

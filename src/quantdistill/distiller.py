@@ -31,28 +31,24 @@ from .quantizer import RangeObserver, SUPPORTED_BIT_WIDTHS
 from .synth import Batch
 from .tensor_core import Tensor
 
-# Reference schedule at production scale: 11K iterations at lr 1e-4.
-# The desk-scale default keeps the learning rate and scales the iteration
-# count down in proportion to the much smaller task.
-FULL_SCALE_ITERATIONS = 11_000
-DEFAULT_LR = 1e-4
-DESK_SCALE_ITERATIONS = 2_000
-
 # Calibration pass before fine-tuning; enough batches to stabilize running
 # extrema on the desk-scale task.
 DEFAULT_CALIBRATION_BATCHES = 16
+
+# Steps per mean in smoothed_losses.
+SMOOTHING_WINDOW = 100
 
 
 @dataclass
 class DistillConfig:
     """Hyperparameters for one fine-tuning run."""
 
-    batch_size: int = 64
-    iterations: int = DESK_SCALE_ITERATIONS
-    lr: float = DEFAULT_LR
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    bit_width: int = 8
+    batch_size: int
+    iterations: int
+    lr: float
+    momentum: float
+    weight_decay: float
+    bit_width: int
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -185,13 +181,12 @@ def finetune(student: EmbeddingNet, teacher: EmbeddingNet, data: Iterator[Batch]
     return student, curve
 
 
-def smoothed_losses(curve: list[KDBatchResult], window: int = 100) -> list[float]:
-    """Trailing-window means of the loss curve, one value per window."""
+def smoothed_losses(curve: list[KDBatchResult]) -> list[float]:
+    """Means of consecutive ``SMOOTHING_WINDOW``-step windows of the loss
+    curve, one value per window; the last window may be shorter."""
     losses = [r.loss for r in curve]
-    if not losses:
-        return []
-    window = max(1, min(window, len(losses)))
-    return [float(np.mean(losses[i:i + window])) for i in range(0, len(losses), window)]
+    return [float(np.mean(losses[i:i + SMOOTHING_WINDOW]))
+            for i in range(0, len(losses), SMOOTHING_WINDOW)]
 
 
 def write_loss_curve(path, curve: list[KDBatchResult]) -> None:

@@ -138,10 +138,8 @@ class EmbeddingNet:
                 == [l.weight.shape for l in other.layers])
 
 
-def build_embedding_net(input_dim: int,
-                        hidden_dims: Sequence[int] = (64, 64),
-                        embed_dim: int = 32,
-                        seed: int = 0) -> EmbeddingNet:
+def build_embedding_net(input_dim: int, hidden_dims: Sequence[int], embed_dim: int,
+                        seed: int) -> EmbeddingNet:
     """Fresh network in -> hidden... -> embed with relu between linears.
 
     Weights use scaled-normal init (std = 1/sqrt(fan_in)), biases start at
@@ -420,7 +418,7 @@ def backward_embed(net: EmbeddingNet, tape: GradTape,
 
 
 def sgd_step(net: EmbeddingNet, grads: dict[int, tuple[Tensor, Tensor]],
-             lr: float, momentum: float = 0.0, weight_decay: float = 0.0) -> EmbeddingNet:
+             lr: float, momentum: float, weight_decay: float) -> EmbeddingNet:
     """Apply :func:`sgd_update` to every weight and bias that has a gradient.
 
     Updates the shadow weights in place (quantized views refresh on the

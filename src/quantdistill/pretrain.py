@@ -37,12 +37,12 @@ LR_MILESTONES = (0.5, 0.8)
 class TeacherConfig:
     """Teacher pretraining schedule (desk scale)."""
 
-    iterations: int = 2500
-    batch_size: int = 64
-    lr: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    seed: int = 0
+    iterations: int
+    batch_size: int
+    lr: float
+    momentum: float
+    weight_decay: float
+    seed: int
 
     def __post_init__(self):
         if self.iterations < 1:

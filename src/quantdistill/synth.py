@@ -36,7 +36,6 @@ class IdentitySpace:
     latent_dim: int
     input_dim: int
     noise_sigma: float
-    seed: int
     prototypes: np.ndarray  # [n_identities, latent_dim], unit-norm rows
     mixing: np.ndarray      # [latent_dim, input_dim]
 
@@ -91,8 +90,7 @@ def make_identity_space(n_identities: int, latent_dim: int, input_dim: int,
     mixing = rng.standard_normal((latent_dim, input_dim))
     return IdentitySpace(n_identities=n_identities, latent_dim=latent_dim,
                          input_dim=input_dim, noise_sigma=float(noise_sigma),
-                         seed=int(seed), prototypes=protos.astype(np.float32),
-                         mixing=mixing.astype(np.float32))
+                         prototypes=protos.astype(np.float32), mixing=mixing.astype(np.float32))
 
 
 def render_latents(space: IdentitySpace, latents: np.ndarray) -> Tensor:

@@ -38,7 +38,8 @@ def _load_tracer():
 def _tiny_step_inputs():
     space = synth.make_identity_space(10, 4, 12, 0.15, seed=0)
     teacher = graph.build_embedding_net(12, (16, 16), 8, seed=1)
-    cfg = distiller.DistillConfig(batch_size=16, iterations=1, bit_width=8)
+    cfg = distiller.DistillConfig(batch_size=16, iterations=1, lr=1e-4, momentum=0.9,
+                                  weight_decay=5e-4, bit_width=8)
     return space, teacher, cfg
 
 
@@ -211,8 +212,9 @@ def test_train_teacher_draws_every_batch_through_pretrain_batch_stream(monkeypat
 
     monkeypatch.setattr(pretrain, "batch_stream", counted)
     space, teacher, _ = _tiny_step_inputs()
-    losses = pretrain.train_teacher(teacher, space,
-                                    pretrain.TeacherConfig(iterations=3, batch_size=16))
+    tcfg = pretrain.TeacherConfig(iterations=3, batch_size=16, lr=0.1, momentum=0.9,
+                                  weight_decay=5e-4, seed=0)
+    losses = pretrain.train_teacher(teacher, space, tcfg)
     assert len(losses) == len(drawn) == 3
 
 
@@ -263,7 +265,8 @@ def test_training_steps_are_seen_from_the_calling_thread(monkeypatch):
     tracer_mod = _load_tracer()
     space = synth.make_identity_space(200, 16, 64, 0.15, seed=0)
     teacher = graph.build_embedding_net(64, (64, 64), 32, seed=1)
-    cfg = distiller.DistillConfig(batch_size=64, iterations=1, bit_width=8)
+    cfg = distiller.DistillConfig(batch_size=64, iterations=1, lr=1e-4, momentum=0.9,
+                                  weight_decay=5e-4, bit_width=8)
     student = distiller.prepare_student(teacher, cfg.bit_width)
     distiller.calibrate(student, synth.batch_stream(space, 64, 2), 2)
     stream = synth.batch_stream(space, 64, 3)
@@ -280,12 +283,13 @@ def test_training_steps_are_seen_from_the_calling_thread(monkeypatch):
     assert (drawn, len(clock.marks)) == (2 * 1, 2 * 12)
     assert clock.marks.threads == {threading.get_ident()}
 
+    tcfg = pretrain.TeacherConfig(iterations=2, batch_size=64, lr=0.1, momentum=0.9,
+                                  weight_decay=5e-4, seed=0)
     clock = tracer_mod.MatmulClock(quantdistill)
     clock.marks = _ThreadedMarks()
     clock.install()
     try:
-        pretrain.train_teacher(graph.clone_net(teacher), space,
-                               pretrain.TeacherConfig(iterations=2, batch_size=64))
+        pretrain.train_teacher(graph.clone_net(teacher), space, tcfg)
     finally:
         clock.uninstall()
     assert len(clock.marks) == 2 * 24

@@ -139,6 +139,25 @@ class TestConfigParsing:
             load_config(path)
         assert exc.value.field == "bits"
 
+    @pytest.mark.parametrize("key, value", [("latent_dim", 1), ("input_dim", 1),
+                                            ("hidden_dim", 0), ("embed_dim", 0)])
+    def test_dimension_error_names_its_one_key(self, tmp_path, key, value):
+        path = tmp_path / "c.txt"
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert exc.value.field == key
+
+    def test_repeated_key_rejected_with_its_line(self, tmp_path, capsys):
+        path = tmp_path / "c.txt"
+        path.write_text("seed = 1\n# comment\nseed = 2\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert exc.value.field == "seed"
+        assert "line 3" in str(exc.value)
+        assert main(["pretrain", "--config", str(path)]) == EXIT_CONFIG
+        assert "config error: seed: line 3" in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_pretrain_distill_eval(self, cfg_path, tmp_path):
@@ -169,6 +188,24 @@ class TestPipeline:
         assert len(report["models"]) == 3
         assert len(report["range_correlation"]) == 1
         assert (out / "range_student_w8a8_vs_student_w6a6.csv").exists()
+
+    def test_zero_step_run_reports_no_losses(self, tmp_path, capsys):
+        teacher = tmp_path / "teacher.qfmd"
+        save_model(_small_net(), teacher, mode="fp32")
+        cfg = tmp_path / "cfg0.txt"
+        cfg.write_text(SMALL_CONFIG.replace("iterations = 40", "iterations = 0")
+                       + f"out_dir = {tmp_path / 'out'}\n")
+        assert main(["distill", "--config", str(cfg), "--teacher", str(teacher)]) == EXIT_OK
+        summary = json.loads((tmp_path / "out" / "distill_summary.json").read_text())
+        for b in (8, 6):
+            run = summary["runs"][f"w{b}a{b}"]
+            assert run["initial_loss"] is None
+            assert run["final_smoothed_loss"] is None
+            assert run["converged"] is None
+            assert run["model"] == f"student_w{b}a{b}.qfmd"
+        captured = capsys.readouterr()
+        assert captured.out.count("no fine-tuning steps") == 2
+        assert "did not converge" not in captured.err
 
     def test_bits_override_fans_out(self, cfg_path, tmp_path):
         out = tmp_path / "out"
@@ -250,6 +287,14 @@ class TestExitCodes:
         main(["pretrain", "--config", cfg_path])
         assert main(["distill", "--config", cfg_path, "--teacher", str(out / "teacher.qfmd"),
                      "--bits", "3"]) == EXIT_CONFIG
+
+    def test_empty_bits_flag(self, cfg_path, tmp_path, capsys):
+        teacher = tmp_path / "teacher.qfmd"
+        save_model(_small_net(), teacher, mode="fp32")
+        assert main(["distill", "--config", cfg_path, "--teacher", str(teacher),
+                     "--bits", ""]) == EXIT_CONFIG
+        assert "config error: bits: at least one bit width required" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "student_w8a8.qfmd").exists()
 
     def test_repeated_bits_flag(self, cfg_path, tmp_path):
         teacher = tmp_path / "teacher.qfmd"

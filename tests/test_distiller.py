@@ -102,50 +102,50 @@ class TestKdLoss:
         assert num / den < 1e-4
 
 
+# Valid arguments for each stage config; a test replaces the ones it checks.
+STAGE_ARGS = {
+    DistillConfig: dict(batch_size=16, iterations=1, lr=1e-4, momentum=0.9, weight_decay=5e-4,
+                        bit_width=8),
+    TeacherConfig: dict(iterations=1, batch_size=16, lr=0.1, momentum=0.9, weight_decay=5e-4,
+                        seed=0),
+}
+
+
+def _stage_config(config, **changes):
+    return config(**{**STAGE_ARGS[config], **changes})
+
+
 class TestDistillConfig:
-    def test_defaults(self):
-        cfg = DistillConfig()
-        assert cfg.lr == 1e-4
-        assert cfg.iterations == 2000
-        assert cfg.momentum == 0.9
-        assert cfg.weight_decay == 5e-4
-
-    def test_full_scale_reference_recorded(self):
-        from quantdistill.distiller import DEFAULT_LR, FULL_SCALE_ITERATIONS
-
-        assert FULL_SCALE_ITERATIONS == 11_000
-        assert DEFAULT_LR == 1e-4
-
     def test_rejects_bad_values(self):
         with pytest.raises(DomainError):
-            DistillConfig(batch_size=0)
+            _stage_config(DistillConfig, batch_size=0)
         with pytest.raises(DomainError):
-            DistillConfig(iterations=-1)
+            _stage_config(DistillConfig, iterations=-1)
         with pytest.raises(DomainError):
-            DistillConfig(bit_width=5)
+            _stage_config(DistillConfig, bit_width=5)
 
     @pytest.mark.parametrize("config", [DistillConfig, TeacherConfig])
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_lr(self, config, lr):
         with pytest.raises(DomainError, match="lr must be positive and finite"):
-            config(lr=lr)
+            _stage_config(config, lr=lr)
 
     @pytest.mark.parametrize("config", [DistillConfig, TeacherConfig])
     @pytest.mark.parametrize("momentum", [-0.1, 1.0, 1.5])
     def test_rejects_momentum_outside_unit_interval(self, config, momentum):
         with pytest.raises(DomainError, match=r"momentum must be in \[0, 1\)"):
-            config(momentum=momentum)
+            _stage_config(config, momentum=momentum)
 
     @pytest.mark.parametrize("config", [DistillConfig, TeacherConfig])
     @pytest.mark.parametrize("weight_decay", [-2.0, float("nan")])
     def test_rejects_negative_or_non_finite_weight_decay(self, config, weight_decay):
         with pytest.raises(DomainError, match="weight_decay must be finite and >= 0"):
-            config(weight_decay=weight_decay)
+            _stage_config(config, weight_decay=weight_decay)
 
     @pytest.mark.parametrize("config", [DistillConfig, TeacherConfig])
     def test_accepts_sgd_values_at_their_bounds(self, config):
-        assert config(momentum=0.0, weight_decay=0.0).momentum == 0.0
-        assert config(momentum=0.9, weight_decay=5e-4).weight_decay == 5e-4
+        assert _stage_config(config, momentum=0.0, weight_decay=0.0).momentum == 0.0
+        assert _stage_config(config, momentum=0.9, weight_decay=5e-4).weight_decay == 5e-4
 
 
 class TestCalibrate:
@@ -192,7 +192,8 @@ class TestFinetune:
         space = _space(seed=4)
         student = prepare_student(teacher, bits)
         calibrate(student, batch_stream(space, 16, seed=5), 4)
-        cfg = DistillConfig(batch_size=16, iterations=iterations, bit_width=bits)
+        cfg = DistillConfig(batch_size=16, iterations=iterations, lr=1e-4, momentum=0.9,
+                            weight_decay=5e-4, bit_width=bits)
         return teacher, student, space, cfg
 
     def test_zero_iterations_leaves_student_unchanged(self):
@@ -219,7 +220,8 @@ class TestFinetune:
     def test_uncalibrated_student_rejected(self):
         teacher = _teacher(seed=3)
         student = prepare_student(teacher, 8)
-        cfg = DistillConfig(batch_size=16, iterations=1, bit_width=8)
+        cfg = DistillConfig(batch_size=16, iterations=1, lr=1e-4, momentum=0.9,
+                            weight_decay=5e-4, bit_width=8)
         with pytest.raises(StateError):
             finetune(student, teacher, batch_stream(_space(), 16, seed=1), cfg)
 
@@ -253,11 +255,12 @@ class TestFinetune:
 
 class TestCurveHelpers:
     def test_smoothed_losses_window_means(self):
-        from quantdistill.distiller import KDBatchResult
+        from quantdistill.distiller import SMOOTHING_WINDOW, KDBatchResult
 
-        curve = [KDBatchResult(loss=float(v)) for v in range(10)]
-        sm = smoothed_losses(curve, window=5)
-        assert sm == [2.0, 7.0]
+        assert SMOOTHING_WINDOW == 100
+        curve = [KDBatchResult(loss=float(v)) for v in range(250)]
+        assert smoothed_losses(curve) == [49.5, 149.5, 224.5]
+        assert smoothed_losses(curve[:10]) == [4.5]
 
     def test_write_loss_curve_format(self, tmp_path):
         from quantdistill.distiller import KDBatchResult
@@ -291,7 +294,9 @@ class TestTrainingStartsNoThread:
     def test_train_teacher_step(self, started):
         space = make_identity_space(200, 16, 64, 0.15, seed=0)
         net = build_embedding_net(64, (64, 64), 32, seed=1)
-        losses = train_teacher(net, space, TeacherConfig(iterations=1, batch_size=64))
+        tcfg = TeacherConfig(iterations=1, batch_size=64, lr=0.1, momentum=0.9,
+                             weight_decay=5e-4, seed=0)
+        losses = train_teacher(net, space, tcfg)
         assert len(losses) == 1
         assert started == []
 
@@ -300,7 +305,8 @@ class TestTrainingStartsNoThread:
         teacher = build_embedding_net(64, (64, 64), 32, seed=1)
         student = prepare_student(teacher, 4)
         calibrate(student, batch_stream(space, 64, seed=2), 2)
-        cfg = DistillConfig(batch_size=64, iterations=1, bit_width=4)
+        cfg = DistillConfig(batch_size=64, iterations=1, lr=1e-4, momentum=0.9,
+                            weight_decay=5e-4, bit_width=4)
         result = distill_step(student, teacher, next(batch_stream(space, 64, seed=3)), cfg)
         assert 0.0 <= result.loss <= 2.0
         assert started == []

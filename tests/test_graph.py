@@ -175,22 +175,24 @@ class TestSgdStep:
     def test_single_step_arithmetic(self):
         # oracle: v = 0.5, w = 1 - 0.1 * 0.5 = 0.95
         net = self._one_param_net(1.0)
-        sgd_step(net, {0: (Tensor([[0.5]]), Tensor([0.0]))}, lr=0.1)
+        sgd_step(net, {0: (Tensor([[0.5]]), Tensor([0.0]))}, lr=0.1, momentum=0.0,
+                 weight_decay=0.0)
         assert net.layers[0].weight.tolist()[0][0] == pytest.approx(0.95, rel=1e-6)
 
     def test_two_momentum_steps(self):
         # oracle: v1 = 1, w1 = -0.1; v2 = 0.9 + 1 = 1.9, w2 = -0.1 - 0.19 = -0.29
         net = self._one_param_net(0.0)
         g = {0: (Tensor([[1.0]]), Tensor([0.0]))}
-        sgd_step(net, g, lr=0.1, momentum=0.9)
+        sgd_step(net, g, lr=0.1, momentum=0.9, weight_decay=0.0)
         assert net.layers[0].weight.tolist()[0][0] == pytest.approx(-0.1, rel=1e-6)
-        sgd_step(net, g, lr=0.1, momentum=0.9)
+        sgd_step(net, g, lr=0.1, momentum=0.9, weight_decay=0.0)
         assert net.layers[0].weight.tolist()[0][0] == pytest.approx(-0.29, rel=1e-6)
 
     def test_grad_shape_mismatch(self):
         net = self._one_param_net(0.0)
         with pytest.raises(DimensionError):
-            sgd_step(net, {0: (Tensor([[1.0, 2.0]]), Tensor([0.0]))}, lr=0.1)
+            sgd_step(net, {0: (Tensor([[1.0, 2.0]]), Tensor([0.0]))}, lr=0.1, momentum=0.0,
+                     weight_decay=0.0)
 
 
 def _calibrated_net(bits=8, hidden=(16,), in_dim=6, embed=4, seed=0):
@@ -380,7 +382,8 @@ class TestCloneNet:
         net = build_embedding_net(6, (8,), 4, seed=1)
         twin = clone_net(net)
         sgd_step(twin, {0: (Tensor(np.ones((8, 6), dtype=np.float32)),
-                            Tensor(np.ones(8, dtype=np.float32)))}, lr=0.5)
+                            Tensor(np.ones(8, dtype=np.float32)))},
+                 lr=0.5, momentum=0.0, weight_decay=0.0)
         assert net_fingerprint(net) != net_fingerprint(twin)
 
     def test_clone_preserves_outputs(self):

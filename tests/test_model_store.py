@@ -341,7 +341,8 @@ class TestAtomicWrites:
             "model": lambda path: save_model(net, path, mode="quantized"),
             "loss_curve": lambda path: write_loss_curve(
                 path, [KDBatchResult(loss=0.5)]),
-            "range_csv": lambda path: write_range_csv(path, range_correlation(net, net)),
+            "range_csv": lambda path: write_range_csv(
+                path, range_correlation(net, net), "a", "b"),
             "report_json": lambda path: write_report_json(path, {"accuracy": 0.5}),
         }
 

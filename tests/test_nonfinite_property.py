@@ -42,7 +42,8 @@ def _net():
 
 
 def _teacher_cfg():
-    return TeacherConfig(iterations=STEPS, batch_size=BATCH, seed=2)
+    return TeacherConfig(iterations=STEPS, batch_size=BATCH, lr=0.1, momentum=0.9,
+                         weight_decay=5e-4, seed=2)
 
 
 def _student(teacher):
@@ -51,7 +52,8 @@ def _student(teacher):
 
 
 def _distill_cfg():
-    return DistillConfig(batch_size=BATCH, iterations=STEPS, lr=0.05, bit_width=4)
+    return DistillConfig(batch_size=BATCH, iterations=STEPS, lr=0.05, momentum=0.9,
+                         weight_decay=5e-4, bit_width=4)
 
 
 @lru_cache(maxsize=None)
