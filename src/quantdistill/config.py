@@ -98,9 +98,13 @@ class ExperimentConfig:
             raise ConfigError("must be >= 1", field="calibration_batches")
         if self.n_pairs < 2 or self.n_pairs % 2 != 0:
             raise ConfigError("must be even and >= 2", field="n_pairs")
+        if not self.far_targets:
+            raise ConfigError("at least one FAR target required", field="far_targets")
         for f in self.far_targets:
             if not 0 < f < 1:
                 raise ConfigError(f"FAR target {f} outside (0, 1)", field="far_targets")
+        if not self.out_dir:
+            raise ConfigError("must not be empty", field="out_dir")
 
     def sub_seed(self, label: str) -> int:
         from .synth import derive_seed
@@ -120,7 +124,10 @@ def parse_value(key: str, raw: str):
     default = _DEFAULTS[key]
     try:
         if isinstance(default, list):
-            return [type(default[0])(v.strip()) for v in raw.split(",") if v.strip()]
+            items = [v.strip() for v in raw.split(",")] if raw.strip() else []
+            if "" in items:
+                raise ConfigError(f"empty list element in {raw!r}", field=key)
+            return [type(default[0])(v) for v in items]
         return type(default)(raw)
     except ValueError as exc:
         raise ConfigError(f"cannot parse {raw!r}: {exc}", field=key) from exc

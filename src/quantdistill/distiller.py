@@ -35,7 +35,7 @@ from .tensor_core import Tensor
 # extrema on the desk-scale task.
 DEFAULT_CALIBRATION_BATCHES = 16
 
-# Steps per mean in smoothed_losses.
+# Trailing steps averaged by final_smoothed_loss.
 SMOOTHING_WINDOW = 100
 
 
@@ -181,12 +181,10 @@ def finetune(student: EmbeddingNet, teacher: EmbeddingNet, data: Iterator[Batch]
     return student, curve
 
 
-def smoothed_losses(curve: list[KDBatchResult]) -> list[float]:
-    """Means of consecutive ``SMOOTHING_WINDOW``-step windows of the loss
-    curve, one value per window; the last window may be shorter."""
-    losses = [r.loss for r in curve]
-    return [float(np.mean(losses[i:i + SMOOTHING_WINDOW]))
-            for i in range(0, len(losses), SMOOTHING_WINDOW)]
+def final_smoothed_loss(curve: list[KDBatchResult]) -> float:
+    """Mean loss of the last ``SMOOTHING_WINDOW`` steps, or of every step
+    when the curve is shorter."""
+    return float(np.mean([r.loss for r in curve[-SMOOTHING_WINDOW:]]))
 
 
 def write_loss_curve(path, curve: list[KDBatchResult]) -> None:

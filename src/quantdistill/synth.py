@@ -34,7 +34,6 @@ class IdentitySpace:
 
     n_identities: int
     latent_dim: int
-    input_dim: int
     noise_sigma: float
     prototypes: np.ndarray  # [n_identities, latent_dim], unit-norm rows
     mixing: np.ndarray      # [latent_dim, input_dim]
@@ -89,8 +88,8 @@ def make_identity_space(n_identities: int, latent_dim: int, input_dim: int,
     protos /= np.linalg.norm(protos, axis=1, keepdims=True)
     mixing = rng.standard_normal((latent_dim, input_dim))
     return IdentitySpace(n_identities=n_identities, latent_dim=latent_dim,
-                         input_dim=input_dim, noise_sigma=float(noise_sigma),
-                         prototypes=protos.astype(np.float32), mixing=mixing.astype(np.float32))
+                         noise_sigma=float(noise_sigma), prototypes=protos.astype(np.float32),
+                         mixing=mixing.astype(np.float32))
 
 
 def render_latents(space: IdentitySpace, latents: np.ndarray) -> Tensor:

@@ -207,6 +207,23 @@ class TestPipeline:
         assert captured.out.count("no fine-tuning steps") == 2
         assert "did not converge" not in captured.err
 
+    def test_final_smoothed_loss_is_the_mean_of_the_last_100_steps(self, tmp_path):
+        # 150 steps: a mean over the last 100 rows, not over the 50 after step 100
+        teacher = tmp_path / "teacher.qfmd"
+        save_model(_small_net(), teacher, mode="fp32")
+        cfg = tmp_path / "cfg150.txt"
+        cfg.write_text(SMALL_CONFIG.replace("iterations = 40", "iterations = 150")
+                       + f"out_dir = {tmp_path / 'out'}\n")
+        assert main(["distill", "--config", str(cfg), "--teacher", str(teacher),
+                     "--bits", "8"]) == EXIT_OK
+        rows = (tmp_path / "out" / "loss_w8a8.csv").read_text().strip().split("\n")[1:]
+        assert len(rows) == 150
+        tail = [float(row.split(",")[1]) for row in rows[-100:]]
+        summary = json.loads((tmp_path / "out" / "distill_summary.json").read_text())
+        # the CSV keeps 9 significant digits
+        assert summary["runs"]["w8a8"]["final_smoothed_loss"] == pytest.approx(
+            np.mean(tail), rel=1e-6)
+
     def test_bits_override_fans_out(self, cfg_path, tmp_path):
         out = tmp_path / "out"
         main(["pretrain", "--config", cfg_path])
@@ -259,6 +276,23 @@ class TestExitCodes:
         assert main(["pretrain", "--config", str(path)]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert f"config error: {field}: must be finite" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    # An empty list element, no FAR target (a report without TAR@FAR) and an
+    # empty output directory are config errors, caught before any training.
+    @pytest.mark.parametrize("line", ["bits = 8,,6", "far_targets = 0.01,", "far_targets =",
+                                      "out_dir ="])
+    def test_empty_value_stops_before_training(self, tmp_path, capsys, line):
+        key = line.split("=")[0].strip()
+        path = tmp_path / "c.txt"
+        path.write_text("".join(f"{row}\n" for row in SMALL_CONFIG.splitlines()
+                                if not row.startswith(key))
+                        + f"{line}\n"
+                        + ("" if key == "out_dir" else f"out_dir = {tmp_path / 'out'}\n"))
+        assert main(["pretrain", "--config", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"config error: {key}: " in captured.err
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 

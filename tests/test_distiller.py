@@ -12,11 +12,11 @@ from quantdistill.distiller import (
     DistillConfig,
     calibrate,
     distill_step,
+    final_smoothed_loss,
     finetune,
     kd_loss,
     kd_loss_grad,
     prepare_student,
-    smoothed_losses,
     write_loss_curve,
 )
 from quantdistill.errors import DimensionError, DomainError, StateError
@@ -254,13 +254,13 @@ class TestFinetune:
 
 
 class TestCurveHelpers:
-    def test_smoothed_losses_window_means(self):
+    def test_final_smoothed_loss_is_the_trailing_mean(self):
         from quantdistill.distiller import SMOOTHING_WINDOW, KDBatchResult
 
         assert SMOOTHING_WINDOW == 100
         curve = [KDBatchResult(loss=float(v)) for v in range(250)]
-        assert smoothed_losses(curve) == [49.5, 149.5, 224.5]
-        assert smoothed_losses(curve[:10]) == [4.5]
+        assert final_smoothed_loss(curve) == 199.5  # steps 150-249
+        assert final_smoothed_loss(curve[:10]) == 4.5  # every step of a short run
 
     def test_write_loss_curve_format(self, tmp_path):
         from quantdistill.distiller import KDBatchResult

@@ -5,9 +5,21 @@ one-record-per-channel quantization parameters. Any change to the
 arithmetic (kernel choice, skipped products, reordered sums, a different
 parameter derivation) that moves a single bit of a weight, a loss or a
 score changes at least one of them.
+
+They were measured with numpy 2.4.6 on an x86-64 CPU where numpy
+dispatches to every SIMD target it was built for (X86_V3, X86_V4,
+AVX512_ICL, AVX512_SPR). The matmul gives the same bits at any SIMD
+level, but ``np.tanh``, ``np.exp`` and ``np.log`` do not: under
+``NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR"`` (the
+X86_V2 baseline loops) every artifact gets other bytes and these tests
+fail.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -74,3 +86,15 @@ def test_tiny_run_w8_w4_artifacts_match_golden_digests(tmp_path, tiny_teacher):
     out_dir = _distill_and_eval(tmp_path, tiny_teacher, "8,4",
                                 ["student_w8a8.qfmd", "student_w4a4.qfmd"])
     assert _digests(out_dir, GOLDEN_W8_W4_SHA256) == GOLDEN_W8_W4_SHA256
+
+
+def test_console_script_path_from_a_fresh_interpreter(tmp_path):
+    # The package re-exports nothing, so the CLI module has to import all it
+    # runs; an in-process test inherits modules other tests imported.
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(TINY_CONFIG.format(out_dir=tmp_path / "teacher"))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "quantdistill.cli", "pretrain",
+                           "--config", str(cfg)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert _digests(tmp_path / "teacher", ["teacher.qfmd"]) == {"teacher.qfmd": TEACHER_SHA256}
