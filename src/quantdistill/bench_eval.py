@@ -11,7 +11,7 @@ target is 1e-2; smaller quantiles are not estimable from that pool.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -59,15 +59,8 @@ class VerificationReport:
     n_imposter: int
 
     def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "threshold": self.threshold,
-            "tar_at_far": {f"{far:g}": tar for far, tar in sorted(self.tar_at_far.items())},
-            "genuine_mean": self.genuine_mean,
-            "imposter_mean": self.imposter_mean,
-            "n_genuine": self.n_genuine,
-            "n_imposter": self.n_imposter,
-        }
+        return {**asdict(self), "tar_at_far": {
+            f"{far:g}": tar for far, tar in sorted(self.tar_at_far.items())}}
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import os
 import sys
 
@@ -71,7 +72,6 @@ def _build_net(cfg: ExperimentConfig, seed: int):
 
 
 def cmd_pretrain(cfg: ExperimentConfig) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
     space = _space(cfg)
     teacher_seed = cfg.sub_seed("teacher")
     net = _build_net(cfg, derive_seed(teacher_seed, "init"))
@@ -97,7 +97,6 @@ def cmd_pretrain(cfg: ExperimentConfig) -> int:
 
 
 def cmd_distill(cfg: ExperimentConfig, teacher_path: str) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
     teacher = load_model(teacher_path)
     space = _space(cfg)
 
@@ -138,7 +137,6 @@ def cmd_distill(cfg: ExperimentConfig, teacher_path: str) -> int:
 
 
 def cmd_eval(cfg: ExperimentConfig, model_paths: list[str]) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
     seen: set[str] = set()
     unique_paths: list[str] = []
     for p in model_paths:
@@ -161,12 +159,12 @@ def cmd_eval(cfg: ExperimentConfig, model_paths: list[str]) -> int:
     for path, net in zip(unique_paths, nets):
         report = verify(net, pairs, cfg.far_targets)
         quantized = net.is_calibrated
-        sizes = net_size_report(net, [net.quant_bits] if quantized else [8])
+        sizes = net_size_report(net, [net.quant_bits] if quantized else [])
         row = {
             "model": os.path.basename(path),
             "mode": "quantized" if quantized else "fp32",
             "bits": net.quant_bits if quantized else 32,
-            "size_mb": (sizes.megabytes(net.quant_bits) if quantized else sizes.megabytes()),
+            "size_mb": sizes.megabytes(net.quant_bits),
             "verification": report.as_dict(),
         }
         rows.append(row)
@@ -177,15 +175,13 @@ def cmd_eval(cfg: ExperimentConfig, model_paths: list[str]) -> int:
     calibrated = [(p, n) for p, n in zip(unique_paths, nets) if n.is_calibrated]
     if len(calibrated) >= 2:
         correlations = []
-        for i in range(len(calibrated)):
-            for j in range(i + 1, len(calibrated)):
-                (pa, na), (pb, nb) = calibrated[i], calibrated[j]
-                rep = range_correlation(na, nb)
-                name_a = os.path.splitext(os.path.basename(pa))[0]
-                name_b = os.path.splitext(os.path.basename(pb))[0]
-                csv_path = os.path.join(cfg.out_dir, f"range_{name_a}_vs_{name_b}.csv")
-                write_range_csv(csv_path, rep, source_a=name_a, source_b=name_b)
-                correlations.append({"a": name_a, "b": name_b, **rep.as_dict()})
+        for (pa, na), (pb, nb) in itertools.combinations(calibrated, 2):
+            rep = range_correlation(na, nb)
+            name_a = os.path.splitext(os.path.basename(pa))[0]
+            name_b = os.path.splitext(os.path.basename(pb))[0]
+            csv_path = os.path.join(cfg.out_dir, f"range_{name_a}_vs_{name_b}.csv")
+            write_range_csv(csv_path, rep, source_a=name_a, source_b=name_b)
+            correlations.append({"a": name_a, "b": name_b, **rep.as_dict()})
         payload["range_correlation"] = correlations
 
     out_path = os.path.join(cfg.out_dir, "eval_report.json")
@@ -218,11 +214,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if args.command == "distill" and args.bits is not None:
+            cfg = dataclasses.replace(cfg, bits=parse_value("bits", args.bits))
+        os.makedirs(cfg.out_dir, exist_ok=True)
         if args.command == "pretrain":
             return cmd_pretrain(cfg)
         if args.command == "distill":
-            if args.bits is not None:
-                cfg = dataclasses.replace(cfg, bits=parse_value("bits", args.bits))
             return cmd_distill(cfg, args.teacher)
         return cmd_eval(cfg, args.models)
     except ConfigError as exc:

@@ -55,9 +55,7 @@ class DistillConfig:
             raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.iterations < 0:
             raise DomainError(f"iterations must be >= 0, got {self.iterations}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise DomainError(f"lr must be positive and finite, got {self.lr}")
-        check_sgd_params(self.momentum, self.weight_decay)
+        check_sgd_params(self.lr, self.momentum, self.weight_decay)
         if self.bit_width not in SUPPORTED_BIT_WIDTHS:
             raise DomainError(f"unsupported bit width {self.bit_width}")
 

@@ -151,7 +151,7 @@ def build_embedding_net(input_dim: int, hidden_dims: Sequence[int], embed_dim: i
     for fan_in, fan_out in zip(dims, dims[1:]):
         w = rng.standard_normal((fan_out, fan_in)) / np.sqrt(fan_in)
         layers.append(Linear(weight=Tensor(w.astype(np.float32)),
-                             bias=Tensor.zeros((fan_out,))))
+                             bias=Tensor._wrap(np.zeros(fan_out, dtype=np.float32))))
     return EmbeddingNet(layers)
 
 
@@ -325,11 +325,8 @@ def _walk(net: EmbeddingNet, x: Tensor, quantized: bool, tape: GradTape | None,
     """
     if x.rank != 2 or x.shape[1] != net.input_dim:
         raise DimensionError(f"input shape {x.shape} incompatible with input dim {net.input_dim}")
-    if quantized:
-        if net.quant_bits is None:
-            raise StateError("quantized forward requires a configured bit width")
-        if net.activation_params is None:
-            raise StateError("quantized forward requires calibrated activation ranges")
+    if quantized and not net.is_calibrated:
+        raise StateError("quantized forward requires a bit width and calibrated ranges")
 
     last = len(net.layers) - 1
     h = x
@@ -445,11 +442,13 @@ def sgd_step(net: EmbeddingNet, grads: dict[int, tuple[Tensor, Tensor]],
     return net
 
 
-def check_sgd_params(momentum: float, weight_decay: float) -> None:
-    """Raise ``DomainError`` naming the field unless ``0 <= momentum < 1``
-    and ``weight_decay`` is finite and non-negative: the bounds that the
-    config file's ``ExperimentConfig`` enforces, for callers that build
+def check_sgd_params(lr: float, momentum: float, weight_decay: float) -> None:
+    """Raise ``DomainError`` naming the field unless ``lr`` is positive and
+    finite, ``0 <= momentum < 1`` and ``weight_decay`` is finite and
+    non-negative: the config file's bounds, for callers that build
     ``DistillConfig`` or ``TeacherConfig`` directly."""
+    if not (math.isfinite(lr) and lr > 0):
+        raise DomainError(f"lr must be positive and finite, got {lr}")
     if not 0 <= momentum < 1:
         raise DomainError(f"momentum must be in [0, 1), got {momentum}")
     if not (math.isfinite(weight_decay) and weight_decay >= 0):

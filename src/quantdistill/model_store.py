@@ -75,7 +75,7 @@ def pack_codes(codes: np.ndarray, bit_width: int) -> bytes:
 
 def unpack_codes(blob: bytes, count: int, bit_width: int) -> np.ndarray:
     """Inverse of pack_codes; returns int32 codes."""
-    need = (count * bit_width + 7) // 8
+    need = packed_code_bytes(count, bit_width)
     if len(blob) < need:
         raise FormatError(f"need {need} code bytes, have {len(blob)}", field="codes")
     bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8, count=need),
@@ -348,37 +348,34 @@ class SizeReport:
         }
 
 
-def size_report(param_count: int, bit_widths: list[int], *,
-                channel_count: int = 0, bias_count: int = 0) -> SizeReport:
-    """Payload bytes and compression ratios for the given bit widths.
+def size_report(param_count: int, bit_widths: list[int]) -> SizeReport:
+    """Payload bytes and compression ratios for the given bit widths under
+    the exact law param_count * b / 8 bytes (rounded up); nothing else counts."""
+    return _size_report(param_count, bit_widths, overhead=0)
 
-    The payload obeys the exact law param_count * b / 8 bytes. The
-    per-channel parameter blocks (17 bytes each) of ``channel_count``
-    channels and ``bias_count`` full-precision biases are added to the
-    quantized totals, which is what a real packed file carries on top of
-    the code payload.
-    """
+
+def net_size_report(net: EmbeddingNet, bit_widths: list[int]) -> SizeReport:
+    """Size report for a concrete net: each quantized total adds one 17-byte
+    parameter block and one float32 bias per output channel to the payload.
+    A quantized file also holds 15 + 28 L bytes of header, layer records,
+    activation blocks and CRC for L linears whose codes each fill whole
+    bytes. ``fp32_bytes`` counts the weights alone."""
+    channels = sum(l.out_dim for l in net.layers)
+    overhead = channels * (QPARAMS_DTYPE.itemsize + FP32_BYTES_PER_PARAM)
+    return _size_report(net.weight_param_count, bit_widths, overhead)
+
+
+def _size_report(param_count: int, bit_widths: list[int], overhead: int) -> SizeReport:
+    """The payload law for each width plus ``overhead`` bytes per quantized total."""
     if param_count <= 0:
         raise DomainError(f"param_count must be positive, got {param_count}")
     fp32_bytes = param_count * FP32_BYTES_PER_PARAM
-    overhead = channel_count * QPARAMS_DTYPE.itemsize + bias_count * 4
     quantized = {}
     ratios = {}
     for b in bit_widths:
         if b not in SUPPORTED_BIT_WIDTHS:
             raise DomainError(f"unsupported bit width {b}")
-        payload = (param_count * b + 7) // 8
-        total = payload + overhead
-        quantized[b] = total
-        ratios[b] = total / fp32_bytes
+        quantized[b] = packed_code_bytes(param_count, b) + overhead
+        ratios[b] = quantized[b] / fp32_bytes
     return SizeReport(param_count=param_count, fp32_bytes=fp32_bytes,
                       quantized_bytes=quantized, ratios=ratios, overhead_bytes=overhead)
-
-
-def net_size_report(net: EmbeddingNet, bit_widths: list[int]) -> SizeReport:
-    """Size report for a concrete net (weights quantized, per-channel
-    parameter blocks and biases counted as overhead)."""
-    channels = sum(l.out_dim for l in net.layers)
-    biases = sum(l.bias.size for l in net.layers)
-    return size_report(net.weight_param_count, bit_widths,
-                       channel_count=channels, bias_count=biases)

@@ -49,9 +49,7 @@ class TeacherConfig:
             raise DomainError(f"iterations must be >= 1, got {self.iterations}")
         if self.batch_size < 1:
             raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise DomainError(f"lr must be positive and finite, got {self.lr}")
-        check_sgd_params(self.momentum, self.weight_decay)
+        check_sgd_params(self.lr, self.momentum, self.weight_decay)
 
 
 def train_teacher(net: EmbeddingNet, space: IdentitySpace,

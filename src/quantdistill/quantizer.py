@@ -145,11 +145,12 @@ def params_from_range(lo, hi, bit_width: int) -> QuantParams:
         raise DomainError(f"invalid range [{lo[i]}, {hi[i]}]")
     lo32, hi32 = lo.astype(np.float32), hi.astype(np.float32)
     lo, hi = lo32.astype(np.float64), hi32.astype(np.float64)
-    levels = (1 << bit_width) - 1
+    code_min, code_max = -(1 << (bit_width - 1)), (1 << (bit_width - 1)) - 1
+    levels = code_max - code_min
     const = hi == lo
     span = np.where(const, 1.0, hi - lo)
     scale = np.where(const, np.float32(1.0), (span / levels).astype(np.float32))
-    zero_point = np.where(const, 0.0, np.rint(lo * levels / span + float(1 << (bit_width - 1))))
+    zero_point = np.where(const, 0.0, np.rint(lo * levels / span - float(code_min)))
     zero_point = zero_point.astype(np.int64)
     if const.any():
         # Constant slice: keep s = 1 and pick a zero-point that leaves the
@@ -159,7 +160,6 @@ def params_from_range(lo, hi, bit_width: int) -> QuantParams:
         if (np.abs(anchor) > _MAX_CONSTANT).any():
             raise DomainError("constant range too large for an integer zero-point")
         anchor = anchor.astype(np.int64)
-        code_min, code_max = -(1 << (bit_width - 1)), (1 << (bit_width - 1)) - 1
         zero_point[const] = np.clip(-anchor, anchor - code_max + 1, anchor - code_min - 1)
     if not per_channel:
         scale, zero_point, lo32, hi32 = scale[0], zero_point[0], lo32[0], hi32[0]
@@ -189,10 +189,6 @@ class QuantizedTensor:
         if codes.size and (codes.min() < self.params.code_min
                            or codes.max() > self.params.code_max):
             raise DomainError("codes outside the representable range")
-
-    @property
-    def bit_width(self) -> int:
-        return self.params.bit_width
 
 
 def quantize(x: Tensor, params: QuantParams) -> QuantizedTensor:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Sequence
 
 import numpy as np
 
@@ -78,10 +77,6 @@ class Tensor:
         arr.flags.writeable = False
         t._data = arr
         return t
-
-    @classmethod
-    def zeros(cls, shape: Sequence[int]) -> "Tensor":
-        return cls._wrap(np.zeros(tuple(shape), dtype=np.float32))
 
     @property
     def data(self) -> np.ndarray:

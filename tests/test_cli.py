@@ -232,6 +232,21 @@ class TestPipeline:
         assert (out / "student_w8a8.qfmd").exists()
         assert not (out / "student_w6a6.qfmd").exists()
 
+    @pytest.mark.parametrize("command", ["pretrain", "distill", "eval"])
+    def test_command_creates_missing_nested_out_dir(self, tmp_path, command):
+        teacher = tmp_path / "teacher.qfmd"
+        save_model(_small_net(), teacher, mode="fp32")
+        out = tmp_path / "runs" / "nested" / "out"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(SMALL_CONFIG.replace("teacher_iterations = 200", "teacher_iterations = 1")
+                       .replace("iterations = 40", "iterations = 0") + f"out_dir = {out}\n")
+        args = {"pretrain": [], "distill": ["--teacher", str(teacher), "--bits", "8"],
+                "eval": [str(teacher)]}[command]
+        assert main([command, "--config", str(cfg), *args]) == EXIT_OK
+        written = {"pretrain": "teacher_metrics.json", "distill": "distill_summary.json",
+                   "eval": "eval_report.json"}[command]
+        assert (out / written).exists()
+
     def test_rerun_produces_identical_files(self, cfg_path, tmp_path):
         out = tmp_path / "out"
         main(["pretrain", "--config", cfg_path])
@@ -321,6 +336,13 @@ class TestExitCodes:
         main(["pretrain", "--config", cfg_path])
         assert main(["distill", "--config", cfg_path, "--teacher", str(out / "teacher.qfmd"),
                      "--bits", "3"]) == EXIT_CONFIG
+
+    def test_unsupported_bits_flag_creates_no_out_dir(self, cfg_path, tmp_path):
+        teacher = tmp_path / "teacher.qfmd"
+        save_model(_small_net(), teacher, mode="fp32")
+        assert main(["distill", "--config", cfg_path, "--teacher", str(teacher),
+                     "--bits", "5"]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
 
     def test_empty_bits_flag(self, cfg_path, tmp_path, capsys):
         teacher = tmp_path / "teacher.qfmd"

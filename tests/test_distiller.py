@@ -125,8 +125,8 @@ class TestDistillConfig:
             _stage_config(DistillConfig, bit_width=5)
 
     @pytest.mark.parametrize("config", [DistillConfig, TeacherConfig])
-    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf")])
-    def test_rejects_non_finite_lr(self, config, lr):
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+    def test_rejects_lr_not_positive_and_finite(self, config, lr):
         with pytest.raises(DomainError, match="lr must be positive and finite"):
             _stage_config(config, lr=lr)
 

@@ -49,6 +49,22 @@ GOLDEN_W8_W4_SHA256 = {
     "eval_report.json": "f48c7f3bc4dd595c64ab9eb4c10fe27e2e3c9536d9c2d2686fddf5a93ef4276c",
 }
 
+# The JSON and CSV reports of the same runs: the teacher's metrics, each
+# distill run's sizes and summary, and the w8/w4 pair's range export.
+TEACHER_METRICS_SHA256 = "3e6c10adb0920247a5b1f10a6b3077dc096964c0ee560b3d1a9efe2a013e9217"
+
+GOLDEN_REPORTS_SHA256 = {
+    "sizes.json": "ad7e6948c89b812e2f32f6c16c9c7df37f4fbfbc98104e3213d3e5736bcf8b8e",
+    "distill_summary.json": "51c2700b140699cd95f112b55578151780748a0e6a79e3fe46cc9fa3b1d94901",
+}
+
+GOLDEN_W8_W4_REPORTS_SHA256 = {
+    "sizes.json": "85506c34b5d95bc3ed9e75b2821ec278623b960f6f3b24c858dcd123ea758e24",
+    "distill_summary.json": "a84d540c53ab99e5384f4974b52ede289c4c35cf6f5457a4eafb2d8c54defe40",
+    "range_student_w8a8_vs_student_w4a4.csv":
+        "158427747124d9c0427fdf87cf53b0e98463611dccbe5d9f99c2c7e12a8d9d09",
+}
+
 
 def _digests(out_dir, names):
     return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in names}
@@ -80,12 +96,16 @@ def test_tiny_run_artifacts_match_golden_digests(tmp_path, tiny_teacher):
     out_dir = _distill_and_eval(tmp_path, tiny_teacher, None, ["student_w6a6.qfmd"])
     students = {k: v for k, v in GOLDEN_SHA256.items() if k != "teacher.qfmd"}
     assert _digests(out_dir, students) == students
+    assert _digests(tiny_teacher.parent, ["teacher_metrics.json"]) == {
+        "teacher_metrics.json": TEACHER_METRICS_SHA256}
+    assert _digests(out_dir, GOLDEN_REPORTS_SHA256) == GOLDEN_REPORTS_SHA256
 
 
 def test_tiny_run_w8_w4_artifacts_match_golden_digests(tmp_path, tiny_teacher):
     out_dir = _distill_and_eval(tmp_path, tiny_teacher, "8,4",
                                 ["student_w8a8.qfmd", "student_w4a4.qfmd"])
     assert _digests(out_dir, GOLDEN_W8_W4_SHA256) == GOLDEN_W8_W4_SHA256
+    assert _digests(out_dir, GOLDEN_W8_W4_REPORTS_SHA256) == GOLDEN_W8_W4_REPORTS_SHA256
 
 
 def test_console_script_path_from_a_fresh_interpreter(tmp_path):
