@@ -19,31 +19,41 @@ from .errors import DimensionError, DomainError, StateError
 from .graph import EmbeddingNet, embed
 from .model_store import write_atomic
 from .synth import IdentitySpace, derive_seed, sample_for_identities
-from .tensor_core import Tensor
+from .tensor_core import ROW_BLOCK, Tensor
 
 DEFAULT_FAR_TARGETS = (0.01,)
 
 
 @dataclass(frozen=True)
 class PairSet:
-    """Balanced genuine/imposter input pairs with ground-truth flags."""
+    """Balanced genuine/imposter input pairs with ground-truth flags.
 
-    first: Tensor
-    second: Tensor
+    ``rows`` stacks every pair's first side above every pair's second
+    side, so a request embeds it as it is; ``first`` and ``second`` are
+    read-only views of its two halves.
+    """
+
+    rows: Tensor
     same: np.ndarray  # bool per pair
 
     def __post_init__(self):
         same = np.ascontiguousarray(self.same, dtype=bool)
         same.flags.writeable = False
         object.__setattr__(self, "same", same)
-        if self.first.shape != self.second.shape:
-            raise DimensionError(f"pair sides differ: {self.first.shape} vs {self.second.shape}")
-        if same.shape != (self.first.shape[0],):
-            raise DimensionError(f"{same.shape} flags for {self.first.shape[0]} pairs")
+        if same.ndim != 1 or self.rows.rank != 2 or self.rows.shape[0] != 2 * same.size:
+            raise DimensionError(f"{same.shape} flags for stacked pair rows {self.rows.shape}")
 
     @property
     def n_pairs(self) -> int:
-        return self.first.shape[0]
+        return self.same.size
+
+    @property
+    def first(self) -> Tensor:
+        return Tensor._wrap(self.rows.data[:self.n_pairs])
+
+    @property
+    def second(self) -> Tensor:
+        return Tensor._wrap(self.rows.data[self.n_pairs:])
 
 
 @dataclass(frozen=True)
@@ -102,20 +112,26 @@ def build_pairs(space: IdentitySpace, n_pairs: int, seed: int) -> PairSet:
     first = sample_for_identities(space, first_ids, derive_seed(seed, "pair-first"))
     second = sample_for_identities(space, second_ids, derive_seed(seed, "pair-second"))
     same = np.concatenate([np.ones(half, dtype=bool), np.zeros(half, dtype=bool)])
-    return PairSet(first=first, second=second, same=same)
+    return PairSet(rows=Tensor._wrap(np.concatenate([first.data, second.data])), same=same)
 
 
 def pair_scores(net: EmbeddingNet, pairs: PairSet) -> np.ndarray:
     """Cosine similarity per pair, quantized exactly when the net is calibrated.
 
-    Both sides go through one tape-free forward, stacked first above
-    second; every row is embedded independently, so the scores equal
-    those of one forward per side.
+    Both sides go through one tape-free forward of the stacked
+    ``pairs.rows``; every row is embedded independently, so the scores
+    equal those of one forward per side. The float64 cosines run over
+    blocks of ``ROW_BLOCK`` pairs.
     """
-    both = Tensor._wrap(np.concatenate([pairs.first.data, pairs.second.data]))
-    e = embed(net, both).data.astype(np.float64)
+    e = embed(net, pairs.rows).data
     n = pairs.n_pairs
-    return np.sum(e[:n] * e[n:], axis=1)
+    scores = np.empty(n)
+    for start in range(0, n, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, n)
+        a = e[start:stop].astype(np.float64)
+        b = e[n + start:n + stop].astype(np.float64)
+        scores[start:stop] = np.sum(a * b, axis=1)
+    return scores
 
 
 def best_threshold_accuracy(scores: np.ndarray, same: np.ndarray) -> tuple[float, float]:

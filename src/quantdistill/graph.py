@@ -34,7 +34,7 @@ from .quantizer import (
     RangeObserver,
     derive_params,
 )
-from .tensor_core import Tensor, l2_normalize, matmul, relu, transpose
+from .tensor_core import ROW_BLOCK, Tensor, l2_normalize, matmul, relu, transpose
 
 
 @dataclass
@@ -186,16 +186,24 @@ def fake_quant(x: Tensor, params: QuantParams) -> Tensor:
     ``dequantize`` in the same order (divide by s, subtract z, round half
     to even, clip to the codes, add z, multiply by s), so the output is
     bit-identical to the two-step path without building integer codes.
+    The pass runs over blocks of ``ROW_BLOCK`` rows, so only one block is
+    held in float64.
     """
     s, z, _, _ = params.broadcast(x.shape)
-    t = x.data.astype(np.float64)
-    t /= s
-    t -= z
-    np.rint(t, out=t)
-    np.clip(t, params.code_min, params.code_max, out=t)
-    t += z
-    t *= s
-    return Tensor._wrap(t.astype(np.float32))
+    xd = np.atleast_1d(x.data)
+    out = np.empty(xd.shape, dtype=np.float32)
+    for start in range(0, xd.shape[0], ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        sb, zb = (s[rows], z[rows]) if params.per_channel else (s, z)
+        t = xd[rows].astype(np.float64)
+        t /= sb
+        t -= zb
+        np.rint(t, out=t)
+        np.clip(t, params.code_min, params.code_max, out=t)
+        t += zb
+        t *= sb
+        out[rows] = t
+    return Tensor._wrap(out.reshape(x.shape))
 
 
 def in_range_mask(x: Tensor, params: QuantParams) -> np.ndarray:

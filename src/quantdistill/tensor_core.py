@@ -48,6 +48,10 @@ BLOCK_ROWS = 2731
 # process's affinity mask. The bits do not depend on it.
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
+# Rows per block of the float64 elementwise stages (fake-quant, L2
+# normalization, pair cosines). Every row is computed on its own, so only
+# a block's float64 copy is held, never one of the whole input.
+ROW_BLOCK = 1024
 
 
 class Tensor:
@@ -247,14 +251,19 @@ def transpose(t: Tensor) -> Tensor:
 
 
 def l2_normalize(t: Tensor) -> Tensor:
-    """Scale each row of a rank-2 tensor to unit Euclidean norm."""
+    """Scale each row of a rank-2 tensor to unit Euclidean norm, in float64
+    over row blocks."""
     if t.rank != 2:
         raise DimensionError(f"l2_normalize requires a rank-2 tensor, got {t.shape}")
-    x = t.data.astype(np.float64)
-    norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
-    if np.any(norms == 0.0):
-        raise DomainError("cannot normalize a zero-norm row")
-    return Tensor._wrap((x / norms).astype(np.float32))
+    out = np.empty(t.shape, dtype=np.float32)
+    for start in range(0, t.shape[0], ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        x = t.data[rows].astype(np.float64)
+        norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+        if np.any(norms == 0.0):
+            raise DomainError("cannot normalize a zero-norm row")
+        out[rows] = x / norms
+    return Tensor._wrap(out)
 
 
 def relu(t: Tensor) -> Tensor:

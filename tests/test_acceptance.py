@@ -14,12 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from quantdistill.bench_eval import (
-    build_pairs,
-    range_correlation,
-    verify,
-    write_range_csv,
-)
+from quantdistill.bench_eval import range_correlation, write_range_csv
 from quantdistill.cli import main
 from quantdistill.config import ExperimentConfig
 from quantdistill.distiller import calibrate, kd_loss, kd_loss_grad, prepare_student

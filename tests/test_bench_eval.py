@@ -17,7 +17,7 @@ from quantdistill.errors import DimensionError, DomainError, StateError
 from quantdistill.graph import build_embedding_net, forward_embed, observe_activations
 from quantdistill.quantizer import RangeObserver
 from quantdistill.synth import make_identity_space
-from quantdistill.tensor_core import Tensor
+from quantdistill.tensor_core import ROW_BLOCK, Tensor
 
 
 def _space(seed=0, noise=0.15):
@@ -184,10 +184,10 @@ class TestTarAtFar:
 
 
 class TestVerify:
-    def _trained_pairs(self):
+    def _trained_pairs(self, n_pairs=60):
         space = _space(seed=4)
         net = build_embedding_net(12, (16,), 8, seed=5)
-        pairs = build_pairs(space, 60, seed=6)
+        pairs = build_pairs(space, n_pairs, seed=6)
         return net, pairs
 
     def test_report_fields_and_determinism(self):
@@ -214,14 +214,17 @@ class TestVerify:
 
     @pytest.mark.parametrize("bits", [None, 8, 6])
     def test_pair_scores_equal_per_side_forwards(self, bits):
-        net, pairs = self._trained_pairs()
-        if bits is not None:
-            net = _calibrated(3, net_seed=5, bits=bits)
-        quantized = bits is not None
-        a = forward_embed(net, pairs.first, quantized)[0].data.astype(np.float64)
-        b = forward_embed(net, pairs.second, quantized)[0].data.astype(np.float64)
-        expected = np.sum(a * b, axis=1)
-        assert np.array_equal(pair_scores(net, pairs).view(np.uint64), expected.view(np.uint64))
+        # 60 pairs fit one row block; 2 * ROW_BLOCK + 6 pairs span three.
+        for n_pairs in (60, 2 * ROW_BLOCK + 6):
+            net, pairs = self._trained_pairs(n_pairs)
+            if bits is not None:
+                net = _calibrated(3, net_seed=5, bits=bits)
+            quantized = bits is not None
+            a = forward_embed(net, pairs.first, quantized)[0].data.astype(np.float64)
+            b = forward_embed(net, pairs.second, quantized)[0].data.astype(np.float64)
+            expected = np.sum(a * b, axis=1)
+            assert np.array_equal(pair_scores(net, pairs).view(np.uint64),
+                                  expected.view(np.uint64))
 
 
 class TestRangeCorrelation:

@@ -20,9 +20,9 @@ from quantdistill.distiller import (
     write_loss_curve,
 )
 from quantdistill.errors import DimensionError, DomainError, StateError
-from quantdistill.graph import build_embedding_net, forward_embed, net_fingerprint
+from quantdistill.graph import build_embedding_net, net_fingerprint
 from quantdistill.pretrain import TeacherConfig, train_teacher
-from quantdistill.synth import batch_stream, make_identity_space, sample_unlabeled
+from quantdistill.synth import batch_stream, make_identity_space
 from quantdistill.tensor_core import Tensor, l2_normalize
 
 

@@ -5,7 +5,9 @@ without building integer codes. The oracle is the two-step path through
 ``quantize`` (int32 codes) and ``dequantize``; outputs are compared as
 float32 bits, for per-tensor and per-channel parameters at 4, 6 and 8
 bits, over values inside the range, outside it, on exact half-code
-boundaries (where round-half-to-even decides) and at signed zeros.
+boundaries (where round-half-to-even decides) and at signed zeros. The
+node runs over blocks of ``ROW_BLOCK`` rows, so row counts on both sides
+of each block boundary are checked too.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 from quantdistill.graph import fake_quant  # noqa: E402
 from quantdistill.quantizer import dequantize, params_from_range, quantize  # noqa: E402
-from quantdistill.tensor_core import Tensor  # noqa: E402
+from quantdistill.tensor_core import ROW_BLOCK, Tensor  # noqa: E402
 
 
 def _assert_fused_matches_two_step(x: np.ndarray, params):
@@ -86,3 +88,26 @@ def test_fused_matches_two_step_on_half_code_boundaries(exponents, offset, bits,
     x = (s * (z + half)).astype(np.float32)
     assert np.all(x.astype(np.float64) / s - z == half)
     _assert_fused_matches_two_step(x, params)
+
+
+B = ROW_BLOCK
+
+
+@pytest.mark.parametrize("bits", [4, 6, 8])
+@pytest.mark.parametrize("layout", ["per-channel", "per-tensor", "per-tensor rank 1"])
+@pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 3 * B + 7])
+def test_fused_matches_two_step_across_row_blocks(rows, layout, bits):
+    # Per-channel rows each get their own range, so a block that read
+    # another block's scale or zero-point would give other bits.
+    rng = np.random.default_rng(rows * 10 + bits)
+    shape = (rows,) if layout == "per-tensor rank 1" else (rows, 5)
+    if layout == "per-channel":
+        lo = rng.standard_normal(rows) * 10.0 ** rng.uniform(-4, 4, rows)
+        hi = lo + np.abs(rng.standard_normal(rows)) * 10.0 ** rng.uniform(-4, 4, rows)
+        params = params_from_range(lo, hi, bits)
+        lo, hi = lo[:, None], hi[:, None]
+    else:
+        lo, hi = -3.7, 12.1
+        params = params_from_range(lo, hi, bits)
+    _assert_fused_matches_two_step(_random_values(rng, shape, lo, hi), params)
+    _assert_fused_matches_two_step(_near_half_codes(rng, params, shape), params)

@@ -23,7 +23,6 @@ from quantdistill.graph import (
     softmax_cross_entropy,
 )
 from quantdistill.quantizer import RangeObserver, params_from_range
-from quantdistill.synth import make_identity_space, sample_unlabeled
 from quantdistill.tensor_core import Tensor, l2_normalize
 
 

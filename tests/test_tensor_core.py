@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from quantdistill.errors import DimensionError, DomainError
-from quantdistill.tensor_core import Tensor, l2_normalize, matmul, relu
+from quantdistill.tensor_core import ROW_BLOCK, Tensor, l2_normalize, matmul, relu
+
+B = ROW_BLOCK
 
 
 class TestTensor:
@@ -112,6 +114,23 @@ class TestL2Normalize:
     def test_zero_row_rejected(self):
         with pytest.raises(DomainError):
             l2_normalize(Tensor([[0.0, 0.0]]))
+
+    @pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 3 * B + 7])
+    def test_row_blocks_match_one_whole_array_pass(self, rows):
+        # Oracle: the float64 arithmetic over the whole array at once.
+        rng = np.random.default_rng(rows)
+        x = (rng.standard_normal((rows, 7)) * 10.0 ** rng.uniform(-6, 6, (rows, 1)))
+        x = x.astype(np.float32)
+        x64 = x.astype(np.float64)
+        want = (x64 / np.sqrt(np.sum(x64 * x64, axis=1, keepdims=True))).astype(np.float32)
+        got = l2_normalize(Tensor(x)).data
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_zero_row_in_the_last_row_block_rejected(self):
+        x = np.ones((3 * B + 7, 4), dtype=np.float32)
+        x[3 * B + 3] = 0.0
+        with pytest.raises(DomainError, match="^cannot normalize a zero-norm row$"):
+            l2_normalize(Tensor(x))
 
 
 class TestRelu:
