@@ -41,7 +41,7 @@ from .errors import (
     StateError,
 )
 from .graph import build_embedding_net
-from .model_store import load_model, net_size_report, save_model
+from .model_store import load_model, save_model, size_report
 from .pretrain import TeacherConfig, train_teacher
 from .synth import batch_stream, derive_seed, make_identity_space
 
@@ -101,6 +101,8 @@ def cmd_distill(cfg: ExperimentConfig, teacher_path: str) -> int:
     space = _space(cfg)
 
     summary: dict = {"teacher": os.path.basename(teacher_path), "runs": {}}
+    teacher_bytes = os.path.getsize(teacher_path)
+    student_files: dict = {}
     for b in cfg.bits:
         student = prepare_student(teacher, b)
         calib = batch_stream(space, cfg.batch_size, cfg.sub_seed(f"distill-calib-{b}"))
@@ -114,6 +116,8 @@ def cmd_distill(cfg: ExperimentConfig, teacher_path: str) -> int:
 
         student_path = os.path.join(cfg.out_dir, f"student_w{b}a{b}.qfmd")
         save_model(student, student_path, mode="quantized")
+        student_bytes = os.path.getsize(student_path)
+        student_files[str(b)] = {"bytes": student_bytes, "ratio": student_bytes / teacher_bytes}
         write_loss_curve(os.path.join(cfg.out_dir, f"loss_w{b}a{b}.csv"), curve)
 
         run = {"initial_loss": None, "final_smoothed_loss": None, "converged": None,
@@ -130,22 +134,25 @@ def cmd_distill(cfg: ExperimentConfig, teacher_path: str) -> int:
             print(f"w{b}a{b}: no fine-tuning steps -> {student_path}")
         summary["runs"][f"w{b}a{b}"] = run
 
-    sizes = net_size_report(teacher, sorted(cfg.bits))
-    write_report_json(os.path.join(cfg.out_dir, "sizes.json"), sizes.as_dict())
+    sizes = size_report(teacher.weight_param_count, sorted(cfg.bits)).as_dict()
+    sizes["files"] = {"teacher_bytes": teacher_bytes, "quantized": student_files}
+    write_report_json(os.path.join(cfg.out_dir, "sizes.json"), sizes)
     write_report_json(os.path.join(cfg.out_dir, "distill_summary.json"), summary)
     return EXIT_OK
 
 
 def cmd_eval(cfg: ExperimentConfig, model_paths: list[str]) -> int:
-    seen: set[str] = set()
-    unique_paths: list[str] = []
+    paths: dict[str, str] = {}  # name -> path; report rows and range CSVs carry the name
     for p in model_paths:
-        key = os.path.abspath(p)
-        if key in seen:
+        name = os.path.splitext(os.path.basename(p))[0]
+        if name not in paths:
+            paths[name] = p
+        elif os.path.abspath(paths[name]) == os.path.abspath(p):
             print(f"warning: duplicate model path {p} ignored", file=sys.stderr)
-            continue
-        seen.add(key)
-        unique_paths.append(p)
+        else:
+            raise ConfigError(f"{paths[name]} and {p} are both named {name}: their "
+                              "report rows and range CSVs would collide")
+    unique_paths = list(paths.values())
 
     nets = [load_model(p) for p in unique_paths]
     for net in nets[1:]:
@@ -159,12 +166,11 @@ def cmd_eval(cfg: ExperimentConfig, model_paths: list[str]) -> int:
     for path, net in zip(unique_paths, nets):
         report = verify(net, pairs, cfg.far_targets)
         quantized = net.is_calibrated
-        sizes = net_size_report(net, [net.quant_bits] if quantized else [])
         row = {
             "model": os.path.basename(path),
             "mode": "quantized" if quantized else "fp32",
             "bits": net.quant_bits if quantized else 32,
-            "size_mb": sizes.megabytes(net.quant_bits),
+            "size_mb": os.path.getsize(path) / 1e6,
             "verification": report.as_dict(),
         }
         rows.append(row)

@@ -1,4 +1,4 @@
-"""Model file format and bit-exact size accounting.
+"""Model file format and the b/32 payload size law.
 
 File layout (QFMD, all multi-byte values little-endian)::
 
@@ -25,9 +25,8 @@ A qparams block is scale f32, zero_point i32, bit_width u8, range_lo f32,
 range_hi f32 (17 bytes). A layer's blocks, one per output channel, hold
 its per-channel QuantParams; each activation site has one block. Every
 block's bit width equals the header's. Codes are packed at their true
-bit width so the file size obeys the b/32 payload law. Files are written atomically
-(temp file + rename) and contain no timestamps, so identical nets produce
-identical bytes.
+bit width. Files are written atomically (temp file + rename) and contain
+no timestamps, so identical nets produce identical bytes.
 
 The loader reads the file through one bounded cursor and checks each field
 against this layout at the byte it reads, so a ``FormatError`` names the
@@ -312,18 +311,18 @@ def load_model(path) -> EmbeddingNet:
     return net
 
 
-# -- size accounting -----------------------------------------------------------
+# -- size law -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SizeReport:
-    """Storage footprint of a parameter set under the exact bit-packing law."""
+    """Weight payload of a parameter set under the exact bit-packing law.
+    A model's size on disk is its file's byte count, not this."""
 
     param_count: int
     fp32_bytes: int
     quantized_bytes: dict[int, int]
     ratios: dict[int, float]
-    overhead_bytes: int
 
     def megabytes(self, bit_width: int | None = None) -> float:
         """Decimal megabytes (1 MB = 1e6 bytes), fp32 when no width given."""
@@ -336,7 +335,6 @@ class SizeReport:
             "param_count": self.param_count,
             "fp32_bytes": self.fp32_bytes,
             "fp32_mb": self.fp32_bytes / 1e6,
-            "overhead_bytes": self.overhead_bytes,
             "quantized": {
                 str(b): {
                     "bytes": self.quantized_bytes[b],
@@ -351,22 +349,6 @@ class SizeReport:
 def size_report(param_count: int, bit_widths: list[int]) -> SizeReport:
     """Payload bytes and compression ratios for the given bit widths under
     the exact law param_count * b / 8 bytes (rounded up); nothing else counts."""
-    return _size_report(param_count, bit_widths, overhead=0)
-
-
-def net_size_report(net: EmbeddingNet, bit_widths: list[int]) -> SizeReport:
-    """Size report for a concrete net: each quantized total adds one 17-byte
-    parameter block and one float32 bias per output channel to the payload.
-    A quantized file also holds 15 + 28 L bytes of header, layer records,
-    activation blocks and CRC for L linears whose codes each fill whole
-    bytes. ``fp32_bytes`` counts the weights alone."""
-    channels = sum(l.out_dim for l in net.layers)
-    overhead = channels * (QPARAMS_DTYPE.itemsize + FP32_BYTES_PER_PARAM)
-    return _size_report(net.weight_param_count, bit_widths, overhead)
-
-
-def _size_report(param_count: int, bit_widths: list[int], overhead: int) -> SizeReport:
-    """The payload law for each width plus ``overhead`` bytes per quantized total."""
     if param_count <= 0:
         raise DomainError(f"param_count must be positive, got {param_count}")
     fp32_bytes = param_count * FP32_BYTES_PER_PARAM
@@ -375,7 +357,7 @@ def _size_report(param_count: int, bit_widths: list[int], overhead: int) -> Size
     for b in bit_widths:
         if b not in SUPPORTED_BIT_WIDTHS:
             raise DomainError(f"unsupported bit width {b}")
-        quantized[b] = packed_code_bytes(param_count, b) + overhead
+        quantized[b] = packed_code_bytes(param_count, b)
         ratios[b] = quantized[b] / fp32_bytes
     return SizeReport(param_count=param_count, fp32_bytes=fp32_bytes,
-                      quantized_bytes=quantized, ratios=ratios, overhead_bytes=overhead)
+                      quantized_bytes=quantized, ratios=ratios)

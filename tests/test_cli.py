@@ -47,13 +47,14 @@ far_targets = 0.05
 """
 
 
-def _small_net(bits=None):
-    """A net of SMALL_CONFIG's shape; calibrated when ``bits`` is given."""
-    net = build_embedding_net(16, (16, 16), 8, seed=1)
+def _small_net(bits=None, dims=(16, (16, 16), 8)):
+    """A net of SMALL_CONFIG's shape, or of ``dims``; calibrated when ``bits``
+    is given."""
+    net = build_embedding_net(*dims, seed=1)
     if bits is not None:
         net.set_quantization(bits)
         observers = [RangeObserver() for _ in range(net.activation_site_count)]
-        x = Tensor(np.random.default_rng(2).standard_normal((32, 16)).astype(np.float32))
+        x = Tensor(np.random.default_rng(2).standard_normal((32, dims[0])).astype(np.float32))
         observe_activations(net, x, observers)
         net.activation_params = [o.freeze(bits) for o in observers]
     return net
@@ -175,17 +176,23 @@ class TestPipeline:
             assert curve[0] == "step,loss"
             assert len(curve) == 41
         sizes = json.loads((out / "sizes.json").read_text())
-        assert sizes["quantized"]["8"]["ratio"] > 0.25  # overhead included
-        # packed student files are smaller than the fp32 teacher file even
-        # with per-channel parameter overhead (tiny net, so overhead is large)
+        # the files block is the files' bytes; past the payload law's codes a
+        # file holds parameter blocks, biases and framing (large at this size)
         teacher_bytes = teacher.stat().st_size
+        assert sizes["files"]["teacher_bytes"] == teacher_bytes
         for b in (8, 6):
-            assert (out / f"student_w{b}a{b}.qfmd").stat().st_size < teacher_bytes
+            student_bytes = (out / f"student_w{b}a{b}.qfmd").stat().st_size
+            assert student_bytes < teacher_bytes
+            assert sizes["files"]["quantized"][str(b)] == {
+                "bytes": student_bytes, "ratio": student_bytes / teacher_bytes}
+            assert sizes["files"]["quantized"][str(b)]["ratio"] > sizes["quantized"][str(b)]["ratio"]
 
         models = [str(teacher), str(out / "student_w8a8.qfmd"), str(out / "student_w6a6.qfmd")]
         assert main(["eval", "--config", cfg_path] + models) == EXIT_OK
         report = json.loads((out / "eval_report.json").read_text())
         assert len(report["models"]) == 3
+        for row in report["models"]:
+            assert row["size_mb"] == os.path.getsize(out / row["model"]) / 1e6
         assert len(report["range_correlation"]) == 1
         assert (out / "range_student_w8a8_vs_student_w6a6.csv").exists()
 
@@ -265,6 +272,29 @@ class TestPipeline:
         assert len(report["models"]) == 1
         assert "range_correlation" not in report
 
+    # runB's w8 file would take runA's w8 report row or range CSV name; a
+    # file that is no model shows that the names are checked before loading
+    @pytest.mark.parametrize("second, is_model", [("student_w8a8.qfmd", True),
+                                                  ("student_w8a8.bin", True),
+                                                  ("student_w8a8.qfmd", False)])
+    def test_models_sharing_a_file_name_rejected_before_anything_is_written(
+            self, cfg_path, tmp_path, capsys, second, is_model):
+        run_a, run_b = tmp_path / "runA", tmp_path / "runB"
+        run_a.mkdir()
+        run_b.mkdir()
+        for bits in (8, 6):
+            save_model(_small_net(bits), run_a / f"student_w{bits}a{bits}.qfmd", mode="quantized")
+        if is_model:
+            save_model(_small_net(8), run_b / second, mode="quantized")
+        else:
+            (run_b / second).write_bytes(b"JUNKJUNKJUNKJUNK")
+        models = [str(run_a / "student_w8a8.qfmd"), str(run_b / second),
+                  str(run_a / "student_w6a6.qfmd")]
+        assert main(["eval", "--config", cfg_path] + models) == EXIT_CONFIG
+        assert "both named student_w8a8" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert not out.exists() or not any(out.iterdir())
+
     def test_single_model_eval_has_no_correlation_section(self, cfg_path, tmp_path):
         out = tmp_path / "out"
         main(["pretrain", "--config", cfg_path])
@@ -272,6 +302,25 @@ class TestPipeline:
         report = json.loads((out / "eval_report.json").read_text())
         assert len(report["models"]) == 1
         assert "range_correlation" not in report
+
+
+class TestReportedSizes:
+    """Every reported size is the byte count of the file it names."""
+
+    # A 5-6-3 net: its 6x5 and 3x6 weights at 6 bits are 22.5 and 13.5 code
+    # bytes, and each layer pads its codes to whole bytes; an fp32 file holds
+    # 48 weights and 9 biases, 4 bytes each, past its framing.
+    @pytest.mark.parametrize("bits, expected", [(6, 297), (8, 308), (None, 265)])
+    def test_eval_size_is_the_file_bytes(self, tmp_path, bits, expected):
+        path = tmp_path / "net.qfmd"
+        save_model(_small_net(bits, dims=(5, (6,), 3)), path,
+                   mode="fp32" if bits is None else "quantized")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"input_dim = 5\nn_pairs = 20\nout_dir = {tmp_path / 'out'}\n")
+        assert main(["eval", "--config", str(cfg), str(path)]) == EXIT_OK
+        (row,) = json.loads((tmp_path / "out" / "eval_report.json").read_text())["models"]
+        assert path.stat().st_size == expected
+        assert row["size_mb"] == expected / 1e6
 
 
 class TestExitCodes:
@@ -476,9 +525,11 @@ class TestExitCodes:
         other_cfg.write_text(SMALL_CONFIG.replace("hidden_dim = 16", "hidden_dim = 24")
                              + f"out_dir = {tmp_path / 'out2'}\n")
         main(["pretrain", "--config", str(other_cfg)])
+        # a second name: two models named teacher would exit 2 before loading
+        wide = tmp_path / "out2" / "wide_teacher.qfmd"
+        os.replace(tmp_path / "out2" / "teacher.qfmd", wide)
         assert main(["eval", "--config", cfg_path,
-                     str(out / "teacher.qfmd"),
-                     str(tmp_path / "out2" / "teacher.qfmd")]) == EXIT_DIMENSION
+                     str(out / "teacher.qfmd"), str(wide)]) == EXIT_DIMENSION
 
 
 class TestSeedEnvOverride:

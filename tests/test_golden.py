@@ -37,7 +37,7 @@ GOLDEN_SHA256 = {
     "teacher.qfmd": TEACHER_SHA256,
     "student_w6a6.qfmd": "d5cd5ed7d262d4d36a02a98acfa0bebc10a1291511263a0d2355504411a6a157",
     "loss_w6a6.csv": "391b7fa08fa9d8351b432c0f205d3cab06234de2287cab1dc3120260a66390f6",
-    "eval_report.json": "b9299de54ef4bfa161b93333bea34c05880bc835a7651c755ad177dd4560ab75",
+    "eval_report.json": "809f418ad1c7c36300632cb3cea58b5fbfa3fe8b1110f093ad2d0e0062568e48",
 }
 
 # The same config distilled with --bits 8,4 and evaluated as teacher+w8+w4.
@@ -46,7 +46,7 @@ GOLDEN_W8_W4_SHA256 = {
     "loss_w8a8.csv": "b05f55ae899b014f17e26119ee20744c6f57700e915dd35a5f69c6f21aafa3f2",
     "student_w4a4.qfmd": "8c00b44e84631350666451e84823efb5a743ee86a48d4a98338eafcfae482a72",
     "loss_w4a4.csv": "f1a1dc8b24e95ac2c9f48be542103fad8add2d91df177b78852a6e5e9fcf7ccc",
-    "eval_report.json": "f48c7f3bc4dd595c64ab9eb4c10fe27e2e3c9536d9c2d2686fddf5a93ef4276c",
+    "eval_report.json": "49175247a7c9c9f51f9d26e714d60b2f04fabb10417f83c420a4a747e59c9fcb",
 }
 
 # The JSON and CSV reports of the same runs: the teacher's metrics, each
@@ -54,12 +54,12 @@ GOLDEN_W8_W4_SHA256 = {
 TEACHER_METRICS_SHA256 = "3e6c10adb0920247a5b1f10a6b3077dc096964c0ee560b3d1a9efe2a013e9217"
 
 GOLDEN_REPORTS_SHA256 = {
-    "sizes.json": "ad7e6948c89b812e2f32f6c16c9c7df37f4fbfbc98104e3213d3e5736bcf8b8e",
+    "sizes.json": "d11ed84338d93aa9da1b421eadaa3148c9647a38465e86405bdbab3a98aa0373",
     "distill_summary.json": "51c2700b140699cd95f112b55578151780748a0e6a79e3fe46cc9fa3b1d94901",
 }
 
 GOLDEN_W8_W4_REPORTS_SHA256 = {
-    "sizes.json": "85506c34b5d95bc3ed9e75b2821ec278623b960f6f3b24c858dcd123ea758e24",
+    "sizes.json": "e99dfafcce48a46ae6ed02febe49ad1692bc53eafdc240b66b4bae05027ebdf3",
     "distill_summary.json": "a84d540c53ab99e5384f4974b52ede289c4c35cf6f5457a4eafb2d8c54defe40",
     "range_student_w8a8_vs_student_w4a4.csv":
         "158427747124d9c0427fdf87cf53b0e98463611dccbe5d9f99c2c7e12a8d9d09",

@@ -15,7 +15,6 @@ from quantdistill.graph import (
 )
 from quantdistill.model_store import (
     load_model,
-    net_size_report,
     pack_codes,
     packed_code_bytes,
     save_model,
@@ -310,41 +309,11 @@ class TestSizeReport:
         assert rep.ratios[8] == pytest.approx(65.31 / 261.22, rel=0.005)
         assert rep.ratios[6] == pytest.approx(49.01 / 261.22, rel=0.005)
 
-    def test_overhead_increases_ratio_beyond_law(self):
-        net = build_embedding_net(186, (50,), 14, seed=0)  # 10,000 weights, 64 channels
-        rep = net_size_report(net, [8])
-        assert rep.overhead_bytes == 64 * 17 + 64 * 4
-        assert rep.ratios[8] > 8 / 32
-        assert rep.ratios[8] == pytest.approx(8 / 32 + rep.overhead_bytes / rep.fp32_bytes)
-
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
             size_report(0, [8])
         with pytest.raises(DomainError):
             size_report(10, [5])
-
-    def test_net_size_report_counts_channels_and_biases(self):
-        net = build_embedding_net(6, (16,), 4, seed=0)
-        rep = net_size_report(net, [8])
-        assert rep.param_count == net.weight_param_count
-        assert rep.overhead_bytes == (16 + 4) * 17 + (16 + 4) * 4
-
-    @pytest.mark.parametrize("bits", [4, 6, 8])
-    def test_report_plus_file_framing_is_the_written_file(self, tmp_path, bits):
-        # Every layer's out * in * b is a multiple of 8, so no layer pads its
-        # codes. Past the report, a file holds 15 bytes of magic, header,
-        # activation count and CRC, and per linear its 10-byte record, the
-        # relu byte before it (one less than the linears), and in a
-        # quantized file its 17-byte activation block.
-        net = _calibrated_net(bits)
-        layers = len(net.layers)
-        path = tmp_path / "net.qfmd"
-        save_model(net, path, mode="quantized")
-        rep = net_size_report(net, [bits])
-        assert path.stat().st_size == rep.quantized_bytes[bits] + 15 + 28 * layers
-        save_model(net, path, mode="fp32")
-        channels = sum(layer.out_dim for layer in net.layers)
-        assert path.stat().st_size == rep.fp32_bytes + 4 * channels + 15 + 11 * layers
 
 
 class TestAtomicWrites:
