@@ -3,7 +3,7 @@
 File layout (QFMD, all multi-byte values little-endian)::
 
     magic        4s   "QFMD"
-    version      u16  1
+    version      u16  2
     mode         u8   0 = fp32, 1 = quantized
     bit_width    u8   0 for fp32 files
     layer_count  u16  2L - 1 for a net of L linears
@@ -14,25 +14,28 @@ File layout (QFMD, all multi-byte values little-endian)::
         in_dim   u32  non-zero; the previous linear's out_dim
         payload  u8   the file's mode: 0 = raw fp32 weights, 1 = packed codes
         payload 0: out*in f32 weights (row-major)
-        payload 1: out x qparams block, then ceil(out*in*b/8) packed code
+        payload 1: out x range block, then ceil(out*in*b/8) packed code
                    bytes (codes offset to unsigned, b bits each, LSB-first)
         bias     out x f32
     activation_count u16  L in a quantized file, 0 in an fp32 file; then
-                          that many qparams blocks
+                          that many range blocks
     crc32        u32  over everything between magic and this field
 
-A qparams block is scale f32, zero_point i32, bit_width u8, range_lo f32,
-range_hi f32 (17 bytes). A layer's blocks, one per output channel, hold
-its per-channel QuantParams; each activation site has one block. Every
-block's bit width equals the header's. Codes are packed at their true
-bit width. Files are written atomically (temp file + rename) and contain
-no timestamps, so identical nets produce identical bytes.
+A range block is range_lo f32, range_hi f32 (8 bytes). A layer's blocks,
+one per output channel, hold the ranges of its per-channel QuantParams;
+each activation site has one block. Scale, zero-point and bit width are
+not stored: the loader derives them from each range and the header's
+bit width through ``params_from_range``, the function that made them.
+Codes are packed at their true bit width. Files are written atomically
+(temp file + rename) and contain no timestamps, so identical nets
+produce identical bytes.
 
 The loader reads the file through one bounded cursor and checks each field
 against this layout at the byte it reads, so a ``FormatError`` names the
-field at fault and its file offset. A stack whose dimensions do not compose
-or that holds a zero-width linear is malformed like any other stack the
-saver cannot write.
+field at fault and its file offset (for a linear's ranges, the offset of
+its first block). A stack whose dimensions do not compose or that holds a
+zero-width linear is malformed like any other stack the saver cannot
+write. The loader reads version 2 only.
 """
 
 from __future__ import annotations
@@ -47,16 +50,16 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, FormatError, StateError
 from .graph import EmbeddingNet, Linear
-from .quantizer import SUPPORTED_BIT_WIDTHS, QuantParams, QuantizedTensor, dequantize, quantize
+from .quantizer import (SUPPORTED_BIT_WIDTHS, QuantParams, QuantizedTensor, dequantize,
+                        params_from_range, quantize)
 from .tensor_core import Tensor
 
 MODEL_MAGIC = b"QFMD"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 MODE_FP32 = 0
 MODE_QUANTIZED = 1
 FP32_BYTES_PER_PARAM = 4
-QPARAMS_DTYPE = np.dtype([("scale", "<f4"), ("zero_point", "<i4"), ("bit_width", "u1"),
-                          ("range_lo", "<f4"), ("range_hi", "<f4")])  # packed: 17 bytes
+RANGE_DTYPE = np.dtype([("range_lo", "<f4"), ("range_hi", "<f4")])  # 8 bytes
 
 
 # -- bit packing ---------------------------------------------------------------
@@ -90,36 +93,23 @@ def packed_code_bytes(count: int, bit_width: int) -> int:
     return (count * bit_width + 7) // 8
 
 
-# -- qparams blocks ------------------------------------------------------------
+# -- range blocks --------------------------------------------------------------
 
 
-def _pack_qparams(p: QuantParams) -> bytes:
+def _pack_range(p: QuantParams) -> bytes:
     """The blocks of one record: one per slice, or one for per-tensor params."""
-    z = np.atleast_1d(p.zero_point)
-    int32 = np.iinfo(np.int32)
-    wide = (z < int32.min) | (z > int32.max)
-    if wide.any():
-        raise DomainError(f"zero-point {z[wide][0]} does not fit the stored int32")
-    blocks = np.empty(z.shape, dtype=QPARAMS_DTYPE)
-    for name in QPARAMS_DTYPE.names:
-        blocks[name] = getattr(p, name)
+    blocks = np.empty(np.shape(p.range_lo), dtype=RANGE_DTYPE)
+    blocks["range_lo"] = p.range_lo
+    blocks["range_hi"] = p.range_hi
     return blocks.tobytes()
 
 
-def _params(fields, bit_width: int, offset: int) -> QuantParams:
-    """QuantParams from the fields of blocks read at file offset ``offset``:
-    per-channel from an array of blocks, per-tensor from a single block.
-    Every block's bit width must equal the header's."""
-    widths = np.atleast_1d(fields["bit_width"])
-    if np.any(widths != bit_width):
-        i = int(np.argmax(widths != bit_width))  # the first wrong block
-        raise FormatError(f"block bit width {widths[i]} in a {bit_width}-bit file",
-                          field="qparams",  # its width byte follows scale and zero-point
-                          offset=offset + i * QPARAMS_DTYPE.itemsize + 8)
+@contextlib.contextmanager
+def _qparams_at(offset: int):
+    """Report a record rebuilt from the range blocks at file offset
+    ``offset`` that the quantizer rejects as a malformed block there."""
     try:
-        return QuantParams(scale=fields["scale"], zero_point=fields["zero_point"],
-                           bit_width=bit_width, range_lo=fields["range_lo"],
-                           range_hi=fields["range_hi"])
+        yield
     except (DomainError, DimensionError) as exc:
         raise FormatError(f"invalid quantization parameters: {exc}",
                           field="qparams", offset=offset) from exc
@@ -133,19 +123,15 @@ def _finite(values: np.ndarray, field: str, offset: int) -> Tensor:
                           offset=offset) from exc
 
 
-def _grid_weight(codes: np.ndarray, wp: QuantParams, offset: int) -> Tensor:
-    """The dequantized weight of stored codes, checked to hold exactly those
-    codes: a model that loads re-saves to the same bytes."""
+def _grid_weight(codes: np.ndarray, wp: QuantParams) -> Tensor:
+    """The dequantized weight of codes, checked to hold exactly those codes
+    in float32: the saver writes no codes the loader would refuse, and a
+    model that loads re-saves to the same bytes."""
     q = QuantizedTensor(codes=codes, shape=codes.shape, params=wp)
-    try:
-        with np.errstate(over="ignore"):  # reported below as a FormatError
-            w = dequantize(q)
-    except DomainError as exc:
-        raise FormatError("weight parameters overflow the dequantized weights",
-                          field="qparams", offset=offset) from exc
+    with np.errstate(over="ignore"):  # dequantize raises DomainError instead
+        w = dequantize(q)
     if not np.array_equal(quantize(w, wp).codes, q.codes):
-        raise FormatError("weight parameters do not reproduce the stored codes",
-                          field="qparams", offset=offset)
+        raise DomainError("weight parameters do not reproduce their codes in float32")
     return w
 
 
@@ -199,15 +185,17 @@ def _encode(net: EmbeddingNet, quantized: bool) -> bytes:
         body += _LINEAR.pack(*layer.weight.shape, mode)
         if quantized:
             wp = net.weight_params(i)
-            body += _pack_qparams(wp)
-            body += pack_codes(quantize(layer.weight, wp).codes, net.quant_bits)
+            codes = quantize(layer.weight, wp).codes
+            _grid_weight(codes, wp)
+            body += _pack_range(wp)
+            body += pack_codes(codes, net.quant_bits)
         else:
             body += layer.weight.data.astype("<f4").tobytes()
         body += layer.bias.data.astype("<f4").tobytes()
     act = net.activation_params if quantized else []
     body += _ACTIVATION_COUNT.pack(len(act))
     for p in act:
-        body += _pack_qparams(p)
+        body += _pack_range(p)
     crc = zlib.crc32(bytes(body)) & 0xFFFFFFFF
     return MODEL_MAGIC + bytes(body) + struct.pack("<I", crc)
 
@@ -216,8 +204,9 @@ def load_model(path) -> EmbeddingNet:
     """Reconstruct a net from a model file.
 
     Quantized files come back with shadow weights set to the dequantized
-    grid values and the stored weight parameters pinned, so a quantized
-    forward reproduces the saved model's outputs bit-exactly.
+    grid values and the weight parameters rebuilt from the stored ranges
+    pinned, so a quantized forward reproduces the saved model's outputs
+    bit-exactly.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -241,7 +230,9 @@ def load_model(path) -> EmbeddingNet:
 
     version, mode, bit_width, layer_count = _HEADER.unpack_from(blob, take(_HEADER.size, "header"))
     if version != MODEL_VERSION:
-        raise FormatError(f"unsupported version {version}", field="version", offset=4)
+        raise FormatError(f"unsupported version {version}: this build reads version "
+                          f"{MODEL_VERSION}; regenerate the file by re-running the stage "
+                          "that wrote it", field="version", offset=4)
     if mode not in (MODE_FP32, MODE_QUANTIZED):
         raise FormatError(f"unknown mode {mode}", field="mode", offset=6)
     mode_name = ("fp32", "quantized")[mode]
@@ -278,13 +269,14 @@ def load_model(path) -> EmbeddingNet:
             w = _finite(np.frombuffer(blob, dtype="<f4", count=n, offset=at)
                         .reshape(out_dim, in_dim), "weights", at)
         else:
-            block_at = take(out_dim * QPARAMS_DTYPE.itemsize, "qparams")
-            wp = _params(np.frombuffer(blob, dtype=QPARAMS_DTYPE, count=out_dim, offset=block_at),
-                         bit_width, block_at)
+            block_at = take(out_dim * RANGE_DTYPE.itemsize, "qparams")
+            blocks = np.frombuffer(blob, dtype=RANGE_DTYPE, count=out_dim, offset=block_at)
             nbytes = packed_code_bytes(n, bit_width)
             at = take(nbytes, "codes")
             codes = unpack_codes(blob[at:at + nbytes], n, bit_width).reshape(out_dim, in_dim)
-            w = _grid_weight(codes, wp, block_at)
+            with _qparams_at(block_at):
+                wp = params_from_range(blocks["range_lo"], blocks["range_hi"], bit_width)
+                w = _grid_weight(codes, wp)
             weight_params.append(wp)
         at = take(4 * out_dim, "bias")
         b = _finite(np.frombuffer(blob, dtype="<f4", count=out_dim, offset=at), "bias", at)
@@ -296,10 +288,11 @@ def load_model(path) -> EmbeddingNet:
     if act_count != sites:
         raise FormatError(f"{act_count} activation parameter blocks for {sites} sites "
                           f"in a {mode_name} file", field="activations", offset=at)
-    at = take(act_count * QPARAMS_DTYPE.itemsize, "qparams")
-    blocks = np.frombuffer(blob, dtype=QPARAMS_DTYPE, count=act_count, offset=at)
-    act_params = [_params(block, bit_width, at + i * QPARAMS_DTYPE.itemsize)
-                  for i, block in enumerate(blocks)]
+    at = take(act_count * RANGE_DTYPE.itemsize, "qparams")
+    act_params = []
+    for i, block in enumerate(np.frombuffer(blob, dtype=RANGE_DTYPE, count=act_count, offset=at)):
+        with _qparams_at(at + i * RANGE_DTYPE.itemsize):
+            act_params.append(params_from_range(block["range_lo"], block["range_hi"], bit_width))
     if off != end:
         raise FormatError(f"{end - off} trailing bytes", field="trailer", offset=off)
 

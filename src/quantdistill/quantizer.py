@@ -136,6 +136,8 @@ def params_from_range(lo, hi, bit_width: int) -> QuantParams:
     if bit_width not in SUPPORTED_BIT_WIDTHS:
         raise DomainError(f"unsupported bit width {bit_width}")
     per_channel = np.ndim(lo) > 0
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):  # checked before any cast
+        raise DomainError("non-finite range endpoints")
     lo = np.atleast_1d(np.asarray(lo, dtype=np.float64))
     hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
     if lo.ndim != 1 or lo.shape != hi.shape:

@@ -10,6 +10,8 @@ import zlib
 
 import pytest
 
+from quantdistill.model_store import MODEL_VERSION
+
 try:
     from hypothesis import settings
 except ImportError:  # the property tests skip themselves without hypothesis
@@ -29,7 +31,7 @@ def layer_stack_file():
     can hold stacks that no net saves.
     """
     def encode(stack) -> bytes:
-        body = struct.pack("<HBBH", 1, 0, 0, len(stack))
+        body = struct.pack("<HBBH", MODEL_VERSION, 0, 0, len(stack))
         for layer in stack:
             if layer == "relu":
                 body += struct.pack("<B", 1)

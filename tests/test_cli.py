@@ -308,9 +308,10 @@ class TestReportedSizes:
     """Every reported size is the byte count of the file it names."""
 
     # A 5-6-3 net: its 6x5 and 3x6 weights at 6 bits are 22.5 and 13.5 code
-    # bytes, and each layer pads its codes to whole bytes; an fp32 file holds
-    # 48 weights and 9 biases, 4 bytes each, past its framing.
-    @pytest.mark.parametrize("bits, expected", [(6, 297), (8, 308), (None, 265)])
+    # bytes, and each layer pads its codes to whole bytes; a quantized file
+    # adds an 8-byte range block per channel and per site (11 in all). An
+    # fp32 file holds 48 weights and 9 biases, 4 bytes each, past its framing.
+    @pytest.mark.parametrize("bits, expected", [(6, 198), (8, 209), (None, 265)])
     def test_eval_size_is_the_file_bytes(self, tmp_path, bits, expected):
         path = tmp_path / "net.qfmd"
         save_model(_small_net(bits, dims=(5, (6,), 3)), path,
@@ -423,14 +424,15 @@ class TestExitCodes:
     def test_fp32_file_with_activation_blocks(self, cfg_path, tmp_path):
         path = tmp_path / "teacher.qfmd"
         save_model(_small_net(), path, mode="fp32")
-        block = struct.pack("<fiBff", 1.0 / 255.0, 0, 8, -0.5, 0.5)
+        block = struct.pack("<ff", -0.5, 0.5)
         # the body ends in an activation count of 0: claim one block and add it
         _rewrite_body(path, lambda body: body[:-2] + struct.pack("<H", 1) + block)
         assert main(["eval", "--config", cfg_path, str(path)]) == EXIT_FORMAT
 
     def test_zero_point_overflow_on_save(self, tmp_path):
         # A weight row spanning one float32 ulp at 10.0 derives a zero-point
-        # near 2.7e9, which no stored int32 block can hold.
+        # near 2.7e9, where the float32 weights s * (c + z) no longer hold
+        # their codes: the loader would refuse the file, so it is not written.
         net = _small_net()
         w = net.layers[0].weight.data.copy()
         w[0] = np.where(np.arange(w.shape[1]) % 2, np.nextafter(np.float32(10.0), np.inf),
@@ -484,19 +486,34 @@ class TestExitCodes:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_weight_scale_overflowing_float32(self, cfg_path, tmp_path):
-        # A huge stored weight scale makes the dequantized weights overflow
-        # float32: a malformed file, not a domain error.
+        # The widest float32 range gives a weight scale so large that the
+        # lowest code dequantizes past float32: a malformed file, not a
+        # domain error.
         path = tmp_path / "student.qfmd"
         save_model(_small_net(bits=8), path, mode="quantized")
 
-        def huge_scale(body):
+        def widest_range(body):
             # header (6 bytes), layer kind (1), out/in dims and payload (9),
-            # then the first weight block starts with its f32 scale
-            struct.pack_into("<f", body, 16, 3e38)
+            # then the first weight block: range_lo and range_hi, f32 each
+            top = float(np.finfo(np.float32).max)
+            struct.pack_into("<ff", body, 16, -top, top)
             return body
 
-        _rewrite_body(path, huge_scale)
+        _rewrite_body(path, widest_range)
         assert main(["eval", "--config", cfg_path, str(path)]) == EXIT_FORMAT
+
+    def test_version_1_file_writes_no_report(self, cfg_path, tmp_path, capsys):
+        path = tmp_path / "student.qfmd"
+        save_model(_small_net(bits=8), path, mode="quantized")
+
+        def set_version(body):
+            struct.pack_into("<H", body, 0, 1)
+            return body
+
+        _rewrite_body(path, set_version)
+        assert main(["eval", "--config", cfg_path, str(path)]) == EXIT_FORMAT
+        assert "unsupported version 1: this build reads version 2" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "eval_report.json").exists()
 
     @pytest.mark.parametrize("stack", [
         ["relu"],

@@ -31,22 +31,22 @@ TINY_CONFIG = (
     "batch_size = 32\niterations = 60\nbits = 6\ncalibration_batches = 4\n"
     "n_pairs = 100\nfar_targets = 0.05\nout_dir = {out_dir}\n")
 
-TEACHER_SHA256 = "5bdbceb665c215e928271a851655a53061b8bd0313536967aa9788a1a4cd8ae6"
+TEACHER_SHA256 = "03af6b08888d084976907b59ac82b67dc76b6793dff6037ed22f0ee397c39193"
 
 GOLDEN_SHA256 = {
     "teacher.qfmd": TEACHER_SHA256,
-    "student_w6a6.qfmd": "d5cd5ed7d262d4d36a02a98acfa0bebc10a1291511263a0d2355504411a6a157",
+    "student_w6a6.qfmd": "1005727ea9642a41fcf0531e97b46800bcf7ad79c173aaec03670efbb4225ca1",
     "loss_w6a6.csv": "391b7fa08fa9d8351b432c0f205d3cab06234de2287cab1dc3120260a66390f6",
-    "eval_report.json": "809f418ad1c7c36300632cb3cea58b5fbfa3fe8b1110f093ad2d0e0062568e48",
+    "eval_report.json": "398cb2019563bbd571e01a57d9eb1b001220aef970c159c03427f5fc0528187a",
 }
 
 # The same config distilled with --bits 8,4 and evaluated as teacher+w8+w4.
 GOLDEN_W8_W4_SHA256 = {
-    "student_w8a8.qfmd": "addf397252d002fef0db636b76ddb71698070a46c981dc3c97bb83e958634475",
+    "student_w8a8.qfmd": "4cce494c9cd7f691c0471310b8cf64a45fc1515063df07d174ffb0b3ca5a21b5",
     "loss_w8a8.csv": "b05f55ae899b014f17e26119ee20744c6f57700e915dd35a5f69c6f21aafa3f2",
-    "student_w4a4.qfmd": "8c00b44e84631350666451e84823efb5a743ee86a48d4a98338eafcfae482a72",
+    "student_w4a4.qfmd": "12626a21399fd0b6ff8de3752d9d3af5793598478eaa8ecd2e194fcde2904fdf",
     "loss_w4a4.csv": "f1a1dc8b24e95ac2c9f48be542103fad8add2d91df177b78852a6e5e9fcf7ccc",
-    "eval_report.json": "49175247a7c9c9f51f9d26e714d60b2f04fabb10417f83c420a4a747e59c9fcb",
+    "eval_report.json": "2d1fffec847427b8b47aa8a7eacdbe34d49a93515a038bb867ff496ffb259881",
 }
 
 # The JSON and CSV reports of the same runs: the teacher's metrics, each
@@ -54,12 +54,12 @@ GOLDEN_W8_W4_SHA256 = {
 TEACHER_METRICS_SHA256 = "3e6c10adb0920247a5b1f10a6b3077dc096964c0ee560b3d1a9efe2a013e9217"
 
 GOLDEN_REPORTS_SHA256 = {
-    "sizes.json": "d11ed84338d93aa9da1b421eadaa3148c9647a38465e86405bdbab3a98aa0373",
+    "sizes.json": "10efdf3ad567fe922bfadf1bf803fdc49a913c185c665ac8d1f7525e41d45ba5",
     "distill_summary.json": "51c2700b140699cd95f112b55578151780748a0e6a79e3fe46cc9fa3b1d94901",
 }
 
 GOLDEN_W8_W4_REPORTS_SHA256 = {
-    "sizes.json": "e99dfafcce48a46ae6ed02febe49ad1692bc53eafdc240b66b4bae05027ebdf3",
+    "sizes.json": "add5d9bef6a3aca10ac86c72d0e1dda1f54a95f615f2093e1f31b1f9d1005a6e",
     "distill_summary.json": "a84d540c53ab99e5384f4974b52ede289c4c35cf6f5457a4eafb2d8c54defe40",
     "range_student_w8a8_vs_student_w4a4.csv":
         "158427747124d9c0427fdf87cf53b0e98463611dccbe5d9f99c2c7e12a8d9d09",

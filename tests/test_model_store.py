@@ -151,74 +151,64 @@ class TestCorruption:
             load_model(path)
         assert exc.value.field == "checksum"
 
-    def test_version_bump_rejected(self, tmp_path):
-        import struct
-        import zlib
-
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_version_bump_rejected(self, tmp_path, version):
         path = self._saved(tmp_path)
         blob = bytearray(path.read_bytes())
-        struct.pack_into("<H", blob, 4, 99)
-        body = bytes(blob[4:-4])
-        struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(body) & 0xFFFFFFFF)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError) as exc:
+        struct.pack_into("<H", blob, 4, version)
+        path.write_bytes(_with_crc(blob))
+        with pytest.raises(FormatError, match="this build reads version 2; regenerate") as exc:
             load_model(path)
-        assert exc.value.field == "version"
+        assert (exc.value.field, exc.value.offset) == ("version", 4)
 
     def test_header_width_disagreeing_with_blocks(self, tmp_path):
-        import struct
-        import zlib
-
+        # Read at 6 bits, the first linear's 8-bit codes end early, and the
+        # byte read as the relu after its bias lies inside that bias.
         path = self._saved(tmp_path)  # an 8-bit file
         blob = bytearray(path.read_bytes())
         blob[7] = 6
-        struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(bytes(blob[4:-4])) & 0xFFFFFFFF)
-        path.write_bytes(bytes(blob))
+        path.write_bytes(_with_crc(blob))
         with pytest.raises(FormatError) as exc:
             load_model(path)
-        assert exc.value.field == "qparams"
-
-    def test_block_width_disagreeing_with_header_reported_at_its_byte(self, tmp_path):
-        # The first linear's blocks start at 20; a block's bit width byte
-        # follows its scale and zero-point.
-        path = self._saved(tmp_path)  # an 8-bit file
-        blob = bytearray(path.read_bytes())
-        width_at = 20 + 17 + 8  # the second block's
-        assert blob[width_at] == 8
-        blob[width_at] = 6
-        path.write_bytes(_with_crc(blob))
-        with pytest.raises(FormatError, match="block bit width 6 in a 8-bit file") as exc:
-            load_model(path)
-        assert (exc.value.field, exc.value.offset) == ("qparams", width_at)
+        assert exc.value.field == "layers"
 
     def test_zero_point_that_moves_the_codes(self, tmp_path):
-        import struct
-        import zlib
-
-        # With a zero-point of 2**30 the float32 weight s * (c + z) no longer
-        # holds its code c, so the file could not re-save to the same bytes.
+        # The first linear's blocks start at 20. A range of one unit at 1e6
+        # derives a zero-point near 2.55e8, where the float32 weight
+        # s * (c + z) no longer holds its code c: the file could not re-save
+        # to the same bytes.
         path = self._saved(tmp_path)
         blob = bytearray(path.read_bytes())
-        struct.pack_into("<i", blob, 24, 1 << 30)  # first weight block's zero-point
-        struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(bytes(blob[4:-4])) & 0xFFFFFFFF)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError) as exc:
+        struct.pack_into("<ff", blob, 20, 1e6, 1e6 + 1)
+        path.write_bytes(_with_crc(blob))
+        with pytest.raises(FormatError, match="do not reproduce their codes") as exc:
             load_model(path)
-        assert exc.value.field == "qparams"
+        assert (exc.value.field, exc.value.offset) == ("qparams", 20)
+
+    # A linear's record is reported where its blocks start, at 20 for the
+    # first; a site's at its own block. Counted back from the end, the two
+    # 8-byte site blocks precede the CRC (4 bytes).
+    @pytest.mark.parametrize("at", [20, -20, -12], ids=["weights", "site-0", "site-1"])
+    def test_inverted_range_reported_at_its_block(self, tmp_path, at):
+        path = self._saved(tmp_path)
+        blob = bytearray(path.read_bytes())
+        offset = at % len(blob)
+        lo, hi = struct.unpack_from("<ff", blob, offset)
+        struct.pack_into("<ff", blob, offset, hi + 1, lo)
+        path.write_bytes(_with_crc(blob))
+        with pytest.raises(FormatError, match="invalid range") as exc:
+            load_model(path)
+        assert (exc.value.field, exc.value.offset) == ("qparams", offset)
 
     # Counted back from the end of the file: the CRC (4 bytes) follows the
     # last activation block, which ends in its range_hi; the activation
-    # count and two blocks (36 bytes) follow the last bias value.
-    @pytest.mark.parametrize("field, from_end", [("qparams", 8), ("bias", 44)])
+    # count and two blocks (18 bytes) follow the last bias value.
+    @pytest.mark.parametrize("field, from_end", [("qparams", 8), ("bias", 26)])
     def test_non_finite_stored_values(self, tmp_path, field, from_end):
-        import struct
-        import zlib
-
         path = self._saved(tmp_path)
         blob = bytearray(path.read_bytes())
         struct.pack_into("<f", blob, len(blob) - from_end, float("nan"))
-        struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(bytes(blob[4:-4])) & 0xFFFFFFFF)
-        path.write_bytes(bytes(blob))
+        path.write_bytes(_with_crc(blob))
         with pytest.raises(FormatError) as exc:
             load_model(path)
         assert exc.value.field == field
@@ -241,7 +231,7 @@ class TestCorruption:
     def test_relu_read_as_linear_reported_at_its_byte(self, tmp_path, mode):
         net = _calibrated_net()
         out_dim, in_dim = net.layers[0].weight.shape
-        weights = (out_dim * 17 + packed_code_bytes(out_dim * in_dim, 8) if mode == "quantized"
+        weights = (out_dim * 8 + packed_code_bytes(out_dim * in_dim, 8) if mode == "quantized"
                    else 4 * out_dim * in_dim)
         relu_at = 20 + weights + 4 * out_dim
         path = tmp_path / "net.qfmd"

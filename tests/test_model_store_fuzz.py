@@ -7,7 +7,8 @@ mutation is wrong. Loading must then either fail with ``FormatError``
 field the loader accepts is carried through unchanged.
 
 A file's layer stack alternates linear, relu, ..., linear. Every such net
-saves and reloads to the same bytes, and every other stack is rejected.
+saves and reloads to the same bytes, at every bit width with the same
+quantization parameters, and every other stack is rejected.
 """
 
 import struct
@@ -67,22 +68,26 @@ def stacks_dir(tmp_path_factory):
 
 @settings(max_examples=100)
 @given(widths=st.lists(st.integers(1, 9), min_size=2, max_size=5),
-       seed=st.integers(0, 2**16))
-def test_alternating_net_reloads_to_the_same_bytes(stacks_dir, widths, seed):
+       bits=st.sampled_from([4, 6, 8]), seed=st.integers(0, 2**16))
+def test_alternating_net_reloads_to_the_same_bytes(stacks_dir, widths, bits, seed):
     net = build_embedding_net(widths[0], widths[1:-1], widths[-1], seed=seed)
     first, again = stacks_dir / "net.qfmd", stacks_dir / "again.qfmd"
     for mode in ("fp32", "quantized"):
         if mode == "quantized":
-            net.set_quantization(8)
+            net.set_quantization(bits)
             observers = [RangeObserver() for _ in range(net.activation_site_count)]
             x = np.random.default_rng(seed).standard_normal((8, widths[0]))
             observe_activations(net, Tensor(x.astype(np.float32)), observers)
-            net.activation_params = [o.freeze(8) for o in observers]
+            net.activation_params = [o.freeze(bits) for o in observers]
         save_model(net, first, mode=mode)
         blob = first.read_bytes()
         assert struct.unpack_from("<H", blob, 8)[0] == 2 * len(net.layers) - 1
-        save_model(load_model(first), again, mode=mode)
+        back = load_model(first)
+        save_model(back, again, mode=mode)
         assert again.read_bytes() == blob
+    # The records rebuilt from the stored ranges are the saved net's own.
+    assert back.frozen_weight_params == [net.weight_params(i) for i in range(len(net.layers))]
+    assert back.activation_params == net.activation_params
 
 
 @given(kinds=st.lists(st.sampled_from(["linear", "relu"]), max_size=7),
