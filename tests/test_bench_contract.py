@@ -153,11 +153,18 @@ def test_verify_request_runs_one_stacked_forward_without_ste_masks():
 
 
 def test_row_split_verify_request_is_seen_from_the_calling_thread(monkeypatch):
-    # A request over at least 2*BLOCK_ROWS rows splits each long product into
+    # A request over at least 2*RANGE_ROWS rows splits each long product into
     # row ranges computed on threads of their own. Those threads run only
-    # numpy, so the clock still records one entry/exit pair per linear and
-    # the tracer records every span from the thread that made the request.
+    # the compiled kernel, so the clock still records one entry/exit pair per
+    # linear and the tracer records every span from the thread that made the
+    # request. Threads are counted from the request only: building the pairs
+    # may split its own products.
     monkeypatch.setattr(tensor_core, "WORKERS", 2)
+    tracer_mod = _load_tracer()
+    space, teacher, cfg = _tiny_step_inputs()
+    student = distiller.prepare_student(teacher, cfg.bit_width)
+    distiller.calibrate(student, synth.batch_stream(space, 16, 2), 2)
+    pairs = bench_eval.build_pairs(space, tensor_core.RANGE_ROWS, 4)
     started = []
     start = threading.Thread.start
 
@@ -166,11 +173,6 @@ def test_row_split_verify_request_is_seen_from_the_calling_thread(monkeypatch):
         start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", record)
-    tracer_mod = _load_tracer()
-    space, teacher, cfg = _tiny_step_inputs()
-    student = distiller.prepare_student(teacher, cfg.bit_width)
-    distiller.calibrate(student, synth.batch_stream(space, 16, 2), 2)
-    pairs = bench_eval.build_pairs(space, 2 * (tensor_core.BLOCK_ROWS // 2 + 1), 4)
 
     clock = tracer_mod.MatmulClock(quantdistill)
     clock.install()

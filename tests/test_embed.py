@@ -6,7 +6,7 @@ import pytest
 from quantdistill.errors import DimensionError, DomainError
 from quantdistill.graph import build_embedding_net, embed, forward_embed, observe_activations
 from quantdistill.quantizer import RangeObserver
-from quantdistill.tensor_core import BLOCK_ROWS, Tensor
+from quantdistill.tensor_core import RANGE_ROWS, Tensor
 
 IN_DIM, HIDDEN, EMBED_DIM = 12, (16, 16), 8
 
@@ -31,7 +31,7 @@ def _net(bits):
 
 
 @pytest.mark.parametrize("bits", [None, 8, 6, 4])
-@pytest.mark.parametrize("rows", [1, 2, 2 * BLOCK_ROWS + 5])
+@pytest.mark.parametrize("rows", [1, 2, 2 * RANGE_ROWS + 5])
 def test_embed_equals_forward_embed(bits, rows):
     net = _net(bits)
     x = Tensor(np.random.default_rng(rows).standard_normal((rows, IN_DIM)).astype(np.float32))

@@ -2,8 +2,8 @@
 
 Bits are compared, not values, because -0.0 == +0.0: a row whose products
 are all -0.0 (relu zeros times negative weights) must still sum to +0.0.
-Shapes are drawn on both sides of the kernel's method boundaries (small
-chunked products, single-element outputs, row-blocked long products).
+Shapes run from single-element outputs and dot products through the
+batch-64 training shapes to long inputs split into row ranges.
 """
 
 import os
@@ -91,34 +91,12 @@ def test_signed_operands_match_k_ordered_loop_through_overflow(shape, seed, spre
     assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
-# (m, k, n) of every product in a batch-64 training step of the reference
-# net (64 -> 64 -> 64 -> 32, 200 identities): forward and backward of the
-# linears, the batch draw's latent projection, and the classifier head.
-TRAINING_SHAPES = [(64, 64, 64), (64, 64, 32), (32, 64, 64), (64, 32, 64), (64, 16, 64),
-                   (64, 32, 200), (64, 200, 32), (200, 64, 32)]
-
-
-@pytest.mark.parametrize("m, k, n", TRAINING_SHAPES)
-def test_training_shapes_take_the_chunked_method(monkeypatch, m, k, n):
-    def not_chunked(ad, bd):
-        raise AssertionError(f"({m}, {k}, {n}) took the row-block method")
-
-    monkeypatch.setattr(tensor_core, "_sum_transposed", not_chunked)
-    rng = np.random.default_rng(m * k + n)
-    a = _operand(rng, (m, k), 20, 0.3, False)
-    a[rng.uniform(size=(m, k)) < 0.1] = -0.0
-    b = _operand(rng, (k, n), 20, 0.1, False)
-    got = matmul(Tensor(a), Tensor(b)).data
-    want = _k_ordered_loop(a, b)
-    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
-
-
 def test_all_negative_zero_products_sum_to_positive_zero():
     # Every product is -0.0: relu zeros times negative weights, a negative
-    # gradient times +0.0, or -0.0 times a positive value. m = 1 and 64 take
-    # the chunked method, 2 * BLOCK_ROWS the row-block method.
+    # gradient times +0.0, or -0.0 times a positive value. m = 1 and 64 run
+    # on the calling thread, 2 * RANGE_ROWS in row ranges.
     for a_value, b_value in ((0.0, -0.5), (-0.5, 0.0), (-0.0, 0.5)):
-        for m in (1, 64, 2 * tensor_core.BLOCK_ROWS):
+        for m in (1, 64, 2 * tensor_core.RANGE_ROWS):
             a = np.full((m, 64), a_value, dtype=np.float32)
             b = np.full((64, 64), b_value, dtype=np.float32)
             got = matmul(Tensor(a), Tensor(b)).data
@@ -126,20 +104,19 @@ def test_all_negative_zero_products_sum_to_positive_zero():
             assert not np.signbit(got).any()
 
 
-B = tensor_core.BLOCK_ROWS
+B = tensor_core.RANGE_ROWS
 SPLIT_ROWS = [0, 1, B // 2, B // 2 + 1, B - 1, B, 2 * B - 1, 2 * B, 3 * B + 7]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("m", SPLIT_ROWS)
 def test_row_split_bits_match_k_ordered_loop(monkeypatch, m, workers):
-    # Long products over every row count around the block and range
-    # boundaries (short blocks padded, ranges split across workers) give the
-    # oracle's bits for any worker count, with relu zeros and all-negative
-    # weights so that whole rows of -0.0 products must still sum to +0.0.
+    # Long products over every row count around the range boundaries (one
+    # range, or ranges split across workers) give the oracle's bits for any
+    # worker count, with relu zeros and all-negative weights so that whole
+    # rows of -0.0 products must still sum to +0.0.
     monkeypatch.setattr(tensor_core, "WORKERS", workers)
     k, n = 64, 8 if m > 1 else 1
-    assert not (2 <= m * n and k * m * n <= tensor_core.SMALL_PRODUCT)  # the row-block method
     rng = np.random.default_rng(m * 10 + workers)
     a = np.maximum(_operand(rng, (m, k), 20, 0.5, False), np.float32(0.0))
     a[rng.uniform(size=m) < 0.3] = 0.0
@@ -152,14 +129,14 @@ def test_row_split_bits_match_k_ordered_loop(monkeypatch, m, workers):
 
 def test_error_in_a_later_row_range_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(tensor_core, "WORKERS", 3)
-    sum_rows = tensor_core._sum_rows
+    product_rows = tensor_core._product_rows
 
-    def failing(ad, bd, out, start, stop, work):
+    def failing(ad, bd, out, start, stop):
         if start > 0:
             raise MemoryError(f"rows {start}:{stop}")
-        return sum_rows(ad, bd, out, start, stop, work)
+        return product_rows(ad, bd, out, start, stop)
 
-    monkeypatch.setattr(tensor_core, "_sum_rows", failing)
+    monkeypatch.setattr(tensor_core, "_product_rows", failing)
     a = Tensor(np.ones((3 * B, 24), dtype=np.float32))
     b = Tensor(np.ones((24, 4), dtype=np.float32))
     with pytest.raises(MemoryError, match=f"rows {B}:"):

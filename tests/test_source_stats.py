@@ -1,11 +1,15 @@
-"""scripts/source_stats.py: what counts as a settable option."""
+"""scripts/source_stats.py: what counts as a settable option, and which
+lines are counted."""
 
 import ast
 import importlib.util
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
 _SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "source_stats.py"
+_PACKAGE = _SCRIPT.parent.parent / "src" / "quantdistill"
 
 
 def _option_count(source: str) -> int:
@@ -57,3 +61,14 @@ def test_fields_count_on_config_classes_only():
         class _PrivateConfig:
             seed: int
         """) == 2
+
+
+def test_python_and_c_lines_are_printed_apart():
+    out = subprocess.run([sys.executable, str(_SCRIPT)], capture_output=True, text=True,
+                         check=True).stdout
+    stats = dict(line.split(": ") for line in out.splitlines())
+    assert list(stats) == ["source lines", "C source lines", "settable options"]
+    wc = {suffix: sum(p.read_bytes().count(b"\n") for p in _PACKAGE.glob(f"*.{suffix}"))
+          for suffix in ("py", "c")}
+    assert int(stats["source lines"]) == wc["py"]
+    assert int(stats["C source lines"]) == wc["c"] > 0
