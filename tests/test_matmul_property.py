@@ -8,6 +8,7 @@ batch-64 training shapes to long inputs split into row ranges.
 
 import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -88,6 +89,37 @@ def test_signed_operands_match_k_ordered_loop_through_overflow(shape, seed, spre
         got = matmul(Tensor(a), Tensor(b)).data
         want = _k_ordered_loop(a, b)
     assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+# (m, k, n) of every product in a batch-64 training step of the reference
+# net (64 -> 64 -> 64 -> 32, 200 identities): forward and backward of the
+# linears, the batch draw's latent projection, and the classifier head.
+TRAINING_SHAPES = [(64, 64, 64), (64, 64, 32), (32, 64, 64), (64, 32, 64), (64, 16, 64),
+                   (64, 32, 200), (64, 200, 32), (200, 64, 32)]
+
+
+@pytest.mark.parametrize("m, k, n", TRAINING_SHAPES)
+def test_training_shapes_run_as_one_range_on_the_calling_thread(monkeypatch, m, k, n):
+    # However many CPUs the process may use, a training product is one
+    # kernel call over all its rows, made by the caller, and gives the
+    # oracle's bits with -0.0 operands.
+    monkeypatch.setattr(tensor_core, "WORKERS", 8)
+    product_rows = tensor_core._product_rows
+    calls = []
+
+    def record(ad, bd, out, start, stop):
+        calls.append((start, stop, threading.get_ident()))
+        return product_rows(ad, bd, out, start, stop)
+
+    monkeypatch.setattr(tensor_core, "_product_rows", record)
+    rng = np.random.default_rng(m * k + n)
+    a = _operand(rng, (m, k), 20, 0.3, False)
+    a[rng.uniform(size=(m, k)) < 0.1] = -0.0
+    b = _operand(rng, (k, n), 20, 0.1, False)
+    got = matmul(Tensor(a), Tensor(b)).data
+    assert calls == [(0, m, threading.get_ident())]
+    want = _k_ordered_loop(a, b)
     assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
