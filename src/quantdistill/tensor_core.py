@@ -9,13 +9,18 @@ Matrix products never go through BLAS, whose summation order and use of
 fused multiply-add vary by build. ``matmul`` fixes the order instead: each
 output element starts at +0.0 and adds its float32 products one at a time
 in inner-index order, with every multiply and every add rounded to float32
-on its own. One C loop, ``_matmul.c`` beside this module, does that for
+on its own. One C kernel, ``_matmul.c`` beside this module, does that for
 every shape. It is compiled on the first import of each source and
 platform, with ``cc`` (a C compiler is a requirement) and no flag that
 could fuse, reorder or flush an operation, cached under ``__pycache__``
-and loaded through ``ctypes``. Every output row is computed on its own,
-so a long product is split into row ranges run in parallel, one per CPU
-the process may use; the bits do not depend on the split.
+and loaded through ``ctypes``. The object holds a register-blocked
+variant of the kernel per vector width (16-byte vectors everywhere, and
+AVX2 and AVX-512F where GCC compiles for x86); the widest one this CPU
+runs is picked once, at load, so the object is built without ``-march``
+and serves every x86-64 host. Every variant gives the same bits. Every
+output row is computed on its own, so a long product is split into row
+ranges run in parallel, one per CPU the process may use; the bits do not
+depend on the split.
 """
 
 from __future__ import annotations
@@ -31,12 +36,21 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 
-# Fewest rows per range of a product split across threads. At 64-wide
-# layers a second range of fewer rows saves less than its thread's start
-# costs (measured on 2 vCPUs: 2000 x 64 x 64 took 1.19 ms in one range and
-# 0.94 ms in two, 1024 rows broke even). Every batch-64 training product
-# (at most 200 rows) stays on the calling thread.
-RANGE_ROWS = 1000
+# Fewest rows per range of a product split across threads, so a product
+# is split from 3000 rows. A second range must save more than its thread's
+# start costs (about 0.1 ms). Medians of 200 interleaved calls on 2 vCPUs,
+# k = 64, one range -> two ranges, in us:
+#                      2000 rows    2500 rows    3000 rows    4000 rows
+#   AVX-512, n = 64   339 -> 394   381 -> 488   502 -> 504   657 -> 588
+#   AVX-512, n = 32   195 -> 322   237 -> 346   278 -> 371   336 -> 421
+#   AVX2,    n = 64   384 -> 488   622 -> 586   740 -> 666   999 -> 811
+#   AVX2,    n = 32   274 -> 389   331 -> 421   399 -> 466   495 -> 515
+#   base,    n = 64  1186 -> 970  1486 -> 1149 1745 -> 1317 2348 -> 1754
+# 3000 rows is where the 64-wide products of the wide variants break even;
+# their 32-wide products still lose at 4000 rows, which a row count cannot
+# tell apart. Every batch-64 training product (at most 200 rows) stays on
+# the calling thread.
+RANGE_ROWS = 1500
 # Row ranges a long product is split into, at most: the CPUs in the
 # process's affinity mask. The bits do not depend on it.
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -47,9 +61,10 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 ROW_BLOCK = 1024
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_matmul.c")
-# No -ffast-math, -Ofast or -march: the object stays portable, and nothing
-# may fuse a multiply into an add (-ffp-contract=off; GCC fuses by default
-# where the target has FMA) or flush a subnormal to zero.
+# No -ffast-math, -Ofast or -march: the object stays portable (its AVX2 and
+# AVX-512F variants are compiled by target pragmas and picked at run time),
+# and nothing may fuse a multiply into an add (-ffp-contract=off; GCC fuses
+# by default where the target has FMA) or flush a subnormal to zero.
 _COMPILE = ("cc", "-O3", "-shared", "-fPIC", "-ffp-contract=off")
 
 
@@ -89,10 +104,10 @@ def _build(cache: str, name: str) -> tuple[str, bool]:
     return path, private
 
 
-def _load_kernel():
-    """``qd_matmul_rows`` from the object built for this source, compile
-    command and platform, building it on a cache miss. A hit starts no
-    process. A private object is unlinked once loaded."""
+def _load_library() -> ctypes.CDLL:
+    """The object built for this source, compile command and platform,
+    building it on a cache miss. A hit starts no process. A private object
+    is unlinked once loaded."""
     with open(_SOURCE, "rb") as fh:
         source = fh.read()
     key = hashlib.sha256(b"\0".join(
@@ -103,16 +118,25 @@ def _load_kernel():
     private = False
     if not os.path.exists(path):
         path, private = _build(os.path.dirname(path), name)
-    kernel = ctypes.CDLL(path).qd_matmul_rows
+    library = ctypes.CDLL(path)
     if private:
         os.unlink(path)
         os.rmdir(os.path.dirname(path))
+    library.qd_matmul_variant.restype = ctypes.c_char_p
+    return library
+
+
+def _variant(library: ctypes.CDLL, name: str):
+    """The kernel variant ``qd_matmul_rows_<name>`` of ``library``."""
+    kernel = getattr(library, f"qd_matmul_rows_{name}")
     kernel.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_ssize_t] * 3
     kernel.restype = None
     return kernel
 
 
-_KERNEL = _load_kernel()
+_LIBRARY = _load_library()
+# The widest variant this CPU runs, as the object reports it.
+_KERNEL = _variant(_LIBRARY, _LIBRARY.qd_matmul_variant().decode())
 
 
 class Tensor:
@@ -177,10 +201,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     multiply-add. The compiled kernel computes every shape. It warns of no
     overflowing product or sum; the finite checks at each layer's output
     are the guard. The rows are split into up to ``WORKERS`` contiguous
-    ranges of at least ``RANGE_ROWS`` rows each; the first runs in the
-    caller, each other one on a thread started for the call (the kernel
-    releases the GIL). The first error of the lowest range is raised once
-    every thread has finished.
+    ranges of at least ``RANGE_ROWS`` rows each. A single range is one
+    kernel call on the calling thread. Otherwise the first range runs in
+    the caller, each other one on a thread started for the call (the
+    kernel releases the GIL), and the first error of the lowest range is
+    raised once every thread has finished.
     """
     if a.rank != 2 or b.rank != 2:
         raise DimensionError(f"matmul requires rank-2 operands, got {a.shape} x {b.shape}")
@@ -190,7 +215,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"inner dimensions disagree: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
     out = np.empty((m, n), dtype=np.float32)
-    parts = max(1, min(WORKERS, m // RANGE_ROWS))
+    parts = min(WORKERS, m // RANGE_ROWS)
+    if parts <= 1:
+        _product_rows(ad, bd, out, 0, m)
+        return Tensor._wrap(out)
     bounds = [m * p // parts for p in range(parts + 1)]
     errors: list[Exception | None] = [None] * parts
 

@@ -275,8 +275,9 @@ class TestCurveHelpers:
 
 class TestTrainingStartsNoThread:
     """Every product of a training step at the reference shapes (batch 64,
-    64-wide layers, 200 identities) takes the small chunked method, so no
-    step starts a thread, however many CPUs the process may use."""
+    64-wide layers, 200 identities) has fewer than ``RANGE_ROWS`` rows, so it
+    is one kernel call on the calling thread and no step starts a thread,
+    however many CPUs the process may use."""
 
     @pytest.fixture
     def started(self, monkeypatch):

@@ -88,8 +88,9 @@ def test_a_changed_source_is_rebuilt_not_loaded_from_the_old_object(tmp_path):
     old = _objects(src)
     kernel = src / "quantdistill" / "_matmul.c"
     body = kernel.read_text()
-    assert body.count("o[j0 + j] = sum[j];") == 1
-    kernel.write_text(body.replace("o[j0 + j] = sum[j];", "o[j0 + j] = sum[j] + 1.0f;"))
+    line = "sum[r][c] += a[r * k + i] * bi[c];"
+    assert body.count(line) == 1
+    kernel.write_text(body.replace(line, "sum[r][c] += a[r * k + i] * bi[c] + 1.0f;"))
     assert _finish(_start(src, env)) == ["differs", "started a process"]
     assert len(_objects(src)) == 2 and set(old) < set(_objects(src))
 

@@ -35,9 +35,9 @@ def _dims(m, k, n):
 SHAPES = st.one_of(
     _dims((1, 2), (64, 300), (1, 2)),        # dot products: numpy would sum a 1x1 pairwise
     _dims((1, 9), (1, 40), (1, 9)),          # includes k=1, m=1 and n=1
-    _dims((1, 80), (1, 130), (1, 80)),       # the batch-64 training shapes and more chunks
-    _dims((200, 300), (1, 9), (200, 300)),   # outputs too wide for one chunk slot
-    _dims((5000, 9000), (1, 24), (1, 4)),    # long inputs: one to three row blocks
+    _dims((1, 80), (1, 130), (1, 80)),       # the batch-64 training shapes and their tile edges
+    _dims((200, 300), (1, 9), (200, 300)),   # wide outputs: many column tiles and a tail
+    _dims((5000, 9000), (1, 24), (1, 4)),    # long inputs, split into row ranges
 )
 
 

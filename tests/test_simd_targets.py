@@ -3,9 +3,14 @@
 Golden digests hold per numpy SIMD target (README), because ``exp``,
 ``log`` and ``tanh`` round differently from one target to another. The
 matmul and fake-quant bits are promised on every target. This runs
-their property tests, the row-block cases included, in a fresh
+their property tests, the row-range cases included, in a fresh
 interpreter under ``NPY_DISABLE_CPU_FEATURES``, which leaves numpy on
 its X86_V2 baseline.
+
+numpy's SIMD switches do not reach the compiled matmul kernel, which
+picks its own variant from the CPU; here they change only the oracle's
+numpy arithmetic and fake-quant. Each kernel variant the CPU runs is
+checked against the oracle by ``tests/test_kernel_variants.py``.
 """
 
 import os
