@@ -1,4 +1,5 @@
-/* The exact-order float32 matrix product behind tensor_core.matmul.
+/* The exact-order float32 matrix product behind tensor_core.matmul, built
+ * as a CPython extension module.
  *
  * out[r, j] starts at +0.0f and adds the float32 products a[r, i] * b[i, j]
  * one at a time, in increasing i. Every output row is computed on its own,
@@ -27,7 +28,16 @@
  * AVX-512F add and multiply in float32 exactly as SSE2 does, and no
  * multiply is fused into an add. So every variant gives the same bits;
  * only where NaN operands meet may a NaN result carry another payload.
+ *
+ * Python reaches the kernel through the module's one function,
+ * rows(a, b, out, start, stop), which takes its operands through the
+ * buffer protocol, checks that every one is a C-contiguous 2-D float32
+ * matrix (out writable) large enough for the row range, and runs the
+ * variant picked when the module was initialised without the GIL. The
+ * module's variant attribute names that variant.
  */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <stddef.h>
 #include <string.h>
 
@@ -136,4 +146,107 @@ const char *qd_matmul_variant(void)
         return "avx2";
 #endif
     return "base";
+}
+
+typedef void (*rows_fn)(const float *restrict, const float *restrict, float *restrict,
+                        ptrdiff_t, ptrdiff_t, ptrdiff_t);
+
+/* The variant qd_matmul_variant names, set once at module init. */
+static rows_fn widest;
+
+/* Fills view with obj's buffer, or sets an exception and returns -1 unless
+ * obj exports a C-contiguous 2-D float32 matrix (and a writable one where
+ * flags asks for PyBUF_WRITABLE). */
+static int matrix(PyObject *obj, Py_buffer *view, int flags, const char *name)
+{
+    if (PyObject_GetBuffer(obj, view, flags | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+        return -1;
+    const char *format = view->format ? view->format : "B";
+    if (view->ndim != 2 || strcmp(format, "f") != 0) {
+        PyErr_Format(PyExc_ValueError, "%s must be a 2-D float32 matrix, got %d-D of format '%s'",
+                     name, view->ndim, format);
+        PyBuffer_Release(view);
+        return -1;
+    }
+    return 0;
+}
+
+/* rows(a, b, out, start, stop): rows start:stop of out = a @ b, every
+ * operand checked before a byte is read or written. */
+static PyObject *rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer a, b, out;
+    PyObject *result = NULL;
+    if (nargs != 5)
+        return PyErr_Format(PyExc_TypeError,
+                            "rows(a, b, out, start, stop) takes 5 arguments, got %zd", nargs);
+    Py_ssize_t start = PyNumber_AsSsize_t(args[3], PyExc_OverflowError);
+    if (start == -1 && PyErr_Occurred())
+        return NULL;
+    Py_ssize_t stop = PyNumber_AsSsize_t(args[4], PyExc_OverflowError);
+    if (stop == -1 && PyErr_Occurred())
+        return NULL;
+    if (start < 0)
+        return PyErr_Format(PyExc_ValueError, "row range %zd:%zd starts below 0", start, stop);
+    if (start > stop)
+        return PyErr_Format(PyExc_ValueError, "row range %zd:%zd ends before it starts",
+                            start, stop);
+    if (matrix(args[0], &a, PyBUF_SIMPLE, "a") < 0)
+        return NULL;
+    if (matrix(args[1], &b, PyBUF_SIMPLE, "b") < 0)
+        goto release_a;
+    if (matrix(args[2], &out, PyBUF_WRITABLE, "out") < 0)
+        goto release_b;
+    Py_ssize_t k = a.shape[1], n = b.shape[1];
+    if (a.shape[0] < stop)
+        PyErr_Format(PyExc_ValueError, "a has %zd rows, too few for row range %zd:%zd",
+                     a.shape[0], start, stop);
+    else if (out.shape[0] < stop)
+        PyErr_Format(PyExc_ValueError, "out has %zd rows, too few for row range %zd:%zd",
+                     out.shape[0], start, stop);
+    else if (b.shape[0] != k)
+        PyErr_Format(PyExc_ValueError, "b has %zd rows, a has %zd columns", b.shape[0], k);
+    else if (out.shape[1] != n)
+        PyErr_Format(PyExc_ValueError, "out has %zd columns, b has %zd", out.shape[1], n);
+    else {
+        Py_BEGIN_ALLOW_THREADS
+        widest((const float *)a.buf + start * k, b.buf, (float *)out.buf + start * n,
+               stop - start, k, n);
+        Py_END_ALLOW_THREADS
+        result = Py_NewRef(Py_None);
+    }
+    PyBuffer_Release(&out);
+release_b:
+    PyBuffer_Release(&b);
+release_a:
+    PyBuffer_Release(&a);
+    return result;
+}
+
+static PyMethodDef methods[] = {
+    {"rows", (PyCFunction)(void (*)(void))rows, METH_FASTCALL,
+     "rows(a, b, out, start, stop)\n--\n\n"
+     "Rows start:stop of out = a @ b in the exact order, for C-contiguous 2-D\n"
+     "float32 a (m x k), b (k x n) and writable out (m x n)."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef matmul_module = {
+    PyModuleDef_HEAD_INIT, "_matmul", "The exact-order float32 matmul kernel.", -1, methods,
+};
+
+PyMODINIT_FUNC PyInit__matmul(void)
+{
+    const char *name = qd_matmul_variant();
+    widest = qd_matmul_rows_base;
+#ifdef QD_X86_VARIANTS
+    if (strcmp(name, "avx512") == 0)
+        widest = qd_matmul_rows_avx512;
+    else if (strcmp(name, "avx2") == 0)
+        widest = qd_matmul_rows_avx2;
+#endif
+    PyObject *module = PyModule_Create(&matmul_module);
+    if (module != NULL && PyModule_AddStringConstant(module, "variant", name) < 0)
+        Py_CLEAR(module);
+    return module;
 }

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, fields
 
 from .bench_eval import DEFAULT_FAR_TARGETS
 from .distiller import DEFAULT_CALIBRATION_BATCHES
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
+from .graph import check_sgd_params
 from .quantizer import SUPPORTED_BIT_WIDTHS
 
 SEED_ENV_VAR = "QUANTDISTILL_SEED"
@@ -75,18 +76,18 @@ class ExperimentConfig:
                 raise ConfigError("must be >= 1", field=key)
         if self.teacher_iterations < 1:
             raise ConfigError("must be >= 1", field="teacher_iterations")
-        if self.teacher_lr <= 0:
-            raise ConfigError("must be positive", field="teacher_lr")
         if self.batch_size < 1:
             raise ConfigError("must be >= 1", field="batch_size")
         if self.iterations < 0:
             raise ConfigError("must be >= 0", field="iterations")
-        if self.lr <= 0:
-            raise ConfigError("must be positive", field="lr")
-        if not 0 <= self.momentum < 1:
-            raise ConfigError("must be in [0, 1)", field="momentum")
-        if self.weight_decay < 0:
-            raise ConfigError("must be non-negative", field="weight_decay")
+        for lr_key in ("lr", "teacher_lr"):
+            try:
+                check_sgd_params(getattr(self, lr_key), self.momentum, self.weight_decay)
+            except DomainError as exc:
+                # The message starts with the parameter's name: lr, momentum
+                # or weight_decay.
+                name, _, message = str(exc).partition(" ")
+                raise ConfigError(message, field=lr_key if name == "lr" else name) from None
         if not self.bits:
             raise ConfigError("at least one bit width required", field="bits")
         for b in self.bits:

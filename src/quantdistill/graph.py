@@ -451,10 +451,11 @@ def sgd_step(net: EmbeddingNet, grads: dict[int, tuple[Tensor, Tensor]],
 
 
 def check_sgd_params(lr: float, momentum: float, weight_decay: float) -> None:
-    """Raise ``DomainError`` naming the field unless ``lr`` is positive and
-    finite, ``0 <= momentum < 1`` and ``weight_decay`` is finite and
-    non-negative: the config file's bounds, for callers that build
-    ``DistillConfig`` or ``TeacherConfig`` directly."""
+    """Raise ``DomainError`` unless ``lr`` is positive and finite,
+    ``0 <= momentum < 1`` and ``weight_decay`` is finite and non-negative.
+    The message starts with the parameter's name (``lr``, ``momentum`` or
+    ``weight_decay``). ``ExperimentConfig``, ``DistillConfig`` and
+    ``TeacherConfig`` all check their SGD values here."""
     if not (math.isfinite(lr) and lr > 0):
         raise DomainError(f"lr must be positive and finite, got {lr}")
     if not 0 <= momentum < 1:

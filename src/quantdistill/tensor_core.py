@@ -10,26 +10,30 @@ fused multiply-add vary by build. ``matmul`` fixes the order instead: each
 output element starts at +0.0 and adds its float32 products one at a time
 in inner-index order, with every multiply and every add rounded to float32
 on its own. One C kernel, ``_matmul.c`` beside this module, does that for
-every shape. It is compiled on the first import of each source and
-platform, with ``cc`` (a C compiler is a requirement) and no flag that
-could fuse, reorder or flush an operation, cached under ``__pycache__``
-and loaded through ``ctypes``. The object holds a register-blocked
-variant of the kernel per vector width (16-byte vectors everywhere, and
-AVX2 and AVX-512F where GCC compiles for x86); the widest one this CPU
-runs is picked once, at load, so the object is built without ``-march``
-and serves every x86-64 host. Every variant gives the same bits. Every
-output row is computed on its own, so a long product is split into row
-ranges run in parallel, one per CPU the process may use; the bits do not
-depend on the split.
+every shape. It is compiled as a CPython extension module on the first
+import of each source, platform and interpreter ABI, with ``cc`` and the
+interpreter's C headers (both are requirements) and no flag that could
+fuse, reorder or flush an operation, cached under ``__pycache__`` and
+imported from there. The module's one function, ``rows``, takes numpy
+arrays through the buffer protocol, refuses any operand that is not a
+C-contiguous float32 matrix large enough for its row range, and runs the
+kernel without the GIL. The object holds a register-blocked variant of
+the kernel per vector width (16-byte vectors everywhere, and AVX2 and
+AVX-512F where GCC compiles for x86); the widest one this CPU runs is
+picked once, when the module is initialised, so the object is built
+without ``-march`` and serves every x86-64 host. Every variant gives the
+same bits. Every output row is computed on its own, so a long product is
+split into row ranges run in parallel, one per CPU the process may use;
+the bits do not depend on the split.
 """
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import os
 import platform
 import sys
+import sysconfig
 import threading
 
 import numpy as np
@@ -68,12 +72,13 @@ _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_matmul.c")
 _COMPILE = ("cc", "-O3", "-shared", "-fPIC", "-ffp-contract=off")
 
 
-def _build(cache: str, name: str) -> tuple[str, bool]:
-    """Compile ``_SOURCE`` to ``cache/name``: into a temporary file of the
-    same directory first, then renamed into place, so interpreters that
-    build at once each load a whole object. If ``cache`` cannot be written,
-    build into a directory private to this process instead. Returns the
-    object's path and whether it is private."""
+def _build(cache: str, name: str, include: str) -> tuple[str, bool]:
+    """Compile ``_SOURCE`` against the headers in ``include`` to
+    ``cache/name``: into a temporary file of the same directory first, then
+    renamed into place, so interpreters that build at once each load a
+    whole object. If ``cache`` cannot be written, build into a directory
+    private to this process instead. Returns the object's path and whether
+    it is private."""
     import subprocess
     import tempfile
 
@@ -85,7 +90,7 @@ def _build(cache: str, name: str) -> tuple[str, bool]:
         cache, private = tempfile.mkdtemp(prefix="quantdistill-"), True
         fd, tmp = tempfile.mkstemp(prefix=f".{name}.", dir=cache)
     os.close(fd)
-    command = [*_COMPILE, "-o", tmp, _SOURCE]
+    command = [*_COMPILE, "-o", tmp, f"-I{include}", _SOURCE]
     try:
         done = subprocess.run(command, capture_output=True, text=True)
         error = done.stderr if done.returncode else None
@@ -95,48 +100,55 @@ def _build(cache: str, name: str) -> tuple[str, bool]:
         os.unlink(tmp)
         if private:
             os.rmdir(cache)
-        last = (error.strip().splitlines() or ["no message"])[-1]
-        raise ImportError(f"cannot build the matmul kernel: `{' '.join(command)}` failed: {last} "
-                          "(quantdistill needs a C compiler on PATH as `cc`; see README, "
-                          "Install)") from None
+        # A compiler's last line may only say "compilation terminated.".
+        lines = error.strip().splitlines() or ["no message"]
+        reason = next((line for line in reversed(lines) if "error" in line), lines[-1])
+        raise ImportError(f"cannot build the matmul kernel: `{' '.join(command)}` failed: {reason} "
+                          "(quantdistill needs a C compiler on PATH as `cc` and the Python "
+                          "headers; see README, Install)") from None
     path = os.path.join(cache, name)
     os.replace(tmp, path)
     return path, private
 
 
-def _load_library() -> ctypes.CDLL:
-    """The object built for this source, compile command and platform,
-    building it on a cache miss. A hit starts no process. A private object
-    is unlinked once loaded."""
+def _object_name(source: bytes, include: str, ext_suffix: str) -> str:
+    """The cached object's file name: a SHA-256 of the source, the compile
+    command, the headers' directory, the platform and the interpreter's
+    ABI (its extension-module suffix), so interpreters that share a
+    checkout never load each other's object."""
+    key = hashlib.sha256(b"\0".join(
+        [source, " ".join(_COMPILE).encode(), include.encode(), sys.platform.encode(),
+         platform.machine().encode(), ext_suffix.encode()])).hexdigest()
+    return f"_matmul-{key}.so"
+
+
+def _load_module():
+    """The extension module built for this source, compile command,
+    platform and interpreter, building it on a cache miss. A hit starts no
+    process. A private object is unlinked once loaded."""
+    from importlib.machinery import ExtensionFileLoader
+    from importlib.util import module_from_spec, spec_from_file_location
+
     with open(_SOURCE, "rb") as fh:
         source = fh.read()
-    key = hashlib.sha256(b"\0".join(
-        [source, " ".join(_COMPILE).encode(), sys.platform.encode(),
-         platform.machine().encode()])).hexdigest()
-    name = f"_matmul-{key}.so"
+    include = sysconfig.get_paths()["include"]
+    name = _object_name(source, include, sysconfig.get_config_var("EXT_SUFFIX"))
     path = os.path.join(os.path.dirname(_SOURCE), "__pycache__", name)
     private = False
     if not os.path.exists(path):
-        path, private = _build(os.path.dirname(path), name)
-    library = ctypes.CDLL(path)
+        path, private = _build(os.path.dirname(path), name, include)
+    # The module is named for its PyInit__matmul, whatever the file is called.
+    loader = ExtensionFileLoader(f"{__package__}._matmul", path)
+    module = module_from_spec(spec_from_file_location(loader.name, path, loader=loader))
+    loader.exec_module(module)
     if private:
         os.unlink(path)
         os.rmdir(os.path.dirname(path))
-    library.qd_matmul_variant.restype = ctypes.c_char_p
-    return library
+    return module
 
 
-def _variant(library: ctypes.CDLL, name: str):
-    """The kernel variant ``qd_matmul_rows_<name>`` of ``library``."""
-    kernel = getattr(library, f"qd_matmul_rows_{name}")
-    kernel.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_ssize_t] * 3
-    kernel.restype = None
-    return kernel
-
-
-_LIBRARY = _load_library()
-# The widest variant this CPU runs, as the object reports it.
-_KERNEL = _variant(_LIBRARY, _LIBRARY.qd_matmul_variant().decode())
+# The compiled kernel; ``_MATMUL.variant`` names the variant it runs.
+_MATMUL = _load_module()
 
 
 class Tensor:
@@ -246,10 +258,7 @@ def _product_rows(ad: np.ndarray, bd: np.ndarray, out: np.ndarray, start: int,
                   stop: int) -> None:
     """Rows ``start:stop`` of ``out``, from the same rows of the C-ordered
     float32 ``ad``, by the compiled kernel."""
-    k = ad.shape[1]
-    n = bd.shape[1]
-    _KERNEL(ad.ctypes.data + 4 * start * k, bd.ctypes.data, out.ctypes.data + 4 * start * n,
-            stop - start, k, n)
+    _MATMUL.rows(ad, bd, out, start, stop)
 
 
 def transpose(t: Tensor) -> Tensor:

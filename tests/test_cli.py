@@ -149,6 +149,18 @@ class TestConfigParsing:
             load_config(path)
         assert exc.value.field == key
 
+    # The distill triple (lr, momentum, weight_decay) and the teacher triple
+    # (teacher_lr, momentum, weight_decay) share the SGD bounds.
+    @pytest.mark.parametrize("key, value", [("lr", 0.0), ("teacher_lr", -1.0),
+                                            ("momentum", 1.0), ("weight_decay", -2.0)])
+    def test_sgd_bound_error_names_its_one_key(self, tmp_path, key, value):
+        path = tmp_path / "c.txt"
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert exc.value.field == key
+        assert str(exc.value).startswith(f"{key}: must be ")
+
     def test_repeated_key_rejected_with_its_line(self, tmp_path, capsys):
         path = tmp_path / "c.txt"
         path.write_text("seed = 1\n# comment\nseed = 2\n")

@@ -1,7 +1,8 @@
 """The compiled matmul kernel's build cache, run on copies of the package.
 
-``tensor_core`` compiles ``_matmul.c`` on the first import of each source
-and platform and caches the object under the package's ``__pycache__``.
+``tensor_core`` compiles ``_matmul.c`` as an extension module on the first
+import of each source, platform and interpreter, and caches the object
+under the package's ``__pycache__``.
 Each test copies ``src/quantdistill`` into ``tmp_path`` and imports the
 copy in fresh interpreters, so the checkout's own cache is never touched.
 """
@@ -11,6 +12,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import sysconfig
 import time
 from pathlib import Path
 
@@ -36,6 +38,20 @@ print("ok" if np.array_equal(got.view(np.uint32), want.view(np.uint32)) else "di
 print("started a process" if "subprocess" in sys.modules else "started no process")
 """
 
+# Put ahead of CHECK, these make ``sysconfig`` report another extension
+# suffix or another header directory, as another interpreter sharing the
+# checkout would.
+OTHER_SUFFIX = """
+import sysconfig
+_get = sysconfig.get_config_var
+sysconfig.get_config_var = lambda name: {!r} if name == "EXT_SUFFIX" else _get(name)
+"""
+OTHER_HEADERS = """
+import sysconfig
+_get = sysconfig.get_paths
+sysconfig.get_paths = lambda *args, **kwargs: dict(_get(*args, **kwargs), include={!r})
+"""
+
 
 def _package_copy(tmp_path: Path) -> Path:
     """A copy of the package without its cache; returns its ``src``."""
@@ -52,8 +68,8 @@ def _env(src: Path, tmp_path: Path, **extra) -> dict:
                 **extra)
 
 
-def _start(src: Path, env: dict, at: float = 0.0) -> subprocess.Popen:
-    return subprocess.Popen([sys.executable, "-c", CHECK, str(at)], cwd=src, env=env,
+def _start(src: Path, env: dict, at: float = 0.0, prelude: str = "") -> subprocess.Popen:
+    return subprocess.Popen([sys.executable, "-c", prelude + CHECK, str(at)], cwd=src, env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 
@@ -95,6 +111,33 @@ def test_a_changed_source_is_rebuilt_not_loaded_from_the_old_object(tmp_path):
     assert len(_objects(src)) == 2 and set(old) < set(_objects(src))
 
 
+def test_the_object_name_covers_the_interpreter_abi_and_header_directory():
+    from quantdistill import tensor_core
+
+    source = (ROOT / "src" / "quantdistill" / "_matmul.c").read_bytes()
+    include = sysconfig.get_paths()["include"]
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    name = tensor_core._object_name(source, include, suffix)
+    assert name == Path(tensor_core._MATMUL.__file__).name
+    assert tensor_core._object_name(source, include, ".cpython-399-x86_64-linux-gnu.so") != name
+    assert tensor_core._object_name(source, include + "-other", suffix) != name
+
+
+def test_another_interpreter_abi_or_header_directory_builds_its_own_object(tmp_path):
+    src = _package_copy(tmp_path)
+    env = _env(src, tmp_path)
+    assert _finish(_start(src, env)) == ["ok", "started a process"]
+    headers = tmp_path / "include"
+    headers.symlink_to(sysconfig.get_paths()["include"])
+    for prelude in (OTHER_SUFFIX.format(".cpython-399-x86_64-linux-gnu.so"),
+                    OTHER_HEADERS.format(str(headers))):
+        before = _objects(src)
+        assert _finish(_start(src, env, prelude=prelude)) == ["ok", "started a process"]
+        assert len(_objects(src)) == len(before) + 1 and set(before) < set(_objects(src))
+        assert _finish(_start(src, env, prelude=prelude)) == ["ok", "started no process"]
+    assert _finish(_start(src, env)) == ["ok", "started no process"]
+
+
 def test_a_package_directory_that_cannot_be_written_still_imports(tmp_path):
     src = _package_copy(tmp_path)
     package = src / "quantdistill"
@@ -127,4 +170,19 @@ def test_a_missing_compiler_fails_the_import_in_one_line(tmp_path):
     assert last.startswith("ImportError: cannot build the matmul kernel: "
                            "`cc -O3 -shared -fPIC -ffp-contract=off -o "), last
     assert "No such file or directory: 'cc'" in last and "README" in last, last
+    assert not (src / "quantdistill" / "__pycache__").exists() or not _objects(src)
+
+
+def test_missing_python_headers_fail_the_import_in_one_line(tmp_path):
+    src = _package_copy(tmp_path)
+    empty = tmp_path / "include"
+    empty.mkdir()
+    code = OTHER_HEADERS.format(str(empty)) + "import quantdistill.tensor_core"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src, env=_env(src, tmp_path),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode != 0
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError: cannot build the matmul kernel: "
+                           "`cc -O3 -shared -fPIC -ffp-contract=off -o "), last
+    assert "Python.h" in last and "README" in last, last
     assert not (src / "quantdistill" / "__pycache__").exists() or not _objects(src)

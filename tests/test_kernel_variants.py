@@ -3,14 +3,16 @@ k-ordered loop's bits.
 
 ``_matmul.c`` exports one kernel per vector width (``qd_matmul_rows_base``
 on 16-byte vectors, and, where GCC compiles for x86,
-``qd_matmul_rows_avx2`` and ``qd_matmul_rows_avx512``), and ``tensor_core``
-loads the widest one the CPU runs. Each variant is reached here by its
-exported symbol, so the narrower ones are checked on a CPU that would
+``qd_matmul_rows_avx2`` and ``qd_matmul_rows_avx512``), and the extension
+module that ``tensor_core`` imports runs the widest one the CPU runs. Each
+variant is reached here by its exported symbol, through ``ctypes`` on the
+module's own file, so the narrower ones are checked on a CPU that would
 never pick them. The shapes cover every way a variant tiles a product:
 row counts that are not a multiple of the 4-row tile, every column
 remainder below the widest tile's 32 columns, and k = 1.
 """
 
+import ctypes
 import subprocess
 
 import numpy as np
@@ -58,7 +60,11 @@ def supported(tmp_path_factory) -> list[str]:
 def kernel(request, supported):
     if request.param not in supported:
         pytest.skip(f"this CPU does not run the {request.param} variant")
-    return tensor_core._variant(tensor_core._LIBRARY, request.param)
+    kernel = getattr(ctypes.CDLL(tensor_core._MATMUL.__file__),
+                     f"qd_matmul_rows_{request.param}")
+    kernel.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_ssize_t] * 3
+    kernel.restype = None
+    return kernel
 
 
 def _k_ordered_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -97,7 +103,7 @@ def _assert_bits(got, want):
 
 
 def test_loaded_kernel_is_the_widest_variant_the_cpu_supports(supported):
-    assert tensor_core._KERNEL.__name__ == f"qd_matmul_rows_{supported[0]}"
+    assert tensor_core._MATMUL.variant == supported[0]
 
 
 @pytest.mark.parametrize("k", [1, 2, 37, 64])
