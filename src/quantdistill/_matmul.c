@@ -3,7 +3,7 @@
  *
  * out[r, j] starts at +0.0f and adds the float32 products a[r, i] * b[i, j]
  * one at a time, in increasing i. Every output row is computed on its own,
- * so a caller may split the rows into ranges and run them in parallel.
+ * so the rows may be split into ranges run in parallel.
  * Built without -ffast-math and with -ffp-contract=off: each multiply and
  * each add is rounded to float32 on its own, with no fused multiply-add.
  *
@@ -30,14 +30,18 @@
  * only where NaN operands meet may a NaN result carry another payload.
  *
  * Python reaches the kernel through the module's one function,
- * rows(a, b, out, start, stop), which takes its operands through the
- * buffer protocol, checks that every one is a C-contiguous 2-D float32
- * matrix (out writable) large enough for the row range, and runs the
- * variant picked when the module was initialised without the GIL. The
- * module's variant attribute names that variant.
+ * product(a, b, out, parts), which takes its operands through the buffer
+ * protocol, checks that every one is a C-contiguous 2-D float32 matrix
+ * (out writable) of the product's shape, and runs the variant picked when
+ * the module was initialised, without the GIL, over parts contiguous row
+ * ranges: the first on the calling thread and each other one on a thread
+ * it starts, except that once a thread cannot be started, the ranges left
+ * run on the calling thread too. The module's variant attribute names the
+ * variant.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <pthread.h>
 #include <stddef.h>
 #include <string.h>
 
@@ -171,48 +175,72 @@ static int matrix(PyObject *obj, Py_buffer *view, int flags, const char *name)
     return 0;
 }
 
-/* rows(a, b, out, start, stop): rows start:stop of out = a @ b, every
+/* One row range of a product, and the thread that runs it. */
+struct range {
+    const float *a, *b;
+    float *out;
+    ptrdiff_t rows, k, n;
+    pthread_t thread;
+};
+
+static void *run(void *arg)
+{
+    const struct range *r = arg;
+    widest(r->a, r->b, r->out, r->rows, r->k, r->n);
+    return NULL;
+}
+
+/* product(a, b, out, parts): out = a @ b over parts row ranges, every
  * operand checked before a byte is read or written. */
-static PyObject *rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+static PyObject *product(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     Py_buffer a, b, out;
     PyObject *result = NULL;
-    if (nargs != 5)
+    if (nargs != 4)
         return PyErr_Format(PyExc_TypeError,
-                            "rows(a, b, out, start, stop) takes 5 arguments, got %zd", nargs);
-    Py_ssize_t start = PyNumber_AsSsize_t(args[3], PyExc_OverflowError);
-    if (start == -1 && PyErr_Occurred())
-        return NULL;
-    Py_ssize_t stop = PyNumber_AsSsize_t(args[4], PyExc_OverflowError);
-    if (stop == -1 && PyErr_Occurred())
-        return NULL;
-    if (start < 0)
-        return PyErr_Format(PyExc_ValueError, "row range %zd:%zd starts below 0", start, stop);
-    if (start > stop)
-        return PyErr_Format(PyExc_ValueError, "row range %zd:%zd ends before it starts",
-                            start, stop);
+                            "product(a, b, out, parts) takes 4 arguments, got %zd", nargs);
+    Py_ssize_t parts = PyNumber_AsSsize_t(args[3], PyExc_OverflowError);
+    if (parts < 1)
+        return PyErr_Occurred() ? NULL : PyErr_Format(PyExc_ValueError,
+                                                      "parts must be at least 1, got %zd", parts);
     if (matrix(args[0], &a, PyBUF_SIMPLE, "a") < 0)
         return NULL;
     if (matrix(args[1], &b, PyBUF_SIMPLE, "b") < 0)
         goto release_a;
     if (matrix(args[2], &out, PyBUF_WRITABLE, "out") < 0)
         goto release_b;
-    Py_ssize_t k = a.shape[1], n = b.shape[1];
-    if (a.shape[0] < stop)
-        PyErr_Format(PyExc_ValueError, "a has %zd rows, too few for row range %zd:%zd",
-                     a.shape[0], start, stop);
-    else if (out.shape[0] < stop)
-        PyErr_Format(PyExc_ValueError, "out has %zd rows, too few for row range %zd:%zd",
-                     out.shape[0], start, stop);
-    else if (b.shape[0] != k)
+    Py_ssize_t m = a.shape[0], k = a.shape[1], n = b.shape[1];
+    struct range *ranges = NULL;
+    if (b.shape[0] != k)
         PyErr_Format(PyExc_ValueError, "b has %zd rows, a has %zd columns", b.shape[0], k);
+    else if (out.shape[0] != m)
+        PyErr_Format(PyExc_ValueError, "out has %zd rows, a has %zd", out.shape[0], m);
     else if (out.shape[1] != n)
         PyErr_Format(PyExc_ValueError, "out has %zd columns, b has %zd", out.shape[1], n);
+    else if (parts > (m > 1 ? m : 1))
+        PyErr_Format(PyExc_ValueError, "%zd parts of %zd rows leave one empty", parts, m);
+    else if ((ranges = PyMem_New(struct range, parts)) == NULL)
+        PyErr_NoMemory();
     else {
+        /* Range p ends at row m * (p + 1) / parts, computed without
+         * forming m * (p + 1), which could overflow. */
+        for (Py_ssize_t p = 0, start = 0, stop; p < parts; p++, start = stop) {
+            stop = m / parts * (p + 1) + m % parts * (p + 1) / parts;
+            ranges[p] = (struct range){(const float *)a.buf + start * k, b.buf,
+                                       (float *)out.buf + start * n, stop - start, k, n};
+        }
         Py_BEGIN_ALLOW_THREADS
-        widest((const float *)a.buf + start * k, b.buf, (float *)out.buf + start * n,
-               stop - start, k, n);
+        Py_ssize_t started = 1;
+        while (started < parts
+               && pthread_create(&ranges[started].thread, NULL, run, &ranges[started]) == 0)
+            started++;
+        run(&ranges[0]);
+        for (Py_ssize_t p = started; p < parts; p++)
+            run(&ranges[p]);
+        for (Py_ssize_t p = 1; p < started; p++)
+            pthread_join(ranges[p].thread, NULL);
         Py_END_ALLOW_THREADS
+        PyMem_Free(ranges);
         result = Py_NewRef(Py_None);
     }
     PyBuffer_Release(&out);
@@ -224,10 +252,11 @@ release_a:
 }
 
 static PyMethodDef methods[] = {
-    {"rows", (PyCFunction)(void (*)(void))rows, METH_FASTCALL,
-     "rows(a, b, out, start, stop)\n--\n\n"
-     "Rows start:stop of out = a @ b in the exact order, for C-contiguous 2-D\n"
-     "float32 a (m x k), b (k x n) and writable out (m x n)."},
+    {"product", (PyCFunction)(void (*)(void))product, METH_FASTCALL,
+     "product(a, b, out, parts)\n--\n\n"
+     "out = a @ b in the exact order, for C-contiguous 2-D float32 a (m x k),\n"
+     "b (k x n) and writable out (m x n), over 1 <= parts <= max(1, m) row\n"
+     "ranges: the first on the calling thread, each other one on a thread of its own."},
     {NULL, NULL, 0, NULL},
 };
 

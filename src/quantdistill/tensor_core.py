@@ -14,17 +14,18 @@ every shape. It is compiled as a CPython extension module on the first
 import of each source, platform and interpreter ABI, with ``cc`` and the
 interpreter's C headers (both are requirements) and no flag that could
 fuse, reorder or flush an operation, cached under ``__pycache__`` and
-imported from there. The module's one function, ``rows``, takes numpy
+imported from there. The module's one function, ``product``, takes numpy
 arrays through the buffer protocol, refuses any operand that is not a
-C-contiguous float32 matrix large enough for its row range, and runs the
-kernel without the GIL. The object holds a register-blocked variant of
+C-contiguous float32 matrix of the product's shape, and runs the kernel
+without the GIL. The object holds a register-blocked variant of
 the kernel per vector width (16-byte vectors everywhere, and AVX2 and
 AVX-512F where GCC compiles for x86); the widest one this CPU runs is
 picked once, when the module is initialised, so the object is built
 without ``-march`` and serves every x86-64 host. Every variant gives the
-same bits. Every output row is computed on its own, so a long product is
-split into row ranges run in parallel, one per CPU the process may use;
-the bits do not depend on the split.
+same bits. Every output row is computed on its own, so ``product`` splits
+a long product into row ranges and runs them in parallel, one per CPU the
+process may use, on threads it starts itself; the bits do not depend on
+the split.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import os
 import platform
 import sys
 import sysconfig
-import threading
 
 import numpy as np
 
@@ -42,7 +42,9 @@ from .errors import DimensionError, DomainError
 
 # Fewest rows per range of a product split across threads, so a product
 # is split from 3000 rows. A second range must save more than its thread's
-# start costs (about 0.1 ms). Medians of 200 interleaved calls on 2 vCPUs,
+# start costs: about 10 us since the kernel starts it, about 0.1 ms when
+# the table below was measured on Python threads (the value is kept until
+# it is measured again). Medians of 200 interleaved calls on 2 vCPUs,
 # k = 64, one range -> two ranges, in us:
 #                      2000 rows    2500 rows    3000 rows    4000 rows
 #   AVX-512, n = 64   339 -> 394   381 -> 488   502 -> 504   657 -> 588
@@ -50,10 +52,10 @@ from .errors import DimensionError, DomainError
 #   AVX2,    n = 64   384 -> 488   622 -> 586   740 -> 666   999 -> 811
 #   AVX2,    n = 32   274 -> 389   331 -> 421   399 -> 466   495 -> 515
 #   base,    n = 64  1186 -> 970  1486 -> 1149 1745 -> 1317 2348 -> 1754
-# 3000 rows is where the 64-wide products of the wide variants break even;
-# their 32-wide products still lose at 4000 rows, which a row count cannot
-# tell apart. Every batch-64 training product (at most 200 rows) stays on
-# the calling thread.
+# 3000 rows is where the 64-wide products of the wide variants broke even;
+# their 32-wide products still lost at 4000 rows, which a row count cannot
+# tell apart. Every batch-64 training product (at most 200 rows) is one
+# range on the calling thread.
 RANGE_ROWS = 1500
 # Row ranges a long product is split into, at most: the CPUs in the
 # process's affinity mask. The bits do not depend on it.
@@ -213,11 +215,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     multiply-add. The compiled kernel computes every shape. It warns of no
     overflowing product or sum; the finite checks at each layer's output
     are the guard. The rows are split into up to ``WORKERS`` contiguous
-    ranges of at least ``RANGE_ROWS`` rows each. A single range is one
-    kernel call on the calling thread. Otherwise the first range runs in
-    the caller, each other one on a thread started for the call (the
-    kernel releases the GIL), and the first error of the lowest range is
-    raised once every thread has finished.
+    ranges of at least ``RANGE_ROWS`` rows each; the kernel runs the first
+    range on the calling thread and each other one on a thread it starts
+    for the call.
     """
     if a.rank != 2 or b.rank != 2:
         raise DimensionError(f"matmul requires rank-2 operands, got {a.shape} x {b.shape}")
@@ -225,40 +225,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     k2, n = b.shape
     if k != k2:
         raise DimensionError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    ad, bd = a.data, b.data
     out = np.empty((m, n), dtype=np.float32)
-    parts = min(WORKERS, m // RANGE_ROWS)
-    if parts <= 1:
-        _product_rows(ad, bd, out, 0, m)
-        return Tensor._wrap(out)
-    bounds = [m * p // parts for p in range(parts + 1)]
-    errors: list[Exception | None] = [None] * parts
-
-    def run(p: int) -> None:
-        try:
-            _product_rows(ad, bd, out, bounds[p], bounds[p + 1])
-        except Exception as exc:
-            errors[p] = exc
-
-    threads = [threading.Thread(target=run, args=(p,)) for p in range(1, parts)]
-    for t in threads:
-        t.start()
-    try:
-        run(0)
-    finally:
-        for t in threads:
-            t.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    _MATMUL.product(a.data, b.data, out, max(1, min(WORKERS, m // RANGE_ROWS)))
     return Tensor._wrap(out)
-
-
-def _product_rows(ad: np.ndarray, bd: np.ndarray, out: np.ndarray, start: int,
-                  stop: int) -> None:
-    """Rows ``start:stop`` of ``out``, from the same rows of the C-ordered
-    float32 ``ad``, by the compiled kernel."""
-    _MATMUL.rows(ad, bd, out, start, stop)
 
 
 def transpose(t: Tensor) -> Tensor:

@@ -6,10 +6,12 @@ same result every time, and the example count bounds the suite's time.
 """
 
 import struct
+import threading
 import zlib
 
 import pytest
 
+from quantdistill import tensor_core
 from quantdistill.model_store import MODEL_VERSION
 
 try:
@@ -43,3 +45,23 @@ def layer_stack_file():
         return b"QFMD" + body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
     return encode
+
+
+@pytest.fixture
+def product_calls(monkeypatch):
+    """The ``(parts, thread)`` of every product the compiled kernel is asked
+    for while the test runs, each then run by the kernel itself. ``parts``
+    is the number of row ranges the kernel splits the product into: every
+    range but the first runs on a thread the kernel starts. ``thread`` is
+    the Python thread that asked."""
+    kernel = tensor_core._MATMUL
+    calls = []
+
+    class Recording:
+        @staticmethod
+        def product(a, b, out, parts):
+            calls.append((parts, threading.get_ident()))
+            kernel.product(a, b, out, parts)
+
+    monkeypatch.setattr(tensor_core, "_MATMUL", Recording)
+    return calls

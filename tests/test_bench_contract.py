@@ -152,13 +152,13 @@ def test_verify_request_runs_one_stacked_forward_without_ste_masks():
     assert spans["graph.fake_quant"] == len(student.layers) + student.activation_site_count
 
 
-def test_row_split_verify_request_is_seen_from_the_calling_thread(monkeypatch):
+def test_row_split_verify_request_is_seen_from_the_calling_thread(monkeypatch, product_calls):
     # A request over at least 2*RANGE_ROWS rows splits each long product into
-    # row ranges computed on threads of their own. Those threads run only
-    # the compiled kernel, so the clock still records one entry/exit pair per
-    # linear and the tracer records every span from the thread that made the
-    # request. Threads are counted from the request only: building the pairs
-    # may split its own products.
+    # row ranges, which the compiled kernel runs on threads it starts itself.
+    # No Python thread is started, so the clock still records one
+    # entry/exit pair per linear and the tracer records every span from the
+    # thread that made the request. Products are counted from the request
+    # only: building the pairs may split its own products.
     monkeypatch.setattr(tensor_core, "WORKERS", 2)
     tracer_mod = _load_tracer()
     space, teacher, cfg = _tiny_step_inputs()
@@ -174,6 +174,7 @@ def test_row_split_verify_request_is_seen_from_the_calling_thread(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", record)
 
+    product_calls.clear()
     clock = tracer_mod.MatmulClock(quantdistill)
     clock.install()
     try:
@@ -181,7 +182,8 @@ def test_row_split_verify_request_is_seen_from_the_calling_thread(monkeypatch):
     finally:
         clock.uninstall()
     assert len(clock.marks) == 2 * len(student.layers)
-    assert len(started) == len(student.layers)
+    assert product_calls == [(2, threading.get_ident())] * len(student.layers)
+    assert started == []
 
     tracer = tracer_mod.Tracer(quantdistill)
     open_span = tracer._open

@@ -276,8 +276,9 @@ class TestCurveHelpers:
 class TestTrainingStartsNoThread:
     """Every product of a training step at the reference shapes (batch 64,
     64-wide layers, 200 identities) has fewer than ``RANGE_ROWS`` rows, so it
-    is one kernel call on the calling thread and no step starts a thread,
-    however many CPUs the process may use."""
+    is one kernel call of one range on the calling thread, and no step
+    starts a thread, in Python or in the kernel, however many CPUs the
+    process may use."""
 
     @pytest.fixture
     def started(self, monkeypatch):
@@ -292,7 +293,12 @@ class TestTrainingStartsNoThread:
         monkeypatch.setattr(threading.Thread, "start", record)
         return started
 
-    def test_train_teacher_step(self, started):
+    @staticmethod
+    def assert_one_range_each(product_calls):
+        assert product_calls
+        assert set(product_calls) == {(1, threading.get_ident())}
+
+    def test_train_teacher_step(self, started, product_calls):
         space = make_identity_space(200, 16, 64, 0.15, seed=0)
         net = build_embedding_net(64, (64, 64), 32, seed=1)
         tcfg = TeacherConfig(iterations=1, batch_size=64, lr=0.1, momentum=0.9,
@@ -300,8 +306,9 @@ class TestTrainingStartsNoThread:
         losses = train_teacher(net, space, tcfg)
         assert len(losses) == 1
         assert started == []
+        self.assert_one_range_each(product_calls)
 
-    def test_distill_step(self, started):
+    def test_distill_step(self, started, product_calls):
         space = make_identity_space(200, 16, 64, 0.15, seed=0)
         teacher = build_embedding_net(64, (64, 64), 32, seed=1)
         student = prepare_student(teacher, 4)
@@ -311,3 +318,4 @@ class TestTrainingStartsNoThread:
         result = distill_step(student, teacher, next(batch_stream(space, 64, seed=3)), cfg)
         assert 0.0 <= result.loss <= 2.0
         assert started == []
+        self.assert_one_range_each(product_calls)

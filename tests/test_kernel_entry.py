@@ -1,9 +1,11 @@
 """The compiled kernel's Python entry refuses every call it cannot run
 inside its operands.
 
-``tensor_core._MATMUL.rows(a, b, out, start, stop)`` reads ``a`` and ``b``
-and writes ``out`` through raw pointers, so each check on its operands is
-all that keeps a bad call from reading or writing memory it was not given.
+``tensor_core._MATMUL.product(a, b, out, parts)`` reads ``a`` and ``b`` and
+writes ``out`` through raw pointers, from the calling thread and from the
+``parts - 1`` threads it starts, so each check on its operands and on
+``parts`` is all that keeps a bad call from reading or writing memory it
+was not given, or from starting a thread for an empty range.
 Every operand here is a view into a larger array: the output sits between
 guard elements and starts as NaN, and the inputs sit inside padding, so a
 call that got past a check would read only memory the test owns and show
@@ -19,7 +21,7 @@ M, K, N = 6, 5, 7
 PAD = 64
 GUARD = np.float32(12345.0)
 
-rows = tensor_core._MATMUL.rows
+product = tensor_core._MATMUL.product
 
 
 class Guarded:
@@ -43,29 +45,31 @@ def _padded(shape, dtype=np.float32) -> np.ndarray:
     return np.ones(size + 2 * PAD, dtype=dtype)[PAD:PAD + size].reshape(shape)
 
 
-def _refused(a, b, guarded: Guarded, start: int = 0, stop: int = M):
-    with pytest.raises((ValueError, BufferError)):
-        rows(a, b, guarded.out, start, stop)
+def _refused(a, b, guarded: Guarded, parts=1, error=(ValueError, BufferError)):
+    with pytest.raises(error):
+        product(a, b, guarded.out, parts)
     guarded.assert_untouched()
 
 
-def test_a_valid_call_writes_its_row_range_and_nothing_else():
-    rng = np.random.default_rng(0)
+# Each part is a thread: only small counts are run.
+@pytest.mark.parametrize("parts", [1, 2, 3, M])
+def test_a_valid_call_writes_its_output_and_nothing_else(parts):
+    rng = np.random.default_rng(parts)
     a = rng.standard_normal((M, K)).astype(np.float32)
     b = rng.standard_normal((K, N)).astype(np.float32)
     guarded = Guarded()
-    rows(a, b, guarded.out, 2, 5)
+    product(a, b, guarded.out, parts)
     want = np.zeros((M, N), dtype=np.float32)
     for i in range(K):
         want = want + a[:, i:i + 1] * b[i:i + 1, :]
-    assert np.array_equal(guarded.out[2:5].view(np.uint32), want[2:5].view(np.uint32))
-    guarded.out[2:5] = np.nan
+    assert np.array_equal(guarded.out.view(np.uint32), want.view(np.uint32))
+    guarded.out[:] = np.nan
     guarded.assert_untouched()
 
 
-def test_an_empty_row_range_writes_nothing():
-    guarded = Guarded()
-    rows(_padded((M, K)), _padded((K, N)), guarded.out, 3, 3)
+def test_a_product_of_no_rows_writes_nothing():
+    guarded = Guarded((0, N))
+    product(_padded((0, K)), _padded((K, N)), guarded.out, 1)
     guarded.assert_untouched()
 
 
@@ -100,9 +104,16 @@ def test_a_non_contiguous_input_is_refused(operand):
     _refused(a, b, Guarded())
 
 
-@pytest.mark.parametrize("start, stop", [(-1, 3), (-3, -1), (4, 2)])
-def test_a_negative_or_reversed_row_range_is_refused(start, stop):
-    _refused(_padded((M, K)), _padded((K, N)), Guarded(), start, stop)
+@pytest.mark.parametrize("parts, error", [(0, ValueError), (-1, ValueError), (2.0, TypeError)])
+def test_a_part_count_that_is_not_a_positive_integer_is_refused(parts, error):
+    _refused(_padded((M, K)), _padded((K, N)), Guarded(), parts, error)
+
+
+# A part of no rows would start a thread for nothing; a product of no rows
+# is one part.
+@pytest.mark.parametrize("m", [0, 1, M])
+def test_more_parts_than_rows_is_refused(m):
+    _refused(_padded((m, K)), _padded((K, N)), Guarded((m, N)), max(1, m) + 1)
 
 
 @pytest.mark.parametrize("a_shape, b_shape, out_shape", [
@@ -111,14 +122,14 @@ def test_a_negative_or_reversed_row_range_is_refused(start, stop):
     ((M, K), (K - 1, N), (M, N)),
     ((M, K), (K, N), (M, N - 1)),
     ((M, K), (K, N), (M, N, 1)),
-], ids=["a-short-for-stop", "out-short-for-stop", "b-short-for-k", "out-narrow-for-n",
+], ids=["out-long-for-a", "out-short-for-a", "b-short-for-k", "out-narrow-for-n",
         "out-not-a-matrix"])
 def test_an_operand_of_the_wrong_shape_for_the_call_is_refused(a_shape, b_shape, out_shape):
     _refused(_padded(a_shape), _padded(b_shape), Guarded(out_shape))
 
 
-def test_a_call_without_five_arguments_is_refused():
+def test_a_call_without_four_arguments_is_refused():
     guarded = Guarded()
-    with pytest.raises(TypeError, match="takes 5 arguments"):
-        rows(_padded((M, K)), _padded((K, N)), guarded.out, 0)
+    with pytest.raises(TypeError, match="takes 4 arguments"):
+        product(_padded((M, K)), _padded((K, N)), guarded.out)
     guarded.assert_untouched()

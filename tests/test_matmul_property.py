@@ -100,25 +100,18 @@ TRAINING_SHAPES = [(64, 64, 64), (64, 64, 32), (32, 64, 64), (64, 32, 64), (64, 
 
 
 @pytest.mark.parametrize("m, k, n", TRAINING_SHAPES)
-def test_training_shapes_run_as_one_range_on_the_calling_thread(monkeypatch, m, k, n):
+def test_training_shapes_run_as_one_range_on_the_calling_thread(monkeypatch, product_calls,
+                                                                 m, k, n):
     # However many CPUs the process may use, a training product is one
-    # kernel call over all its rows, made by the caller, and gives the
-    # oracle's bits with -0.0 operands.
+    # kernel call over all its rows in one range, made by the caller, and
+    # gives the oracle's bits with -0.0 operands.
     monkeypatch.setattr(tensor_core, "WORKERS", 8)
-    product_rows = tensor_core._product_rows
-    calls = []
-
-    def record(ad, bd, out, start, stop):
-        calls.append((start, stop, threading.get_ident()))
-        return product_rows(ad, bd, out, start, stop)
-
-    monkeypatch.setattr(tensor_core, "_product_rows", record)
     rng = np.random.default_rng(m * k + n)
     a = _operand(rng, (m, k), 20, 0.3, False)
     a[rng.uniform(size=(m, k)) < 0.1] = -0.0
     b = _operand(rng, (k, n), 20, 0.1, False)
     got = matmul(Tensor(a), Tensor(b)).data
-    assert calls == [(0, m, threading.get_ident())]
+    assert product_calls == [(1, threading.get_ident())]
     want = _k_ordered_loop(a, b)
     assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
@@ -138,41 +131,37 @@ def test_all_negative_zero_products_sum_to_positive_zero():
 
 B = tensor_core.RANGE_ROWS
 SPLIT_ROWS = [0, 1, B // 2, B // 2 + 1, B - 1, B, 2 * B - 1, 2 * B, 3 * B + 7]
+# (rows, workers, None) goes through matmul; (rows, None, parts) straight
+# into the kernel's entry, on a NaN output: 1-5 ranges of up to 11 rows,
+# most of them uneven, and 3 long ranges.
+SPLITS = ([(m, workers, None) for m in SPLIT_ROWS for workers in (1, 2, 3)]
+          + [(m, None, parts) for parts in range(1, 6) for m in range(parts, 12)]
+          + [(2 * B + 7, None, 3)])
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("m", SPLIT_ROWS)
-def test_row_split_bits_match_k_ordered_loop(monkeypatch, m, workers):
-    # Long products over every row count around the range boundaries (one
+@pytest.mark.parametrize("m, workers, parts", SPLITS, ids=[
+    f"{m}-{workers}" if parts is None else f"{m}-rows-{parts}-parts" for m, workers, parts in SPLITS])
+def test_row_split_bits_match_k_ordered_loop(monkeypatch, m, workers, parts):
+    # Products over every row count around the range boundaries (one
     # range, or ranges split across workers) give the oracle's bits for any
-    # worker count, with relu zeros and all-negative weights so that whole
-    # rows of -0.0 products must still sum to +0.0.
-    monkeypatch.setattr(tensor_core, "WORKERS", workers)
+    # worker count or number of ranges, with relu zeros and all-negative
+    # weights so that whole rows of -0.0 products must still sum to +0.0.
+    # A range that is skipped or cut short leaves NaN rows in the entry's
+    # output.
     k, n = 64, 8 if m > 1 else 1
-    rng = np.random.default_rng(m * 10 + workers)
+    rng = np.random.default_rng(m * 10 + (workers or 10 * parts))
     a = np.maximum(_operand(rng, (m, k), 20, 0.5, False), np.float32(0.0))
     a[rng.uniform(size=m) < 0.3] = 0.0
     b = _operand(rng, (k, n), 20, 0.0, True)
-    got = matmul(Tensor(a), Tensor(b)).data
+    if parts is None:
+        monkeypatch.setattr(tensor_core, "WORKERS", workers)
+        got = matmul(Tensor(a), Tensor(b)).data
+    else:
+        got = np.full((m, n), np.nan, dtype=np.float32)
+        tensor_core._MATMUL.product(a, b, got, parts)
     want = _k_ordered_loop(a, b)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
-
-
-def test_error_in_a_later_row_range_reaches_the_caller(monkeypatch):
-    monkeypatch.setattr(tensor_core, "WORKERS", 3)
-    product_rows = tensor_core._product_rows
-
-    def failing(ad, bd, out, start, stop):
-        if start > 0:
-            raise MemoryError(f"rows {start}:{stop}")
-        return product_rows(ad, bd, out, start, stop)
-
-    monkeypatch.setattr(tensor_core, "_product_rows", failing)
-    a = Tensor(np.ones((3 * B, 24), dtype=np.float32))
-    b = Tensor(np.ones((24, 4), dtype=np.float32))
-    with pytest.raises(MemoryError, match=f"rows {B}:"):
-        matmul(a, b)
 
 
 def test_row_ranges_on_more_workers_than_cpus_under_fast_thread_switching(monkeypatch):

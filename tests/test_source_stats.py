@@ -63,12 +63,14 @@ def test_fields_count_on_config_classes_only():
         """) == 2
 
 
-def test_python_and_c_lines_are_printed_apart():
+def test_python_and_c_lines_are_printed_apart_and_summed():
     out = subprocess.run([sys.executable, str(_SCRIPT)], capture_output=True, text=True,
                          check=True).stdout
     stats = dict(line.split(": ") for line in out.splitlines())
-    assert list(stats) == ["source lines", "C source lines", "settable options"]
+    assert list(stats) == ["source lines", "C source lines", "total source lines",
+                           "settable options"]
     wc = {suffix: sum(p.read_bytes().count(b"\n") for p in _PACKAGE.glob(f"*.{suffix}"))
           for suffix in ("py", "c")}
     assert int(stats["source lines"]) == wc["py"]
     assert int(stats["C source lines"]) == wc["c"] > 0
+    assert int(stats["total source lines"]) == wc["py"] + wc["c"]
