@@ -1,5 +1,6 @@
-/* The exact-order float32 matrix product behind tensor_core.matmul, built
- * as a CPython extension module.
+/* The compiled arithmetic behind tensor_core.matmul and the quantizer: the
+ * exact-order float32 matrix product and the fake-quantization law, built
+ * as one CPython extension module.
  *
  * out[r, j] starts at +0.0f and adds the float32 products a[r, i] * b[i, j]
  * one at a time, in increasing i. Every output row is computed on its own,
@@ -15,34 +16,51 @@
  * tile go one at a time. Each output element still sees the same multiply
  * and add in the same order, so every tiling gives the same bits.
  *
- * There are three variants of the kernel, each exported under its own
- * name: qd_matmul_rows_base on 16-byte vectors, which every target has,
- * and, where GCC compiles for x86, qd_matmul_rows_avx2 and
- * qd_matmul_rows_avx512 on 32- and 64-byte vectors, each compiled for its
- * instruction set by a target pragma. qd_matmul_variant names the widest
- * one this CPU runs, read with __builtin_cpu_supports, so the object is
- * built without -march and stays portable across x86-64 hosts. Where the
- * compiler or the platform has no per-function targets (Clang, which
- * ignores the GCC pragmas, or another architecture) only the base variant
- * is compiled. None of the instruction sets changes a rounding: AVX2 and
- * AVX-512F add and multiply in float32 exactly as SSE2 does, and no
+ * Fake-quantization snaps a float32 value x to the code grid of a scale s
+ * and zero-point z in float64, in quantizer.quantize's then
+ * quantizer.dequantize's order: divide by s (a true divide, never a
+ * multiply by 1 / s), subtract z, round half to even, clip to the b-bit
+ * codes, add z, multiply by s, round to float32. The law that derives s
+ * and z from a slice's float32 range is quantizer.params_from_range's, and
+ * this file is its one home: the quantizer calls it for given endpoints
+ * and for each row of a weight, whose minimum and maximum it finds first.
+ * Each of these steps is one IEEE operation, so the bits equal numpy's.
+ * Rounding uses nearbyint (the C library's, which the interpreter links,
+ * where no instruction does it), which, like numpy's rint, follows the
+ * current rounding mode: the bits assume the default round-to-nearest
+ * mode.
+ *
+ * There are three variants of every kernel, each exported under its own
+ * name: qd_<kernel>_base on 16-byte vectors, which every target has, and,
+ * where GCC compiles for x86, qd_<kernel>_avx2 and qd_<kernel>_avx512 on
+ * 32- and 64-byte vectors, each compiled for its instruction set by a
+ * target pragma (the kernels are qd_matmul_rows, qd_fake_quant and
+ * qd_derive_params). qd_matmul_variant names the widest one this CPU runs,
+ * read with __builtin_cpu_supports, so the object is built without -march
+ * and stays portable across x86-64 hosts. Where the compiler or the
+ * platform has no per-function targets (Clang, which ignores the GCC
+ * pragmas, or another architecture) only the base variants are compiled.
+ * None of the instruction sets changes a rounding: AVX2 and AVX-512F add,
+ * multiply, divide, convert and round exactly as SSE2 and libm do, and no
  * multiply is fused into an add. So every variant gives the same bits;
  * only where NaN operands meet may a NaN result carry another payload.
  *
- * Python reaches the kernel through the module's one function,
- * product(a, b, out, parts), which takes its operands through the buffer
- * protocol, checks that every one is a C-contiguous 2-D float32 matrix
- * (out writable) of the product's shape, and runs the variant picked when
- * the module was initialised, without the GIL, over parts contiguous row
- * ranges: the first on the calling thread and each other one on a thread
- * it starts, except that once a thread cannot be started, the ranges left
- * run on the calling thread too. The module's variant attribute names the
- * variant.
+ * Python reaches the kernels through the module's functions, product,
+ * fake_quant, params_from_range and derive_params (each described where it
+ * is defined), which take their operands through the buffer protocol,
+ * check every one before a byte is read or written, and run the variant
+ * picked when the module was initialised, without the GIL. product splits
+ * the rows into ranges: the first runs on the calling thread and each
+ * other one on a thread it starts, except that once a thread cannot be
+ * started, the ranges left run on the calling thread too. The module's
+ * variant attribute names the variant.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <math.h>
 #include <pthread.h>
 #include <stddef.h>
+#include <stdint.h>
 #include <string.h>
 
 #define TILE_ROWS 4
@@ -121,6 +139,106 @@ static inline __attribute__((always_inline)) void column(
 
 DEFINE_ROWS(qd_matmul_rows_base, tile4, v4)
 
+/* What the law returns: the slices' parameters are written, a slice's
+ * endpoint is not finite, or a constant slice lies beyond MAX_CONSTANT. */
+enum { LAW_OK, LAW_NON_FINITE, LAW_TOO_LARGE };
+static const char *const LAW_ERRORS[] = {
+    NULL, "non-finite range endpoints", "constant range too large for an integer zero-point",
+};
+/* A constant slice takes a zero-point next to -round(value); beyond this
+ * magnitude it no longer fits the int64 zero-point. */
+#define MAX_CONSTANT 0x1p62
+
+/* out[j] = x[j] fake-quantized under scale s and zero-point z with b-bit
+ * codes, for j < n. The inner loop is one expression per element, which
+ * each variant vectorizes for its own vector width. */
+static inline __attribute__((always_inline)) void fake_quant_span(
+    const float *restrict x, float *restrict out, ptrdiff_t n, double s, double z, int bits)
+{
+    const double code_min = -(double)(1LL << (bits - 1));
+    const double code_max = (double)((1LL << (bits - 1)) - 1);
+    for (ptrdiff_t j = 0; j < n; j++) {
+        double t = nearbyint((double)x[j] / s - z);
+        t = t < code_min ? code_min : t;
+        t = t > code_max ? code_max : t;
+        out[j] = (float)((t + z) * s);
+    }
+}
+
+/* params_from_range's law for m slices of b-bit codes with float32
+ * endpoints lo[i] <= hi[i]: the scale is (hi - lo) / (2**b - 1) rounded to
+ * float32, and the zero-point round(lo * (2**b - 1) / (hi - lo) + 2**(b-1)).
+ * A constant slice (hi == lo) keeps scale 1 and takes the zero-point next
+ * to -round(lo) that leaves the constant's own code inside the codes with a
+ * margin of one code, to absorb rounding of half-fractions. Every endpoint
+ * is checked before any slice is derived. */
+static inline __attribute__((always_inline)) int law(
+    const float *restrict lo, const float *restrict hi, ptrdiff_t m, int bits,
+    float *restrict scale, int64_t *restrict zero_point)
+{
+    const int64_t code_min = -(1LL << (bits - 1)), code_max = (1LL << (bits - 1)) - 1;
+    const double levels = (double)(code_max - code_min);
+    for (ptrdiff_t i = 0; i < m; i++)
+        if (!isfinite(lo[i]) || !isfinite(hi[i]))
+            return LAW_NON_FINITE;
+    for (ptrdiff_t i = 0; i < m; i++) {
+        const double l = lo[i], h = hi[i];
+        if (h == l) {
+            const double anchor = nearbyint(l);
+            if (fabs(anchor) > MAX_CONSTANT)
+                return LAW_TOO_LARGE;
+            const int64_t a = (int64_t)anchor;
+            int64_t z = -a;
+            z = z < a - code_max + 1 ? a - code_max + 1 : z;
+            z = z > a - code_min - 1 ? a - code_min - 1 : z;
+            scale[i] = 1.0f;
+            zero_point[i] = z;
+        } else {
+            scale[i] = (float)((h - l) / levels);
+            zero_point[i] = (int64_t)nearbyint(l * levels / (h - l) - (double)code_min);
+        }
+    }
+    return LAW_OK;
+}
+
+/* qd_fake_quant_<V>(x, out, n, s, z, bits): fake_quant_span on vectors V.
+ * qd_derive_params_<V>(w, out, rows, n, bits, scale, zero_point, lo, hi):
+ * each row's minimum and maximum into lo and hi (a NaN propagates; of equal
+ * extrema, signed zeros included, the last is kept, as numpy's scalar loop
+ * keeps it), the law's parameters of every row, and, unless out is NULL,
+ * every row fake-quantized under its own. Returns the law's LAW_* value. */
+#define DEFINE_QUANT(V)                                                                 \
+    void qd_fake_quant_##V(const float *restrict x, float *restrict out, ptrdiff_t n,   \
+                           double s, double z, int bits)                                \
+    {                                                                                   \
+        fake_quant_span(x, out, n, s, z, bits);                                         \
+    }                                                                                   \
+    int qd_derive_params_##V(const float *restrict w, float *restrict out,              \
+                             ptrdiff_t rows, ptrdiff_t n, int bits,                     \
+                             float *restrict scale, int64_t *restrict zero_point,       \
+                             float *restrict lo, float *restrict hi)                    \
+    {                                                                                   \
+        for (ptrdiff_t r = 0; r < rows; r++) {                                          \
+            const float *row = w + r * n;                                               \
+            float min = row[0], max = row[0];                                           \
+            for (ptrdiff_t j = 1; j < n; j++) {                                         \
+                const float v = row[j];                                                 \
+                min = v <= min || v != v ? v : min;                                     \
+                max = v >= max || v != v ? v : max;                                     \
+            }                                                                           \
+            lo[r] = min;                                                                \
+            hi[r] = max;                                                                \
+        }                                                                               \
+        const int status = law(lo, hi, rows, bits, scale, zero_point);                  \
+        if (status == LAW_OK && out != NULL)                                            \
+            for (ptrdiff_t r = 0; r < rows; r++)                                        \
+                fake_quant_span(w + r * n, out + r * n, n, scale[r],                    \
+                                (double)zero_point[r], bits);                           \
+        return status;                                                                  \
+    }
+
+DEFINE_QUANT(base)
+
 #if defined(__GNUC__) && !defined(__clang__) && (defined(__x86_64__) || defined(__i386__))
 #define QD_X86_VARIANTS 1
 
@@ -129,6 +247,7 @@ DEFINE_ROWS(qd_matmul_rows_base, tile4, v4)
 typedef float v8 __attribute__((vector_size(32)));
 DEFINE_TILE(tile8, v8)
 DEFINE_ROWS(qd_matmul_rows_avx2, tile8, v8)
+DEFINE_QUANT(avx2)
 #pragma GCC pop_options
 
 #pragma GCC push_options
@@ -136,10 +255,11 @@ DEFINE_ROWS(qd_matmul_rows_avx2, tile8, v8)
 typedef float v16 __attribute__((vector_size(64)));
 DEFINE_TILE(tile16, v16)
 DEFINE_ROWS(qd_matmul_rows_avx512, tile16, v16)
+DEFINE_QUANT(avx512)
 #pragma GCC pop_options
 #endif
 
-/* The name of the widest variant this CPU runs: qd_matmul_rows_<name>. */
+/* The name of the widest variant this CPU runs: qd_<kernel>_<name>. */
 const char *qd_matmul_variant(void)
 {
 #ifdef QD_X86_VARIANTS
@@ -154,25 +274,121 @@ const char *qd_matmul_variant(void)
 
 typedef void (*rows_fn)(const float *restrict, const float *restrict, float *restrict,
                         ptrdiff_t, ptrdiff_t, ptrdiff_t);
+typedef void (*fake_quant_fn)(const float *restrict, float *restrict, ptrdiff_t, double, double,
+                              int);
+typedef int (*derive_fn)(const float *restrict, float *restrict, ptrdiff_t, ptrdiff_t, int,
+                         float *restrict, int64_t *restrict, float *restrict, float *restrict);
+
+/* The kernels of one variant. */
+struct variant {
+    rows_fn product;
+    fake_quant_fn fake_quant;
+    derive_fn derive_params;
+};
+#define VARIANT(V) ((struct variant){qd_matmul_rows_##V, qd_fake_quant_##V, qd_derive_params_##V})
 
 /* The variant qd_matmul_variant names, set once at module init. */
-static rows_fn widest;
+static struct variant widest;
 
-/* Fills view with obj's buffer, or sets an exception and returns -1 unless
- * obj exports a C-contiguous 2-D float32 matrix (and a writable one where
- * flags asks for PyBUF_WRITABLE). */
-static int matrix(PyObject *obj, Py_buffer *view, int flags, const char *name)
+/* What an array operand must be: a C-contiguous array of float32 ('f') or
+ * int64 ('q') items, with ndim dimensions, or any number where ndim is -1. */
+struct kind {
+    const char *what;
+    char type;
+    int ndim;
+};
+static const struct kind MATRIX = {"2-D float32 matrix", 'f', 2};
+static const struct kind FLOATS = {"float32 array", 'f', -1};
+static const struct kind ROWS = {"1-D float32 array", 'f', 1};
+static const struct kind INT_ROWS = {"1-D int64 array", 'q', 1};
+
+/* An entry's array operand: its argument, name, kind and buffer flags
+ * (PyBUF_WRITABLE for an output). */
+struct operand {
+    int arg;
+    const char *name;
+    const struct kind *kind;
+    int flags;
+};
+
+static void release(Py_buffer *view, int n)
 {
-    if (PyObject_GetBuffer(obj, view, flags | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
-        return -1;
-    const char *format = view->format ? view->format : "B";
-    if (view->ndim != 2 || strcmp(format, "f") != 0) {
-        PyErr_Format(PyExc_ValueError, "%s must be a 2-D float32 matrix, got %d-D of format '%s'",
-                     name, view->ndim, format);
-        PyBuffer_Release(view);
-        return -1;
+    while (n > 0)
+        PyBuffer_Release(&view[--n]);
+}
+
+/* Fills view[i] with the buffer of each of the n operands, or sets an
+ * exception and returns -1, holding none, unless every one is of its kind
+ * (and writable where its flags ask). */
+static int take(PyObject *const *args, const struct operand *op, int n, Py_buffer *view)
+{
+    for (int i = 0; i < n; i++) {
+        if (PyObject_GetBuffer(args[op[i].arg], &view[i],
+                               op[i].flags | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0) {
+            release(view, i);
+            return -1;
+        }
+        const char *format = view[i].format ? view[i].format : "B";
+        const int typed = op[i].kind->type == 'f'
+            ? strcmp(format, "f") == 0
+            : view[i].itemsize == 8 && (strcmp(format, "q") == 0 || strcmp(format, "l") == 0);
+        if (!typed || (op[i].kind->ndim >= 0 && view[i].ndim != op[i].kind->ndim)) {
+            PyErr_Format(PyExc_ValueError, "%s must be a %s, got %d-D of format '%s'",
+                         op[i].name, op[i].kind->what, view[i].ndim, format);
+            release(view, i + 1);
+            return -1;
+        }
     }
     return 0;
+}
+
+/* True, or false with an exception set, unless view[first..n) each hold
+ * rows entries. */
+static int rows_match(const Py_buffer *view, const struct operand *op, int first, int n,
+                      Py_ssize_t rows)
+{
+    for (int i = first; i < n; i++)
+        if (view[i].shape[0] != rows) {
+            PyErr_Format(PyExc_ValueError, "%s has %zd entries for %zd rows", op[i].name,
+                         view[i].shape[0], rows);
+            return 0;
+        }
+    return 1;
+}
+
+/* True, or false with an exception set, unless out has x's shape. */
+static int same_shape(const Py_buffer *out, const Py_buffer *x)
+{
+    int same = out->ndim == x->ndim;
+    for (int i = 0; same && i < x->ndim; i++)
+        same = out->shape[i] == x->shape[i];
+    if (!same)
+        PyErr_SetString(PyExc_ValueError, "out does not have the shape of the input");
+    return same;
+}
+
+/* The code width in args[at], 1 to 32 bits, or -1 with an exception set,
+ * also unless the entry was given want arguments. */
+static int entry_bits(const char *usage, Py_ssize_t want, Py_ssize_t nargs,
+                      PyObject *const *args, int at)
+{
+    if (nargs != want) {
+        PyErr_Format(PyExc_TypeError, "%s takes %zd arguments, got %zd", usage, want, nargs);
+        return -1;
+    }
+    const long bits = PyLong_AsLong(args[at]);
+    if (bits == -1 && PyErr_Occurred())
+        return -1;
+    if (bits < 1 || bits > 32) {
+        PyErr_Format(PyExc_ValueError, "bits must be from 1 to 32, got %ld", bits);
+        return -1;
+    }
+    return (int)bits;
+}
+
+static PyObject *law_result(int status)
+{
+    return status == LAW_OK ? Py_NewRef(Py_None) : PyUnicode_FromString(LAW_ERRORS[status]);
 }
 
 /* One row range of a product, and the thread that runs it. */
@@ -186,7 +402,7 @@ struct range {
 static void *run(void *arg)
 {
     const struct range *r = arg;
-    widest(r->a, r->b, r->out, r->rows, r->k, r->n);
+    widest.product(r->a, r->b, r->out, r->rows, r->k, r->n);
     return NULL;
 }
 
@@ -194,7 +410,11 @@ static void *run(void *arg)
  * operand checked before a byte is read or written. */
 static PyObject *product(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_buffer a, b, out;
+    static const struct operand op[] = {
+        {0, "a", &MATRIX, PyBUF_SIMPLE}, {1, "b", &MATRIX, PyBUF_SIMPLE},
+        {2, "out", &MATRIX, PyBUF_WRITABLE},
+    };
+    Py_buffer view[3];
     PyObject *result = NULL;
     if (nargs != 4)
         return PyErr_Format(PyExc_TypeError,
@@ -203,20 +423,17 @@ static PyObject *product(PyObject *module, PyObject *const *args, Py_ssize_t nar
     if (parts < 1)
         return PyErr_Occurred() ? NULL : PyErr_Format(PyExc_ValueError,
                                                       "parts must be at least 1, got %zd", parts);
-    if (matrix(args[0], &a, PyBUF_SIMPLE, "a") < 0)
+    if (take(args, op, 3, view) < 0)
         return NULL;
-    if (matrix(args[1], &b, PyBUF_SIMPLE, "b") < 0)
-        goto release_a;
-    if (matrix(args[2], &out, PyBUF_WRITABLE, "out") < 0)
-        goto release_b;
-    Py_ssize_t m = a.shape[0], k = a.shape[1], n = b.shape[1];
+    const Py_buffer *a = &view[0], *b = &view[1], *out = &view[2];
+    Py_ssize_t m = a->shape[0], k = a->shape[1], n = b->shape[1];
     struct range *ranges = NULL;
-    if (b.shape[0] != k)
-        PyErr_Format(PyExc_ValueError, "b has %zd rows, a has %zd columns", b.shape[0], k);
-    else if (out.shape[0] != m)
-        PyErr_Format(PyExc_ValueError, "out has %zd rows, a has %zd", out.shape[0], m);
-    else if (out.shape[1] != n)
-        PyErr_Format(PyExc_ValueError, "out has %zd columns, b has %zd", out.shape[1], n);
+    if (b->shape[0] != k)
+        PyErr_Format(PyExc_ValueError, "b has %zd rows, a has %zd columns", b->shape[0], k);
+    else if (out->shape[0] != m)
+        PyErr_Format(PyExc_ValueError, "out has %zd rows, a has %zd", out->shape[0], m);
+    else if (out->shape[1] != n)
+        PyErr_Format(PyExc_ValueError, "out has %zd columns, b has %zd", out->shape[1], n);
     else if (parts > (m > 1 ? m : 1))
         PyErr_Format(PyExc_ValueError, "%zd parts of %zd rows leave one empty", parts, m);
     else if ((ranges = PyMem_New(struct range, parts)) == NULL)
@@ -226,8 +443,8 @@ static PyObject *product(PyObject *module, PyObject *const *args, Py_ssize_t nar
          * forming m * (p + 1), which could overflow. */
         for (Py_ssize_t p = 0, start = 0, stop; p < parts; p++, start = stop) {
             stop = m / parts * (p + 1) + m % parts * (p + 1) / parts;
-            ranges[p] = (struct range){(const float *)a.buf + start * k, b.buf,
-                                       (float *)out.buf + start * n, stop - start, k, n};
+            ranges[p] = (struct range){(const float *)a->buf + start * k, b->buf,
+                                       (float *)out->buf + start * n, stop - start, k, n};
         }
         Py_BEGIN_ALLOW_THREADS
         Py_ssize_t started = 1;
@@ -243,11 +460,107 @@ static PyObject *product(PyObject *module, PyObject *const *args, Py_ssize_t nar
         PyMem_Free(ranges);
         result = Py_NewRef(Py_None);
     }
-    PyBuffer_Release(&out);
-release_b:
-    PyBuffer_Release(&b);
-release_a:
-    PyBuffer_Release(&a);
+    release(view, 3);
+    return result;
+}
+
+/* fake_quant(x, out, bits, scale, zero_point): out = x fake-quantized, the
+ * whole of x under one scale and zero-point (Python numbers), or each row
+ * of matrix x under its own (a float32 and an int64 array). */
+static PyObject *fake_quant(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    static const struct operand whole[] = {
+        {0, "x", &FLOATS, PyBUF_SIMPLE}, {1, "out", &FLOATS, PyBUF_WRITABLE},
+    };
+    static const struct operand per_row[] = {
+        {0, "x", &MATRIX, PyBUF_SIMPLE}, {1, "out", &MATRIX, PyBUF_WRITABLE},
+        {3, "scale", &ROWS, PyBUF_SIMPLE}, {4, "zero_point", &INT_ROWS, PyBUF_SIMPLE},
+    };
+    Py_buffer view[4];
+    PyObject *result = NULL;
+    double s = 0.0, z = 0.0;
+    const int bits = entry_bits("fake_quant(x, out, bits, scale, zero_point)", 5, nargs, args, 2);
+    if (bits < 0)
+        return NULL;
+    const int rowwise = PyObject_CheckBuffer(args[3]);
+    if (!rowwise && (((s = PyFloat_AsDouble(args[3])) == -1.0 && PyErr_Occurred())
+                     || ((z = PyFloat_AsDouble(args[4])) == -1.0 && PyErr_Occurred())))
+        return NULL;
+    const int n = rowwise ? 4 : 2;
+    if (take(args, rowwise ? per_row : whole, n, view) < 0)
+        return NULL;
+    if (same_shape(&view[1], &view[0])
+        && (!rowwise || rows_match(view, per_row, 2, 4, view[0].shape[0]))) {
+        const float *x = view[0].buf, *scale = view[2].buf;
+        const int64_t *zero_point = view[3].buf;
+        float *out = view[1].buf;
+        Py_BEGIN_ALLOW_THREADS
+        if (rowwise) {
+            const Py_ssize_t cols = view[0].shape[1];
+            for (Py_ssize_t r = 0; r < view[0].shape[0]; r++)
+                widest.fake_quant(x + r * cols, out + r * cols, cols, scale[r],
+                                  (double)zero_point[r], bits);
+        } else
+            widest.fake_quant(x, out, view[0].len / (Py_ssize_t)sizeof(float), s, z, bits);
+        Py_END_ALLOW_THREADS
+        result = Py_NewRef(Py_None);
+    }
+    release(view, n);
+    return result;
+}
+
+/* params_from_range(lo, hi, bits, scale, zero_point): the law's scale and
+ * zero-point of every slice of float32 endpoints lo and hi. Returns None,
+ * or the reason the law refuses them. */
+static PyObject *params_from_range(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    static const struct operand op[] = {
+        {0, "lo", &ROWS, PyBUF_SIMPLE}, {1, "hi", &ROWS, PyBUF_SIMPLE},
+        {3, "scale", &ROWS, PyBUF_WRITABLE}, {4, "zero_point", &INT_ROWS, PyBUF_WRITABLE},
+    };
+    Py_buffer view[4];
+    PyObject *result = NULL;
+    const int bits = entry_bits("params_from_range(lo, hi, bits, scale, zero_point)", 5, nargs,
+                                args, 2);
+    if (bits < 0 || take(args, op, 4, view) < 0)
+        return NULL;
+    if (rows_match(view, op, 1, 4, view[0].shape[0]))
+        result = law_result(law(view[0].buf, view[1].buf, view[0].shape[0], bits, view[2].buf,
+                                view[3].buf));
+    release(view, 4);
+    return result;
+}
+
+/* derive_params(w, bits, out, scale, zero_point, lo, hi): the range of
+ * every row of w into lo and hi, its scale and zero-point under the law,
+ * and, unless out is None, w fake-quantized under them into out. Returns
+ * None, or the reason the law refuses a row's range. */
+static PyObject *derive_params(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    static const struct operand op[] = {
+        {0, "w", &MATRIX, PyBUF_SIMPLE}, {3, "scale", &ROWS, PyBUF_WRITABLE},
+        {4, "zero_point", &INT_ROWS, PyBUF_WRITABLE}, {5, "lo", &ROWS, PyBUF_WRITABLE},
+        {6, "hi", &ROWS, PyBUF_WRITABLE}, {2, "out", &MATRIX, PyBUF_WRITABLE},
+    };
+    Py_buffer view[6];
+    PyObject *result = NULL;
+    const int bits = entry_bits("derive_params(w, bits, out, scale, zero_point, lo, hi)", 7,
+                                nargs, args, 1);
+    const int n = bits >= 0 && args[2] == Py_None ? 5 : 6;
+    if (bits < 0 || take(args, op, n, view) < 0)
+        return NULL;
+    const Py_ssize_t rows = view[0].shape[0], cols = view[0].shape[1];
+    if (cols < 1)
+        PyErr_SetString(PyExc_ValueError, "w has no columns");
+    else if (rows_match(view, op, 1, 5, rows) && (n == 5 || same_shape(&view[5], &view[0]))) {
+        int status;
+        Py_BEGIN_ALLOW_THREADS
+        status = widest.derive_params(view[0].buf, n == 6 ? view[5].buf : NULL, rows, cols, bits,
+                                      view[1].buf, view[2].buf, view[3].buf, view[4].buf);
+        Py_END_ALLOW_THREADS
+        result = law_result(status);
+    }
+    release(view, n);
     return result;
 }
 
@@ -257,22 +570,40 @@ static PyMethodDef methods[] = {
      "out = a @ b in the exact order, for C-contiguous 2-D float32 a (m x k),\n"
      "b (k x n) and writable out (m x n), over 1 <= parts <= max(1, m) row\n"
      "ranges: the first on the calling thread, each other one on a thread of its own."},
+    {"fake_quant", (PyCFunction)(void (*)(void))fake_quant, METH_FASTCALL,
+     "fake_quant(x, out, bits, scale, zero_point)\n--\n\n"
+     "out = x fake-quantized to bits-bit codes, for C-contiguous float32 x and\n"
+     "writable out of x's shape: the whole of x under one scale and zero-point\n"
+     "(numbers), or each row of a matrix x under its own (a 1-D float32 scale\n"
+     "and a 1-D int64 zero-point with one entry per row)."},
+    {"params_from_range", (PyCFunction)(void (*)(void))params_from_range, METH_FASTCALL,
+     "params_from_range(lo, hi, bits, scale, zero_point)\n--\n\n"
+     "Each slice's scale (float32) and zero-point (int64) from its float32\n"
+     "endpoints lo <= hi, into writable 1-D arrays of lo's length. Returns\n"
+     "None, or the reason the law refuses a slice."},
+    {"derive_params", (PyCFunction)(void (*)(void))derive_params, METH_FASTCALL,
+     "derive_params(w, bits, out, scale, zero_point, lo, hi)\n--\n\n"
+     "Each row's minimum and maximum of the float32 matrix w into lo and hi,\n"
+     "its scale and zero-point from them, and, unless out is None, w\n"
+     "fake-quantized under them into out. Returns None, or the reason the\n"
+     "law refuses a row's range."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef matmul_module = {
-    PyModuleDef_HEAD_INIT, "_matmul", "The exact-order float32 matmul kernel.", -1, methods,
+    PyModuleDef_HEAD_INIT, "_matmul",
+    "The exact-order float32 matmul and the fake-quantization kernels.", -1, methods,
 };
 
 PyMODINIT_FUNC PyInit__matmul(void)
 {
     const char *name = qd_matmul_variant();
-    widest = qd_matmul_rows_base;
+    widest = VARIANT(base);
 #ifdef QD_X86_VARIANTS
     if (strcmp(name, "avx512") == 0)
-        widest = qd_matmul_rows_avx512;
+        widest = VARIANT(avx512);
     else if (strcmp(name, "avx2") == 0)
-        widest = qd_matmul_rows_avx2;
+        widest = VARIANT(avx2);
 #endif
     PyObject *module = PyModule_Create(&matmul_module);
     if (module != NULL && PyModule_AddStringConstant(module, "variant", name) < 0)

@@ -34,7 +34,7 @@ from .quantizer import (
     RangeObserver,
     derive_params,
 )
-from .tensor_core import ROW_BLOCK, Tensor, l2_normalize, matmul, relu, transpose
+from .tensor_core import _MATMUL, Tensor, l2_normalize, matmul, relu, transpose
 
 
 @dataclass
@@ -127,7 +127,7 @@ class EmbeddingNet:
         shadow weight."""
         if self.frozen_weight_params is not None:
             return self.frozen_weight_params[linear_index]
-        return derive_params(self.layers[linear_index].weight, self.quant_bits)
+        return derive_params(self.layers[linear_index].weight, self.quant_bits, None)
 
     @property
     def is_calibrated(self) -> bool:
@@ -182,28 +182,16 @@ def net_fingerprint(net: EmbeddingNet) -> str:
 def fake_quant(x: Tensor, params: QuantParams) -> Tensor:
     """Quantize-then-dequantize: real-valued output snapped to the code grid.
 
-    One float64 pass with the arithmetic of ``quantize`` then
+    One compiled float64 pass with the arithmetic of ``quantize`` then
     ``dequantize`` in the same order (divide by s, subtract z, round half
     to even, clip to the codes, add z, multiply by s), so the output is
-    bit-identical to the two-step path without building integer codes.
-    The pass runs over blocks of ``ROW_BLOCK`` rows, so only one block is
-    held in float64.
+    bit-identical to the two-step path without building integer codes or
+    holding a float64 copy of ``x``.
     """
-    s, z, _, _ = params.broadcast(x.shape)
-    xd = np.atleast_1d(x.data)
-    out = np.empty(xd.shape, dtype=np.float32)
-    for start in range(0, xd.shape[0], ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
-        sb, zb = (s[rows], z[rows]) if params.per_channel else (s, z)
-        t = xd[rows].astype(np.float64)
-        t /= sb
-        t -= zb
-        np.rint(t, out=t)
-        np.clip(t, params.code_min, params.code_max, out=t)
-        t += zb
-        t *= sb
-        out[rows] = t
-    return Tensor._wrap(out.reshape(x.shape))
+    params.broadcast(x.shape)  # raises on a layout mismatch
+    out = np.empty(x.shape, dtype=np.float32)
+    _MATMUL.fake_quant(x.data, out, params.bit_width, params.scale, params.zero_point)
+    return Tensor._wrap(out)
 
 
 def in_range_mask(x: Tensor, params: QuantParams) -> np.ndarray:
@@ -342,11 +330,17 @@ def _walk(net: EmbeddingNet, x: Tensor, quantized: bool, tape: GradTape | None,
         w = layer.weight
         mask = None
         if quantized:
-            try:
-                wp = net.weight_params(i)
-            except DomainError as exc:
-                raise DomainError(f"layer {i}: {exc}") from exc
-            w = fake_quant(layer.weight, wp)
+            if net.frozen_weight_params is None:
+                # One compiled call derives the parameters and applies them.
+                fq = np.empty(w.shape, dtype=np.float32)
+                try:
+                    wp = derive_params(w, net.quant_bits, fq)
+                except DomainError as exc:
+                    raise DomainError(f"layer {i}: {exc}") from exc
+                w = Tensor._wrap(fq)
+            else:
+                wp = net.frozen_weight_params[i]
+                w = fake_quant(w, wp)
             if tape is not None:
                 mask = in_range_mask(layer.weight, wp)
         if tape is not None:

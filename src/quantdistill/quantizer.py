@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, StateError
-from .tensor_core import Tensor
+from .tensor_core import _MATMUL, Tensor
 
 SUPPORTED_BIT_WIDTHS = (4, 6, 8)
 
@@ -48,10 +48,6 @@ SUPPORTED_BIT_WIDTHS = (4, 6, 8)
 # fields that the shape rule governs.
 _FIELDS = (("scale", np.float32, float), ("zero_point", np.int64, int),
            ("range_lo", np.float32, float), ("range_hi", np.float32, float))
-
-# Constant slices take a zero-point next to -round(value); beyond this
-# magnitude it no longer fits the int64 zero-point.
-_MAX_CONSTANT = 2.0 ** 62
 
 
 @dataclass(frozen=True)
@@ -131,7 +127,9 @@ def params_from_range(lo, hi, bit_width: int) -> QuantParams:
     give per-channel parameters, one entry per row, derived by the same
     arithmetic. Endpoints are snapped to float32 (the storage precision)
     before the scale and zero-point are derived, so parameters rebuilt
-    from a saved model are identical to the originals.
+    from a saved model are identical to the originals. The law itself (the
+    module notes' formulas and the constant-slice fallback) is compiled,
+    in ``_matmul.c``; :func:`derive_params` runs the same code.
     """
     if bit_width not in SUPPORTED_BIT_WIDTHS:
         raise DomainError(f"unsupported bit width {bit_width}")
@@ -146,23 +144,10 @@ def params_from_range(lo, hi, bit_width: int) -> QuantParams:
         i = int(np.argmax(hi < lo))
         raise DomainError(f"invalid range [{lo[i]}, {hi[i]}]")
     lo32, hi32 = lo.astype(np.float32), hi.astype(np.float32)
-    lo, hi = lo32.astype(np.float64), hi32.astype(np.float64)
-    code_min, code_max = -(1 << (bit_width - 1)), (1 << (bit_width - 1)) - 1
-    levels = code_max - code_min
-    const = hi == lo
-    span = np.where(const, 1.0, hi - lo)
-    scale = np.where(const, np.float32(1.0), (span / levels).astype(np.float32))
-    zero_point = np.where(const, 0.0, np.rint(lo * levels / span - float(code_min)))
-    zero_point = zero_point.astype(np.int64)
-    if const.any():
-        # Constant slice: keep s = 1 and pick a zero-point that leaves the
-        # constant's own code inside the representable range (clamped with a
-        # margin of one code to absorb rounding of half-fractions).
-        anchor = np.rint(lo[const])
-        if (np.abs(anchor) > _MAX_CONSTANT).any():
-            raise DomainError("constant range too large for an integer zero-point")
-        anchor = anchor.astype(np.int64)
-        zero_point[const] = np.clip(-anchor, anchor - code_max + 1, anchor - code_min - 1)
+    scale, zero_point = np.empty(lo.shape, np.float32), np.empty(lo.shape, np.int64)
+    refused = _MATMUL.params_from_range(lo32, hi32, bit_width, scale, zero_point)
+    if refused:
+        raise DomainError(refused)
     if not per_channel:
         scale, zero_point, lo32, hi32 = scale[0], zero_point[0], lo32[0], hi32[0]
     return QuantParams(scale=scale, zero_point=zero_point, bit_width=bit_width,
@@ -210,14 +195,29 @@ def dequantize(q: QuantizedTensor) -> Tensor:
     return Tensor._wrap(x)
 
 
-def derive_params(t: Tensor, bit_width: int) -> QuantParams:
+def derive_params(t: Tensor, bit_width: int, out: np.ndarray | None) -> QuantParams:
     """Per-channel parameters of a rank-2 tensor: each row gets its own,
-    from the row's extrema."""
+    from the row's extrema, by :func:`params_from_range`'s law.
+
+    ``out`` is None, or a writable C-contiguous float32 array of ``t``'s
+    shape into which the same compiled call also writes ``t``
+    fake-quantized under the parameters, with the bits of
+    ``graph.fake_quant``: a live weight's forward takes one call.
+    """
     if t.size == 0:
         raise DomainError("cannot derive parameters for an empty tensor")
     if t.rank != 2:
         raise DimensionError(f"per-row parameters need a rank-2 tensor, got shape {t.shape}")
-    return params_from_range(t.data.min(axis=1), t.data.max(axis=1), bit_width)
+    if bit_width not in SUPPORTED_BIT_WIDTHS:
+        raise DomainError(f"unsupported bit width {bit_width}")
+    rows = t.shape[0]
+    scale, lo, hi = (np.empty(rows, np.float32) for _ in range(3))
+    zero_point = np.empty(rows, np.int64)
+    refused = _MATMUL.derive_params(t.data, bit_width, out, scale, zero_point, lo, hi)
+    if refused:
+        raise DomainError(refused)
+    return QuantParams(scale=scale, zero_point=zero_point, bit_width=bit_width,
+                       range_lo=lo, range_hi=hi)
 
 
 class RangeObserver:

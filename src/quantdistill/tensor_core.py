@@ -26,6 +26,15 @@ same bits. Every output row is computed on its own, so ``product`` splits
 a long product into row ranges and runs them in parallel, one per CPU the
 process may use, on threads it starts itself; the bits do not depend on
 the split.
+
+The same module holds the quantizer's arithmetic, in the same variants:
+``fake_quant`` (``graph.fake_quant``'s float64 pass, per tensor or per
+row), ``params_from_range`` (the one home of the scale and zero-point
+law) and ``derive_params`` (each weight row's range, its parameters and,
+in the same call, the row fake-quantized). Their rounding is
+``nearbyint``, which like numpy's ``rint`` follows the floating-point
+rounding mode, so their bits, like numpy's, assume the default
+round-to-nearest mode.
 """
 
 from __future__ import annotations
@@ -61,7 +70,7 @@ RANGE_ROWS = 1500
 # process's affinity mask. The bits do not depend on it.
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
-# Rows per block of the float64 elementwise stages (fake-quant, L2
+# Rows per block of the numpy float64 elementwise stages (L2
 # normalization, pair cosines). Every row is computed on its own, so only
 # a block's float64 copy is held, never one of the whole input.
 ROW_BLOCK = 1024
@@ -149,7 +158,7 @@ def _load_module():
     return module
 
 
-# The compiled kernel; ``_MATMUL.variant`` names the variant it runs.
+# The compiled module; ``_MATMUL.variant`` names the variant it runs.
 _MATMUL = _load_module()
 
 

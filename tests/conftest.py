@@ -6,6 +6,7 @@ same result every time, and the example count bounds the suite's time.
 """
 
 import struct
+import subprocess
 import threading
 import zlib
 
@@ -65,3 +66,39 @@ def product_calls(monkeypatch):
 
     monkeypatch.setattr(tensor_core, "_MATMUL", Recording)
     return calls
+
+
+# The compiled module's variants, widest first.
+VARIANTS = ("avx512", "avx2", "base")
+
+# Prints the variants that __builtin_cpu_supports says this CPU runs,
+# widest first, where the kernel has them: GCC compiling for x86.
+PROBE = r"""
+#include <stdio.h>
+int main(void)
+{
+#if defined(__GNUC__) && !defined(__clang__) && (defined(__x86_64__) || defined(__i386__))
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f"))
+        puts("avx512");
+    if (__builtin_cpu_supports("avx2"))
+        puts("avx2");
+#endif
+    puts("base");
+    return 0;
+}
+"""
+
+
+@pytest.fixture(scope="session")
+def supported(tmp_path_factory) -> list[str]:
+    """The variants of the compiled module this CPU runs, widest first, by a
+    program of its own."""
+    tmp = tmp_path_factory.mktemp("probe")
+    (tmp / "probe.c").write_text(PROBE)
+    subprocess.run(["cc", "-o", str(tmp / "probe"), str(tmp / "probe.c")], check=True,
+                   timeout=120)
+    found = subprocess.run([str(tmp / "probe")], capture_output=True, text=True, check=True,
+                           timeout=60).stdout.split()
+    assert found and found[-1] == "base" and set(found) <= set(VARIANTS), found
+    return found

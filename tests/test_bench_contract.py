@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 import quantdistill
-from quantdistill import bench_eval, distiller, graph, pretrain, quantizer, synth, tensor_core
+from quantdistill import (bench_eval, distiller, graph, model_store, pretrain, quantizer, synth,
+                          tensor_core)
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 _TRACER_PATH = _PERFBENCH / "tracer.py"
@@ -122,9 +123,12 @@ def test_matmul_clock_installs_and_uninstalls_around_a_distill_step():
     assert clock.marks and len(clock.marks) % 2 == 0
 
 
-def test_verify_request_runs_one_stacked_forward_without_ste_masks():
+def test_verify_request_runs_one_stacked_forward_without_ste_masks(tmp_path):
     # A request embeds both pair sides in one tape-free walk: one matmul per
     # linear layer, and no STE mask, which only a backward pass would read.
+    # A live student derives and applies each weight's parameters in one
+    # derive_params call; a loaded one, as the benchmark serves, applies
+    # its pinned parameters with fake_quant.
     tracer_mod = _load_tracer()
     space, teacher, cfg = _tiny_step_inputs()
     student = distiller.prepare_student(teacher, cfg.bit_width)
@@ -139,17 +143,22 @@ def test_verify_request_runs_one_stacked_forward_without_ste_masks():
             clock.uninstall()
         assert len(clock.marks) == 2 * len(net.layers)
 
-    tracer = tracer_mod.Tracer(quantdistill)
-    tracer.install()
-    try:
-        tracer.scope, tracer.round = "op", 1
-        bench_eval.verify(student, pairs)
-    finally:
-        tracer.uninstall()
-    assert not tracer.failed
-    spans = {name: calls for (_, _, name), (calls, _, _) in tracer.aggregate().items()}
-    assert "graph.in_range_mask" not in spans
-    assert spans["graph.fake_quant"] == len(student.layers) + student.activation_site_count
+    model_store.save_model(student, tmp_path / "student.qfmd", mode="quantized")
+    loaded = model_store.load_model(tmp_path / "student.qfmd")
+    for net, derived in ((student, len(student.layers)), (loaded, 0)):
+        tracer = tracer_mod.Tracer(quantdistill)
+        tracer.install()
+        try:
+            tracer.scope, tracer.round = "op", 1
+            bench_eval.verify(net, pairs)
+        finally:
+            tracer.uninstall()
+        assert not tracer.failed
+        spans = {name: calls for (_, _, name), (calls, _, _) in tracer.aggregate().items()}
+        assert "graph.in_range_mask" not in spans
+        assert spans.get("quantizer.derive_params", 0) == derived
+        assert spans["graph.fake_quant"] == (len(net.layers) - derived
+                                             + net.activation_site_count)
 
 
 def test_row_split_verify_request_is_seen_from_the_calling_thread(monkeypatch, product_calls):

@@ -13,6 +13,8 @@ remainder below the widest tile's 32 columns, and k = 1.
 """
 
 import ctypes
+import re
+import shutil
 import subprocess
 
 import numpy as np
@@ -23,37 +25,6 @@ from quantdistill import tensor_core
 ORDER = ("avx512", "avx2", "base")  # widest first
 TILE_ROWS = 4
 WIDEST_TILE_COLUMNS = 32  # two 16-float vectors
-
-# Prints the variants that __builtin_cpu_supports says this CPU runs,
-# widest first, where the kernel has them: GCC compiling for x86.
-PROBE = r"""
-#include <stdio.h>
-int main(void)
-{
-#if defined(__GNUC__) && !defined(__clang__) && (defined(__x86_64__) || defined(__i386__))
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx512f"))
-        puts("avx512");
-    if (__builtin_cpu_supports("avx2"))
-        puts("avx2");
-#endif
-    puts("base");
-    return 0;
-}
-"""
-
-
-@pytest.fixture(scope="module")
-def supported(tmp_path_factory) -> list[str]:
-    """The variants this CPU runs, widest first, by a program of its own."""
-    tmp = tmp_path_factory.mktemp("probe")
-    (tmp / "probe.c").write_text(PROBE)
-    subprocess.run(["cc", "-o", str(tmp / "probe"), str(tmp / "probe.c")], check=True,
-                   timeout=120)
-    found = subprocess.run([str(tmp / "probe")], capture_output=True, text=True, check=True,
-                           timeout=60).stdout.split()
-    assert found and found[-1] == "base" and set(found) <= set(ORDER), found
-    return found
 
 
 @pytest.fixture(params=ORDER)
@@ -153,3 +124,16 @@ def test_non_finite_and_subnormal_operands_match_the_oracle_but_for_nan_payloads
         nan = np.isnan(want)
         assert (np.isnan(got) == nan).all()
         assert np.array_equal(got[~nan].view(np.uint32), want[~nan].view(np.uint32))
+
+
+def test_no_variant_fuses_a_multiply_into_an_add():
+    # -ffp-contract=off keeps each multiply and add rounded on its own in
+    # the product and in the quantization kernels; a fused multiply-add
+    # anywhere in the object would mean the flag was lost.
+    if shutil.which("objdump") is None:
+        pytest.skip("objdump is not installed")
+    listing = subprocess.run(["objdump", "-d", tensor_core._MATMUL.__file__], check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+    for kernel in ("qd_matmul_rows", "qd_fake_quant", "qd_derive_params"):
+        assert f"<{kernel}_base>:" in listing
+    assert not re.findall(r"\bv?f(?:n?madd|n?msub)\w*", listing)

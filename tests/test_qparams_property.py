@@ -70,7 +70,7 @@ def test_per_channel_derivation_matches_scalar_oracle(seed, rows, width, bits):
     rng = np.random.default_rng(seed)
     w = np.stack([_row(rng, int(rng.integers(0, 6)), width) for _ in range(rows)])
     los, his = w.min(axis=1), w.max(axis=1)
-    _assert_matches_oracle(derive_params(Tensor(w), bits), los, his, bits)
+    _assert_matches_oracle(derive_params(Tensor(w), bits, None), los, his, bits)
     # float64 endpoints are snapped to float32 first, as scalars are
     wide = rng.uniform(0.0, 1e-7, size=rows)
     _assert_matches_oracle(params_from_range(los - wide, his + wide, bits),
@@ -85,7 +85,7 @@ def test_live_weight_parameters_pass_every_weight(seed, rows, width, bits):
     # weight STE mask passes every element.
     rng = np.random.default_rng(seed)
     w = Tensor(np.stack([_row(rng, int(rng.integers(0, 6)), width) for _ in range(rows)]))
-    assert np.all(in_range_mask(w, derive_params(w, bits)) == 1.0)
+    assert np.all(in_range_mask(w, derive_params(w, bits, None)) == 1.0)
 
 
 @given(a=st.floats(-2.0**60, 2.0**60, width=32), b=st.floats(-2.0**60, 2.0**60, width=32),

@@ -158,23 +158,23 @@ class TestDegenerate:
 
 class TestDeriveParams:
     def test_per_channel_row_extrema(self):
-        ps = derive_params(Tensor([[-1, 1], [0, 4]]), 8)
+        ps = derive_params(Tensor([[-1, 1], [0, 4]]), 8, None)
         assert (ps.range_lo.tolist(), ps.range_hi.tolist()) == ([-1.0, 0.0], [1.0, 4.0])
-        assert ps == derive_params(Tensor([[-1, 1], [0, 4]]), 8)
-        assert ps != derive_params(Tensor([[-1, 1], [0, 5]]), 8)
+        assert ps == derive_params(Tensor([[-1, 1], [0, 4]]), 8, None)
+        assert ps != derive_params(Tensor([[-1, 1], [0, 5]]), 8, None)
 
     def test_constant_tensor_fallback(self):
-        p = derive_params(Tensor([[2.0, 2.0]]), 8)
+        p = derive_params(Tensor([[2.0, 2.0]]), 8, None)
         assert p.range_lo.tolist() == p.range_hi.tolist() == [2.0]
         assert p.scale.tolist() == [1.0]
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            derive_params(Tensor(np.zeros((0,), dtype=np.float32)), 8)
+            derive_params(Tensor(np.zeros((0,), dtype=np.float32)), 8, None)
 
     def test_bad_axis_rejected(self):
         with pytest.raises(DimensionError):
-            derive_params(Tensor([1.0, 2.0]), 8)
+            derive_params(Tensor([1.0, 2.0]), 8, None)
 
     def test_per_channel_round_trip_not_worse_per_slice(self):
         # Per-channel params use a grid at least as fine as the per-tensor
@@ -187,7 +187,7 @@ class TestDeriveParams:
             w = rng.standard_normal((4, 512)) * rng.uniform(0.05, 3.0, size=(4, 1))
             t = Tensor(w.astype(np.float32))
             per_tensor = params_from_range(float(t.data.min()), float(t.data.max()), 8)
-            per_channel = derive_params(t, 8)
+            per_channel = derive_params(t, 8, None)
             err_t = np.abs(dequantize(quantize(t, per_tensor)).data - t.data)
             err_c = np.abs(dequantize(quantize(t, per_channel)).data - t.data)
             assert np.all(per_channel.scale <= per_tensor.scale + 1e-9)
