@@ -29,6 +29,9 @@
  * where no instruction does it), which, like numpy's rint, follows the
  * current rounding mode: the bits assume the default round-to-nearest
  * mode.
+ * A whole tensor (an activation site's) is fake-quantized under one scale
+ * and zero-point; a weight's rows are fake-quantized under their own only
+ * in the call that derives them.
  *
  * There are three variants of every kernel, each exported under its own
  * name: qd_<kernel>_base on 16-byte vectors, which every target has, and,
@@ -465,47 +468,28 @@ static PyObject *product(PyObject *module, PyObject *const *args, Py_ssize_t nar
 }
 
 /* fake_quant(x, out, bits, scale, zero_point): out = x fake-quantized, the
- * whole of x under one scale and zero-point (Python numbers), or each row
- * of matrix x under its own (a float32 and an int64 array). */
+ * whole of x under one scale and zero-point (Python numbers). */
 static PyObject *fake_quant(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    static const struct operand whole[] = {
+    static const struct operand op[] = {
         {0, "x", &FLOATS, PyBUF_SIMPLE}, {1, "out", &FLOATS, PyBUF_WRITABLE},
     };
-    static const struct operand per_row[] = {
-        {0, "x", &MATRIX, PyBUF_SIMPLE}, {1, "out", &MATRIX, PyBUF_WRITABLE},
-        {3, "scale", &ROWS, PyBUF_SIMPLE}, {4, "zero_point", &INT_ROWS, PyBUF_SIMPLE},
-    };
-    Py_buffer view[4];
+    Py_buffer view[2];
     PyObject *result = NULL;
-    double s = 0.0, z = 0.0;
+    double s, z;
     const int bits = entry_bits("fake_quant(x, out, bits, scale, zero_point)", 5, nargs, args, 2);
-    if (bits < 0)
+    if (bits < 0 || ((s = PyFloat_AsDouble(args[3])) == -1.0 && PyErr_Occurred())
+        || ((z = PyFloat_AsDouble(args[4])) == -1.0 && PyErr_Occurred())
+        || take(args, op, 2, view) < 0)
         return NULL;
-    const int rowwise = PyObject_CheckBuffer(args[3]);
-    if (!rowwise && (((s = PyFloat_AsDouble(args[3])) == -1.0 && PyErr_Occurred())
-                     || ((z = PyFloat_AsDouble(args[4])) == -1.0 && PyErr_Occurred())))
-        return NULL;
-    const int n = rowwise ? 4 : 2;
-    if (take(args, rowwise ? per_row : whole, n, view) < 0)
-        return NULL;
-    if (same_shape(&view[1], &view[0])
-        && (!rowwise || rows_match(view, per_row, 2, 4, view[0].shape[0]))) {
-        const float *x = view[0].buf, *scale = view[2].buf;
-        const int64_t *zero_point = view[3].buf;
-        float *out = view[1].buf;
+    if (same_shape(&view[1], &view[0])) {
         Py_BEGIN_ALLOW_THREADS
-        if (rowwise) {
-            const Py_ssize_t cols = view[0].shape[1];
-            for (Py_ssize_t r = 0; r < view[0].shape[0]; r++)
-                widest.fake_quant(x + r * cols, out + r * cols, cols, scale[r],
-                                  (double)zero_point[r], bits);
-        } else
-            widest.fake_quant(x, out, view[0].len / (Py_ssize_t)sizeof(float), s, z, bits);
+        widest.fake_quant(view[0].buf, view[1].buf, view[0].len / (Py_ssize_t)sizeof(float),
+                          s, z, bits);
         Py_END_ALLOW_THREADS
         result = Py_NewRef(Py_None);
     }
-    release(view, n);
+    release(view, 2);
     return result;
 }
 
@@ -572,10 +556,8 @@ static PyMethodDef methods[] = {
      "ranges: the first on the calling thread, each other one on a thread of its own."},
     {"fake_quant", (PyCFunction)(void (*)(void))fake_quant, METH_FASTCALL,
      "fake_quant(x, out, bits, scale, zero_point)\n--\n\n"
-     "out = x fake-quantized to bits-bit codes, for C-contiguous float32 x and\n"
-     "writable out of x's shape: the whole of x under one scale and zero-point\n"
-     "(numbers), or each row of a matrix x under its own (a 1-D float32 scale\n"
-     "and a 1-D int64 zero-point with one entry per row)."},
+     "out = x fake-quantized to bits-bit codes under one scale and zero-point\n"
+     "(numbers), for C-contiguous float32 x and writable out of x's shape."},
     {"params_from_range", (PyCFunction)(void (*)(void))params_from_range, METH_FASTCALL,
      "params_from_range(lo, hi, bits, scale, zero_point)\n--\n\n"
      "Each slice's scale (float32) and zero-point (int64) from its float32\n"

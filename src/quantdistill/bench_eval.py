@@ -29,8 +29,7 @@ class PairSet:
     """Balanced genuine/imposter input pairs with ground-truth flags.
 
     ``rows`` stacks every pair's first side above every pair's second
-    side, so a request embeds it as it is; ``first`` and ``second`` are
-    read-only views of its two halves.
+    side, so a request embeds it as it is.
     """
 
     rows: Tensor
@@ -46,14 +45,6 @@ class PairSet:
     @property
     def n_pairs(self) -> int:
         return self.same.size
-
-    @property
-    def first(self) -> Tensor:
-        return Tensor._wrap(self.rows.data[:self.n_pairs])
-
-    @property
-    def second(self) -> Tensor:
-        return Tensor._wrap(self.rows.data[self.n_pairs:])
 
 
 @dataclass(frozen=True)

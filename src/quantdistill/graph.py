@@ -7,8 +7,9 @@ source of truth; when the net runs in quantized mode every weight passes
 through a fake-quantization node (quantize-then-dequantize, per-channel
 over output rows, parameters derived live from the current shadow
 weights) and every activation site passes through a fake-quantization
-node with parameters frozen at calibration time. Biases stay full
-precision.
+node with parameters frozen at calibration time. A loaded quantized net
+already holds its weights on their stored grid, so it uses them as they
+are. Biases stay full precision.
 
 Backward passes replay a :class:`GradTape` recorded during the forward;
 the inference forward :func:`embed` records none, and runs quantized
@@ -75,9 +76,11 @@ class EmbeddingNet:
     * ``activation_params`` — frozen per-site activation QuantParams, one
       per activation site, produced by calibration.
     * ``frozen_weight_params`` — one per-channel weight QuantParams per
-      linear layer, pinned by loading a quantized model file. When absent,
-      weight parameters are re-derived from the live shadow weights on
-      every forward pass (see :meth:`weight_params`).
+      linear layer, pinned by loading a quantized model file, whose
+      weights lie on that grid: a quantized forward uses them as they are,
+      and :func:`sgd_step` refuses to move them. When absent, weight
+      parameters are re-derived from the live shadow weights on every
+      forward pass (see :meth:`weight_params`).
     """
 
     def __init__(self, layers: Sequence[Linear]):
@@ -180,15 +183,19 @@ def net_fingerprint(net: EmbeddingNet) -> str:
 
 
 def fake_quant(x: Tensor, params: QuantParams) -> Tensor:
-    """Quantize-then-dequantize: real-valued output snapped to the code grid.
+    """Quantize-then-dequantize under per-tensor parameters: real-valued
+    output snapped to the code grid.
 
     One compiled float64 pass with the arithmetic of ``quantize`` then
     ``dequantize`` in the same order (divide by s, subtract z, round half
     to even, clip to the codes, add z, multiply by s), so the output is
     bit-identical to the two-step path without building integer codes or
-    holding a float64 copy of ``x``.
+    holding a float64 copy of ``x``. Per-channel parameters raise
+    ``DimensionError``: a weight's rows are fake-quantized by
+    ``derive_params``, in the call that derives their parameters.
     """
-    params.broadcast(x.shape)  # raises on a layout mismatch
+    if params.per_channel:
+        raise DimensionError("fake_quant takes per-tensor parameters")
     out = np.empty(x.shape, dtype=np.float32)
     _MATMUL.fake_quant(x.data, out, params.bit_width, params.scale, params.zero_point)
     return Tensor._wrap(out)
@@ -289,9 +296,10 @@ def forward_embed(net: EmbeddingNet, x: Tensor, quantized: bool) -> tuple[Tensor
     """Run the net on a batch, returning L2-normalized embeddings and a tape.
 
     ``quantized`` routes every weight and activation site through fake
-    quantization; it requires ``quant_bits`` and calibrated activation
-    parameters. The tape holds what :func:`backward_embed` replays,
-    including the STE masks of every fake-quant node.
+    quantization (a loaded net's weights already lie on their grid); it
+    requires ``quant_bits`` and calibrated activation parameters. The
+    tape holds what :func:`backward_embed` replays, including the STE
+    masks of every fake-quant node.
     """
     tape = GradTape()
     h = _walk(net, x, quantized, tape)
@@ -339,8 +347,8 @@ def _walk(net: EmbeddingNet, x: Tensor, quantized: bool, tape: GradTape | None,
                     raise DomainError(f"layer {i}: {exc}") from exc
                 w = Tensor._wrap(fq)
             else:
+                # A loaded weight already lies on this grid.
                 wp = net.frozen_weight_params[i]
-                w = fake_quant(w, wp)
             if tape is not None:
                 mask = in_range_mask(layer.weight, wp)
         if tape is not None:
@@ -421,8 +429,13 @@ def sgd_step(net: EmbeddingNet, grads: dict[int, tuple[Tensor, Tensor]],
     """Apply :func:`sgd_update` to every weight and bias that has a gradient.
 
     Updates the shadow weights in place (quantized views refresh on the
-    next forward) and returns the net for chaining.
+    next forward) and returns the net for chaining. A net with pinned
+    weight parameters (a loaded quantized model) raises ``StateError``:
+    its weights must stay on their grid.
     """
+    if net.frozen_weight_params is not None:
+        raise StateError("cannot train a net with pinned weight parameters; "
+                         "prepare_student clears them")
     for idx in sorted(grads):
         if not 0 <= idx < len(net.layers):
             raise DimensionError(f"gradient for unknown layer {idx}")

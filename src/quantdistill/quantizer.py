@@ -201,8 +201,8 @@ def derive_params(t: Tensor, bit_width: int, out: np.ndarray | None) -> QuantPar
 
     ``out`` is None, or a writable C-contiguous float32 array of ``t``'s
     shape into which the same compiled call also writes ``t``
-    fake-quantized under the parameters, with the bits of
-    ``graph.fake_quant``: a live weight's forward takes one call.
+    fake-quantized under the parameters, with the bits of ``quantize``
+    then ``dequantize``: a live weight's forward takes one call.
     """
     if t.size == 0:
         raise DomainError("cannot derive parameters for an empty tensor")

@@ -28,9 +28,9 @@ process may use, on threads it starts itself; the bits do not depend on
 the split.
 
 The same module holds the quantizer's arithmetic, in the same variants:
-``fake_quant`` (``graph.fake_quant``'s float64 pass, per tensor or per
-row), ``params_from_range`` (the one home of the scale and zero-point
-law) and ``derive_params`` (each weight row's range, its parameters and,
+``fake_quant`` (``graph.fake_quant``'s float64 pass under one scale and
+zero-point), ``params_from_range`` (the one home of the scale and
+zero-point law) and ``derive_params`` (each weight row's range, its parameters and,
 in the same call, the row fake-quantized). Their rounding is
 ``nearbyint``, which like numpy's ``rint`` follows the floating-point
 rounding mode, so their bits, like numpy's, assume the default

@@ -58,6 +58,11 @@ def _calibrated(data_seed, net_seed=7, bits=8):
     return net
 
 
+def _sides(pairs):
+    """The first and the second side of every pair: the halves of ``rows``."""
+    return pairs.rows.data[:pairs.n_pairs], pairs.rows.data[pairs.n_pairs:]
+
+
 class TestBuildPairs:
     def test_balanced_counts(self):
         pairs = build_pairs(_space(), 4, seed=0)
@@ -67,18 +72,18 @@ class TestBuildPairs:
     def test_same_seed_identical(self):
         a = build_pairs(_space(), 20, seed=1)
         b = build_pairs(_space(), 20, seed=1)
-        assert np.array_equal(a.first.data, b.first.data)
-        assert np.array_equal(a.second.data, b.second.data)
+        assert np.array_equal(a.rows.data, b.rows.data)
+        assert np.array_equal(a.same, b.same)
 
     def test_zero_noise_genuine_pairs_identical_inputs(self):
         pairs = build_pairs(_space(noise=0.0), 10, seed=2)
-        genuine = pairs.same
-        assert np.array_equal(pairs.first.data[genuine], pairs.second.data[genuine])
+        first, second = _sides(pairs)
+        assert np.array_equal(first[pairs.same], second[pairs.same])
 
     def test_imposter_pairs_use_distinct_identities(self):
         pairs = build_pairs(_space(noise=0.0), 200, seed=3)
-        imposter = ~pairs.same
-        diffs = np.abs(pairs.first.data[imposter] - pairs.second.data[imposter]).max(axis=1)
+        first, second = _sides(pairs)
+        diffs = np.abs(first[~pairs.same] - second[~pairs.same]).max(axis=1)
         assert np.all(diffs > 0)
 
     def test_odd_count_rejected(self):
@@ -220,8 +225,8 @@ class TestVerify:
             if bits is not None:
                 net = _calibrated(3, net_seed=5, bits=bits)
             quantized = bits is not None
-            a = forward_embed(net, pairs.first, quantized)[0].data.astype(np.float64)
-            b = forward_embed(net, pairs.second, quantized)[0].data.astype(np.float64)
+            a, b = (forward_embed(net, Tensor(side), quantized)[0].data.astype(np.float64)
+                    for side in _sides(pairs))
             expected = np.sum(a * b, axis=1)
             assert np.array_equal(pair_scores(net, pairs).view(np.uint64),
                                   expected.view(np.uint64))

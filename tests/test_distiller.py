@@ -20,7 +20,8 @@ from quantdistill.distiller import (
     write_loss_curve,
 )
 from quantdistill.errors import DimensionError, DomainError, StateError
-from quantdistill.graph import build_embedding_net, net_fingerprint
+from quantdistill.graph import build_embedding_net, net_fingerprint, sgd_step
+from quantdistill.model_store import load_model, save_model
 from quantdistill.pretrain import TeacherConfig, train_teacher
 from quantdistill.synth import batch_stream, make_identity_space
 from quantdistill.tensor_core import Tensor, l2_normalize
@@ -251,6 +252,35 @@ class TestFinetune:
         _, curve = finetune(student, teacher, batch_stream(space, 16, seed=7), cfg)
         assert len(curve) == 8
         assert all(0.0 <= r.loss <= 2.0 for r in curve)
+
+    def test_a_loaded_student_cannot_train(self, tmp_path):
+        # A loaded net's weights must stay on the grid its pinned
+        # parameters describe, which its quantized forward relies on.
+        teacher, student, space, cfg = self._setup()
+        save_model(student, tmp_path / "w8.qfmd", mode="quantized")
+        loaded = load_model(tmp_path / "w8.qfmd")
+        pins, before = list(loaded.frozen_weight_params), net_fingerprint(loaded)
+        grads = {i: (Tensor(np.ones(l.weight.shape)), Tensor(np.ones(l.bias.shape)))
+                 for i, l in enumerate(loaded.layers)}
+        with pytest.raises(StateError, match="pinned weight parameters"):
+            sgd_step(loaded, grads, 0.1, 0.9, 0.0)
+        with pytest.raises(StateError, match="pinned weight parameters"):
+            finetune(loaded, teacher, batch_stream(space, 16, seed=7), cfg)
+        assert net_fingerprint(loaded) == before
+        assert all(a is b for a, b in zip(loaded.frozen_weight_params, pins, strict=True))
+        assert loaded._velocity == {}
+
+    def test_a_student_prepared_from_a_loaded_one_trains(self, tmp_path):
+        teacher, student, space, cfg = self._setup()
+        save_model(student, tmp_path / "w8.qfmd", mode="quantized")
+        loaded = load_model(tmp_path / "w8.qfmd")
+        again = prepare_student(loaded, 6)
+        assert again.frozen_weight_params is None
+        calibrate(again, batch_stream(space, 16, seed=5), 4)
+        cfg.bit_width = 6
+        again, curve = finetune(again, teacher, batch_stream(space, 16, seed=7), cfg)
+        assert len(curve) == cfg.iterations
+        assert net_fingerprint(again) != net_fingerprint(loaded)
 
 
 class TestCurveHelpers:

@@ -1,13 +1,16 @@
-"""Property oracle: the fused fake-quant node equals quantize-then-dequantize.
+"""Property oracle: each fused fake-quant equals quantize-then-dequantize.
 
-``graph.fake_quant`` runs the quantizer's arithmetic in one float64 pass
-without building integer codes. The oracle is the two-step path through
-``quantize`` (int32 codes) and ``dequantize``; outputs are compared as
-float32 bits, for per-tensor and per-channel parameters at 4, 6 and 8
-bits, over values inside the range, outside it, on exact half-code
-boundaries (where round-half-to-even decides) and at signed zeros. The
-node runs over blocks of ``ROW_BLOCK`` rows, so row counts on both sides
-of each block boundary are checked too.
+Two compiled calls run the quantizer's arithmetic in one float64 pass
+without building integer codes: ``graph.fake_quant`` under per-tensor
+parameters (an activation site), and ``derive_params(w, bits, out)``,
+which derives each weight row's parameters from its extrema and writes
+the row fake-quantized under them (the one per-channel fake-quant). The
+oracle is the two-step path through ``quantize`` (int32 codes) and
+``dequantize`` under the same parameters; outputs are compared as float32
+bits at 4, 6 and 8 bits, over values inside the range, outside it (per
+tensor; a derived row's range holds the row), on exact half-code
+boundaries (where round-half-to-even decides), at signed zeros and on
+constant rows.
 """
 
 import numpy as np
@@ -17,16 +20,31 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from quantdistill.graph import fake_quant  # noqa: E402
-from quantdistill.quantizer import dequantize, params_from_range, quantize  # noqa: E402
-from quantdistill.tensor_core import ROW_BLOCK, Tensor  # noqa: E402
+from quantdistill.quantizer import (  # noqa: E402
+    dequantize, derive_params, params_from_range, quantize)
+from quantdistill.tensor_core import Tensor  # noqa: E402
 
 
 def _assert_fused_matches_two_step(x: np.ndarray, params):
-    t = Tensor(x)
-    fused = fake_quant(t, params).data
+    """``fake_quant`` under per-tensor ``params``, or, for per-channel
+    ``params``, ``derive_params`` on rows whose extrema give exactly them
+    (see :func:`_pinned_rows`)."""
+    t = Tensor(_pinned_rows(x, params) if params.per_channel else x)
+    if params.per_channel:
+        fused = np.empty(t.shape, dtype=np.float32)
+        assert derive_params(t, params.bit_width, fused) == params
+    else:
+        fused = fake_quant(t, params).data
     two_step = dequantize(quantize(t, params)).data
     assert fused.dtype == two_step.dtype == np.float32
     assert np.array_equal(fused.view(np.uint32), two_step.view(np.uint32))
+
+
+def _pinned_rows(x: np.ndarray, params) -> np.ndarray:
+    """Each row of ``x`` clipped to its range, after two columns holding
+    the range's endpoints, so that the row's extrema are its range."""
+    lo, hi = params.range_lo[:, None], params.range_hi[:, None]
+    return np.hstack([lo, hi, np.clip(x, lo, hi)])
 
 
 def _random_values(rng, shape, lo, hi) -> np.ndarray:
@@ -90,15 +108,13 @@ def test_fused_matches_two_step_on_half_code_boundaries(exponents, offset, bits,
     _assert_fused_matches_two_step(x, params)
 
 
-B = ROW_BLOCK
-
-
 @pytest.mark.parametrize("bits", [4, 6, 8])
 @pytest.mark.parametrize("layout", ["per-channel", "per-tensor", "per-tensor rank 1"])
-@pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 3 * B + 7])
+@pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 3079])
 def test_fused_matches_two_step_across_row_blocks(rows, layout, bits):
-    # Per-channel rows each get their own range, so a block that read
-    # another block's scale or zero-point would give other bits.
+    # One row up to thousands, odd and even counts: per-channel rows each
+    # get their own range, so a pass that read another row's scale or
+    # zero-point, or misplaced a row's start, would give other bits.
     rng = np.random.default_rng(rows * 10 + bits)
     shape = (rows,) if layout == "per-tensor rank 1" else (rows, 5)
     if layout == "per-channel":

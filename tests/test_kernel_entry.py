@@ -206,8 +206,7 @@ def _quant_calls() -> dict:
     w = np.ones((ROWS, COLS), dtype=np.float32)
     zero_points = np.full(ROWS, -7, dtype=np.int64)
     return {
-        "fake_quant": [w, nan(ROWS, COLS), 8, np.ones(ROWS, np.float32),
-                       np.zeros(ROWS, np.int64)],
+        "fake_quant": [w, nan(ROWS, COLS), 8, 1.0, 0],
         "params_from_range": [np.zeros(ROWS, np.float32), np.ones(ROWS, np.float32), 8,
                               nan(ROWS), zero_points],
         "derive_params": [w, 8, nan(ROWS, COLS), nan(ROWS), zero_points.copy(), nan(ROWS),
@@ -230,10 +229,11 @@ BAD_QUANT_ARGUMENTS = [
     ("fake_quant", 2, lambda a: 0),
     ("fake_quant", 2, lambda a: 33),
     ("fake_quant", 2, lambda a: 8.0),
-    ("fake_quant", 3, lambda a: a[:-1].copy()),
+    # A scale and a zero-point per row: the per-row form is derive_params's.
+    ("fake_quant", 3, lambda a: np.ones(ROWS, np.float32)),
     ("fake_quant", 3, lambda a: "1.0"),
-    ("fake_quant", 4, lambda a: a.astype(np.int32)),
-    ("fake_quant", 4, lambda a: a.astype(np.float64)),
+    ("fake_quant", 4, lambda a: np.zeros(ROWS, np.int64)),
+    ("fake_quant", 4, lambda a: None),
     ("params_from_range", 0, lambda a: a[None, :].copy()),
     ("params_from_range", 1, lambda a: a[:-1].copy()),
     ("params_from_range", 3, _read_only),
@@ -250,6 +250,8 @@ BAD_QUANT_ARGUMENTS = [
                          ids=[f"{e}-{i}-{n}" for n, (e, i, _) in enumerate(BAD_QUANT_ARGUMENTS)])
 def test_a_quantization_entry_refuses_a_bad_argument(entry, index, replace):
     args = _quant_calls()[entry]
+    getattr(tensor_core._MATMUL, entry)(*[a.copy() if isinstance(a, np.ndarray) else a
+                                          for a in args])  # the base call is valid
     kept = [(a, a.copy()) for i, a in enumerate(args) if isinstance(a, np.ndarray) and i != index]
     args[index] = replace(args[index])
     with pytest.raises((ValueError, TypeError, BufferError)):

@@ -9,6 +9,10 @@ field the loader accepts is carried through unchanged.
 A file's layer stack alternates linear, relu, ..., linear. Every such net
 saves and reloads to the same bytes, at every bit width with the same
 quantization parameters, and every other stack is rejected.
+
+A loaded quantized net serves its weights as they are: each one lies on
+the grid of its pinned parameters, so the loaded net embeds exactly what
+the student it was saved from embeds.
 """
 
 import struct
@@ -18,12 +22,13 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from quantdistill.errors import FormatError  # noqa: E402
-from quantdistill.graph import build_embedding_net, observe_activations  # noqa: E402
+from quantdistill.errors import DomainError, FormatError  # noqa: E402
+from quantdistill.graph import (  # noqa: E402
+    build_embedding_net, embed, forward_embed, observe_activations)
 from quantdistill.model_store import load_model, save_model  # noqa: E402
-from quantdistill.quantizer import RangeObserver  # noqa: E402
+from quantdistill.quantizer import RangeObserver, dequantize, quantize  # noqa: E402
 from quantdistill.tensor_core import Tensor  # noqa: E402
 
 
@@ -103,3 +108,49 @@ def test_only_alternating_stacks_load(stacks_dir, layer_stack_file, kinds, width
     with pytest.raises(FormatError) as exc:
         load_model(path)
     assert exc.value.field == "layers"
+
+
+def _outcome(run, net, x):
+    """The bits ``run(net, x)`` gives, or the message of its DomainError."""
+    try:
+        return run(net, x).data.tobytes()
+    except DomainError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60)
+@given(widths=st.lists(st.integers(1, 9), min_size=2, max_size=4),
+       bits=st.sampled_from([4, 6, 8]), seed=st.integers(0, 2**16))
+def test_a_loaded_net_serves_its_stored_grid(stacks_dir, widths, bits, seed):
+    rng = np.random.default_rng(seed)
+    net = build_embedding_net(widths[0], widths[1:-1], widths[-1], seed=seed)
+    for layer in net.layers:
+        # Rows from 1e-6 to 1e6 in magnitude, some constant, and zeros of
+        # either sign; biases keep a row whose relus are all off from
+        # embedding to zero.
+        w = layer.weight.data * 10.0 ** rng.uniform(-6, 6, (layer.out_dim, 1))
+        constant = rng.random(layer.out_dim) < 0.2
+        w[constant] = rng.choice([0.0, 0.5, -2.5, 1e4], (constant.sum(), 1))
+        w = np.where(rng.random(w.shape) < 0.1, rng.choice([0.0, -0.0], w.shape), w)
+        layer.weight = Tensor(w.astype(np.float32))
+        layer.bias = Tensor(rng.standard_normal(layer.out_dim).astype(np.float32))
+    net.set_quantization(bits)
+    observers = [RangeObserver() for _ in range(net.activation_site_count)]
+    observe_activations(net, Tensor(rng.standard_normal((8, widths[0])).astype(np.float32)),
+                        observers)
+    net.activation_params = [o.freeze(bits) for o in observers]
+    path = stacks_dir / "grid.qfmd"
+    try:
+        save_model(net, path, mode="quantized")
+    except DomainError:
+        assume(False)  # a grid float32 cannot hold; the saver refuses it
+    back = load_model(path)
+    for layer, wp in zip(back.layers, back.frozen_weight_params, strict=True):
+        grid = dequantize(quantize(layer.weight, wp)).data
+        assert np.array_equal(grid.view(np.uint32), layer.weight.data.view(np.uint32))
+    # One input row at a time, so that a row that embeds to zero, which
+    # both nets refuse alike, does not hide the others.
+    for row in rng.standard_normal((5, widths[0])).astype(np.float32):
+        x = Tensor(row[None])
+        for run in (embed, lambda n, x: forward_embed(n, x, quantized=True)[0]):
+            assert _outcome(run, back, x) == _outcome(run, net, x)

