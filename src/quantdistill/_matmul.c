@@ -1,6 +1,6 @@
 /* The compiled arithmetic behind tensor_core.matmul and the quantizer: the
- * exact-order float32 matrix product and the fake-quantization law, built
- * as one CPython extension module.
+ * exact-order float32 matrix product with a forward linear's epilogue, and
+ * the fake-quantization law, built as one CPython extension module.
  *
  * out[r, j] starts at +0.0f and adds the float32 products a[r, i] * b[i, j]
  * one at a time, in increasing i. Every output row is computed on its own,
@@ -33,13 +33,19 @@
  * and zero-point; a weight's rows are fake-quantized under their own only
  * in the call that derives them.
  *
+ * A forward linear's epilogue (the bias, the finite check and, for an
+ * inference forward, the relu and the activation site's fake-quant) runs
+ * on each block of EPILOGUE_ROWS output rows as soon as the thread that
+ * computed them is done, while they are still in cache.
+ *
  * There are three variants of every kernel, each exported under its own
  * name: qd_<kernel>_base on 16-byte vectors, which every target has, and,
  * where GCC compiles for x86, qd_<kernel>_avx2 and qd_<kernel>_avx512 on
  * 32- and 64-byte vectors, each compiled for its instruction set by a
- * target pragma (the kernels are qd_matmul_rows, qd_fake_quant and
- * qd_derive_params). qd_matmul_variant names the widest one this CPU runs,
- * read with __builtin_cpu_supports, so the object is built without -march
+ * target pragma (the kernels are qd_matmul_rows, qd_fake_quant,
+ * qd_epilogue and qd_derive_params). qd_matmul_variant names the widest
+ * one this CPU runs, read with __builtin_cpu_supports, so the object is
+ * built without -march
  * and stays portable across x86-64 hosts. Where the compiler or the
  * platform has no per-function targets (Clang, which ignores the GCC
  * pragmas, or another architecture) only the base variants are compiled.
@@ -55,8 +61,10 @@
  * picked when the module was initialised, without the GIL. product splits
  * the rows into ranges: the first runs on the calling thread and each
  * other one on a thread it starts, except that once a thread cannot be
- * started, the ranges left run on the calling thread too. The module's
- * variant attribute names the variant.
+ * started, the ranges left run on the calling thread too. Each range runs
+ * the epilogue on its own rows and keeps its own non-finite flag; the
+ * flags are OR-ed once every range is done. The module's variant
+ * attribute names the variant.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -153,10 +161,11 @@ static const char *const LAW_ERRORS[] = {
 #define MAX_CONSTANT 0x1p62
 
 /* out[j] = x[j] fake-quantized under scale s and zero-point z with b-bit
- * codes, for j < n. The inner loop is one expression per element, which
- * each variant vectorizes for its own vector width. */
+ * codes, for j < n; out may be x, since each element is read before it is
+ * written. The inner loop is one expression per element, which each
+ * variant vectorizes for its own vector width. */
 static inline __attribute__((always_inline)) void fake_quant_span(
-    const float *restrict x, float *restrict out, ptrdiff_t n, double s, double z, int bits)
+    const float *x, float *out, ptrdiff_t n, double s, double z, int bits)
 {
     const double code_min = -(double)(1LL << (bits - 1));
     const double code_max = (double)((1LL << (bits - 1)) - 1);
@@ -205,6 +214,13 @@ static inline __attribute__((always_inline)) int law(
 }
 
 /* qd_fake_quant_<V>(x, out, n, s, z, bits): fake_quant_span on vectors V.
+ * qd_epilogue_<V>(out, rows, n, bias, relu, bits, s, z): a forward linear's
+ * output stage, in place on rows x n sums: bias[j] added to column j (one
+ * float32 add), then, if relu, max(x, 0) as numpy's maximum gives it (a
+ * NaN kept, +0.0 for either zero), then, unless bits is 0, fake_quant_span
+ * under s and z. Returns whether a sum plus its bias is not finite. The
+ * sign of a zero out of the relu could not reach an output anyway: the
+ * next product's sums start at +0.0, and the fake-quant's + z gives +0.
  * qd_derive_params_<V>(w, out, rows, n, bits, scale, zero_point, lo, hi):
  * each row's minimum and maximum into lo and hi (a NaN propagates; of equal
  * extrema, signed zeros included, the last is kept, as numpy's scalar loop
@@ -215,6 +231,23 @@ static inline __attribute__((always_inline)) int law(
                            double s, double z, int bits)                                \
     {                                                                                   \
         fake_quant_span(x, out, n, s, z, bits);                                         \
+    }                                                                                   \
+    int qd_epilogue_##V(float *restrict out, ptrdiff_t rows, ptrdiff_t n,               \
+                        const float *restrict bias, int relu, int bits, double s,       \
+                        double z)                                                       \
+    {                                                                                   \
+        int bad = 0;                                                                    \
+        for (ptrdiff_t r = 0; r < rows; r++) {                                          \
+            float *row = out + r * n;                                                   \
+            for (ptrdiff_t j = 0; j < n; j++) {                                         \
+                const float v = row[j] + bias[j];                                       \
+                bad |= !isfinite(v);                                                    \
+                row[j] = relu && v <= 0.0f ? 0.0f : v;                                  \
+            }                                                                           \
+        }                                                                               \
+        if (bits > 0)                                                                   \
+            fake_quant_span(out, out, rows * n, s, z, bits);                            \
+        return bad;                                                                     \
     }                                                                                   \
     int qd_derive_params_##V(const float *restrict w, float *restrict out,              \
                              ptrdiff_t rows, ptrdiff_t n, int bits,                     \
@@ -279,6 +312,8 @@ typedef void (*rows_fn)(const float *restrict, const float *restrict, float *res
                         ptrdiff_t, ptrdiff_t, ptrdiff_t);
 typedef void (*fake_quant_fn)(const float *restrict, float *restrict, ptrdiff_t, double, double,
                               int);
+typedef int (*epilogue_fn)(float *restrict, ptrdiff_t, ptrdiff_t, const float *restrict, int,
+                           int, double, double);
 typedef int (*derive_fn)(const float *restrict, float *restrict, ptrdiff_t, ptrdiff_t, int,
                          float *restrict, int64_t *restrict, float *restrict, float *restrict);
 
@@ -286,9 +321,12 @@ typedef int (*derive_fn)(const float *restrict, float *restrict, ptrdiff_t, ptrd
 struct variant {
     rows_fn product;
     fake_quant_fn fake_quant;
+    epilogue_fn epilogue;
     derive_fn derive_params;
 };
-#define VARIANT(V) ((struct variant){qd_matmul_rows_##V, qd_fake_quant_##V, qd_derive_params_##V})
+#define VARIANT(V)                                                                    \
+    ((struct variant){qd_matmul_rows_##V, qd_fake_quant_##V, qd_epilogue_##V,         \
+                      qd_derive_params_##V})
 
 /* The variant qd_matmul_variant names, set once at module init. */
 static struct variant widest;
@@ -394,39 +432,76 @@ static PyObject *law_result(int status)
     return status == LAW_OK ? Py_NewRef(Py_None) : PyUnicode_FromString(LAW_ERRORS[status]);
 }
 
-/* One row range of a product, and the thread that runs it. */
+/* A forward linear's output stage, as qd_epilogue_<V> takes it. */
+struct epilogue {
+    const float *bias;
+    int relu, bits;
+    double scale, zero_point;
+};
+
+/* Rows of sums a range finishes before it runs the epilogue on them, while
+ * they are still in cache: 32 rows of 64 columns are 8 KiB. A multiple of
+ * TILE_ROWS, so only a range's last block has rows past a whole tile. */
+#define EPILOGUE_ROWS 32
+
+/* One row range of a product, its epilogue (or NULL), whether the epilogue
+ * met a sum that is not finite, and the thread that runs it. */
 struct range {
     const float *a, *b;
     float *out;
     ptrdiff_t rows, k, n;
+    const struct epilogue *epilogue;
+    int non_finite;
     pthread_t thread;
 };
 
 static void *run(void *arg)
 {
-    const struct range *r = arg;
-    widest.product(r->a, r->b, r->out, r->rows, r->k, r->n);
+    struct range *r = arg;
+    const struct epilogue *e = r->epilogue;
+    const ptrdiff_t block = e != NULL ? EPILOGUE_ROWS : r->rows;
+    for (ptrdiff_t start = 0; start < r->rows; start += block) {
+        const ptrdiff_t rows = r->rows - start < block ? r->rows - start : block;
+        float *out = r->out + start * r->n;
+        widest.product(r->a + start * r->k, r->b, out, rows, r->k, r->n);
+        if (e != NULL)
+            r->non_finite |= widest.epilogue(out, rows, r->n, e->bias, e->relu, e->bits,
+                                             e->scale, e->zero_point);
+    }
     return NULL;
 }
 
-/* product(a, b, out, parts): out = a @ b over parts row ranges, every
- * operand checked before a byte is read or written. */
+/* product(a, b, out, parts[, bias, relu[, bits, scale, zero_point]]):
+ * out = a @ b over parts row ranges, every operand checked before a byte is
+ * read or written. With bias, each range runs the epilogue on each block of
+ * its rows, fake-quantizing when given bits, and the call returns whether a
+ * sum plus its bias is not finite. */
 static PyObject *product(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     static const struct operand op[] = {
         {0, "a", &MATRIX, PyBUF_SIMPLE}, {1, "b", &MATRIX, PyBUF_SIMPLE},
-        {2, "out", &MATRIX, PyBUF_WRITABLE},
+        {2, "out", &MATRIX, PyBUF_WRITABLE}, {4, "bias", &ROWS, PyBUF_SIMPLE},
     };
-    Py_buffer view[3];
+    Py_buffer view[4];
     PyObject *result = NULL;
-    if (nargs != 4)
+    struct epilogue e = {NULL, 0, 0, 0.0, 0.0};
+    if (nargs != 4 && nargs != 6 && nargs != 9)
         return PyErr_Format(PyExc_TypeError,
-                            "product(a, b, out, parts) takes 4 arguments, got %zd", nargs);
+                            "product(a, b, out, parts) takes 4 arguments, or 6 or 9 with an "
+                            "epilogue, got %zd", nargs);
     Py_ssize_t parts = PyNumber_AsSsize_t(args[3], PyExc_OverflowError);
     if (parts < 1)
         return PyErr_Occurred() ? NULL : PyErr_Format(PyExc_ValueError,
                                                       "parts must be at least 1, got %zd", parts);
-    if (take(args, op, 3, view) < 0)
+    if (nargs > 4 && (e.relu = PyObject_IsTrue(args[5])) < 0)
+        return NULL;
+    if (nargs == 9
+        && ((e.bits = entry_bits("product", 9, nargs, args, 6)) < 0
+            || ((e.scale = PyFloat_AsDouble(args[7])) == -1.0 && PyErr_Occurred())
+            || ((e.zero_point = PyFloat_AsDouble(args[8])) == -1.0 && PyErr_Occurred())))
+        return NULL;
+    const int operands = nargs > 4 ? 4 : 3;
+    if (take(args, op, operands, view) < 0)
         return NULL;
     const Py_buffer *a = &view[0], *b = &view[1], *out = &view[2];
     Py_ssize_t m = a->shape[0], k = a->shape[1], n = b->shape[1];
@@ -437,6 +512,9 @@ static PyObject *product(PyObject *module, PyObject *const *args, Py_ssize_t nar
         PyErr_Format(PyExc_ValueError, "out has %zd rows, a has %zd", out->shape[0], m);
     else if (out->shape[1] != n)
         PyErr_Format(PyExc_ValueError, "out has %zd columns, b has %zd", out->shape[1], n);
+    else if (operands == 4 && view[3].shape[0] != n)
+        PyErr_Format(PyExc_ValueError, "bias has %zd entries, b has %zd columns",
+                     view[3].shape[0], n);
     else if (parts > (m > 1 ? m : 1))
         PyErr_Format(PyExc_ValueError, "%zd parts of %zd rows leave one empty", parts, m);
     else if ((ranges = PyMem_New(struct range, parts)) == NULL)
@@ -444,10 +522,13 @@ static PyObject *product(PyObject *module, PyObject *const *args, Py_ssize_t nar
     else {
         /* Range p ends at row m * (p + 1) / parts, computed without
          * forming m * (p + 1), which could overflow. */
+        if (operands == 4)
+            e.bias = view[3].buf;
         for (Py_ssize_t p = 0, start = 0, stop; p < parts; p++, start = stop) {
             stop = m / parts * (p + 1) + m % parts * (p + 1) / parts;
             ranges[p] = (struct range){(const float *)a->buf + start * k, b->buf,
-                                       (float *)out->buf + start * n, stop - start, k, n};
+                                       (float *)out->buf + start * n, stop - start, k, n,
+                                       operands == 4 ? &e : NULL, 0};
         }
         Py_BEGIN_ALLOW_THREADS
         Py_ssize_t started = 1;
@@ -460,10 +541,13 @@ static PyObject *product(PyObject *module, PyObject *const *args, Py_ssize_t nar
         for (Py_ssize_t p = 1; p < started; p++)
             pthread_join(ranges[p].thread, NULL);
         Py_END_ALLOW_THREADS
+        int non_finite = 0;
+        for (Py_ssize_t p = 0; p < parts; p++)
+            non_finite |= ranges[p].non_finite;
         PyMem_Free(ranges);
-        result = Py_NewRef(Py_None);
+        result = operands == 4 ? PyBool_FromLong(non_finite) : Py_NewRef(Py_None);
     }
-    release(view, 3);
+    release(view, operands);
     return result;
 }
 
@@ -550,10 +634,14 @@ static PyObject *derive_params(PyObject *module, PyObject *const *args, Py_ssize
 
 static PyMethodDef methods[] = {
     {"product", (PyCFunction)(void (*)(void))product, METH_FASTCALL,
-     "product(a, b, out, parts)\n--\n\n"
+     "product(a, b, out, parts[, bias, relu[, bits, scale, zero_point]])\n--\n\n"
      "out = a @ b in the exact order, for C-contiguous 2-D float32 a (m x k),\n"
      "b (k x n) and writable out (m x n), over 1 <= parts <= max(1, m) row\n"
-     "ranges: the first on the calling thread, each other one on a thread of its own."},
+     "ranges: the first on the calling thread, each other one on a thread of its own.\n"
+     "With a 1-D float32 bias of n entries, each range then runs the epilogue on\n"
+     "each block of its rows: out += bias, then max(out, 0) if relu, then, with\n"
+     "bits, out fake-quantized under one scale and zero-point (numbers); the call\n"
+     "returns whether any sum plus its bias is not finite."},
     {"fake_quant", (PyCFunction)(void (*)(void))fake_quant, METH_FASTCALL,
      "fake_quant(x, out, bits, scale, zero_point)\n--\n\n"
      "out = x fake-quantized to bits-bit codes under one scale and zero-point\n"

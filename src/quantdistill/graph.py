@@ -11,9 +11,11 @@ node with parameters frozen at calibration time. A loaded quantized net
 already holds its weights on their stored grid, so it uses them as they
 are. Biases stay full precision.
 
-Backward passes replay a :class:`GradTape` recorded during the forward;
-the inference forward :func:`embed` records none, and runs quantized
-exactly when the net is calibrated.
+Backward passes replay a :class:`GradTape` recorded during the forward,
+which runs each relu and activation fake-quant node as a call of its own
+after the linear's ``matmul``. The inference forward :func:`embed`
+records none, so the ``matmul`` epilogue runs those nodes too, with the
+same bits, and runs quantized exactly when the net is calibrated.
 The fake-quantization nodes use the straight-through estimator: the
 gradient passes unchanged where the input lies inside the node's clipping
 range [range_lo, range_hi] and is zeroed outside, which keeps weight
@@ -35,7 +37,7 @@ from .quantizer import (
     RangeObserver,
     derive_params,
 )
-from .tensor_core import _MATMUL, Tensor, l2_normalize, matmul, relu, transpose
+from .tensor_core import _MATMUL, Epilogue, Tensor, l2_normalize, matmul, relu, transpose
 
 
 @dataclass
@@ -215,13 +217,13 @@ def fake_quant_backward(x: Tensor, params: QuantParams, upstream: Tensor) -> Ten
 
 
 def linear_forward(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """y = x @ W^T + b for a batch of row vectors."""
+    """y = x @ W^T + b for a batch of row vectors, the bias added inside the
+    product; a y that is not finite raises ``DomainError``."""
     if x.rank != 2:
         raise DimensionError(f"linear expects a rank-2 input batch, got {x.shape}")
     if x.shape[1] != weight.shape[1]:
         raise DimensionError(f"input dim {x.shape[1]} != weight input dim {weight.shape[1]}")
-    y = matmul(x, transpose(weight))
-    return Tensor._wrap(y.data + bias.data[None, :])
+    return matmul(x, transpose(weight), Epilogue(bias, False, None))
 
 
 def linear_backward(x: Tensor, weight: Tensor,
@@ -324,8 +326,11 @@ def _walk(net: EmbeddingNet, x: Tensor, quantized: bool, tape: GradTape | None,
 
     Each linear ``i`` is followed by a relu unless it is the last, then by
     activation site ``i``: one index names both the layer and the site.
+    Each linear is one ``matmul`` call, whose epilogue adds the bias,
+    checks the output and, without a ``tape``, runs the relu and the site.
     With a ``tape``, appends the records :func:`backward_embed` replays;
-    with ``observers``, feeds each activation site's input to its observer.
+    with ``observers`` (on an unquantized walk), feeds each activation
+    site's input to its observer.
     """
     if x.rank != 2 or x.shape[1] != net.input_dim:
         raise DimensionError(f"input shape {x.shape} incompatible with input dim {net.input_dim}")
@@ -351,25 +356,29 @@ def _walk(net: EmbeddingNet, x: Tensor, quantized: bool, tape: GradTape | None,
                 wp = net.frozen_weight_params[i]
             if tape is not None:
                 mask = in_range_mask(layer.weight, wp)
-        if tape is not None:
+        p = net.activation_params[i] if quantized else None
+        if tape is None:
+            epilogue = Epilogue(layer.bias, i < last, p)
+        else:
             tape.records.append(_Record(kind="linear", layer_index=i,
                                         inputs=h, mask=mask, weight_used=w))
-        h = linear_forward(h, w, layer.bias)
-        # Checked here: the activation fake-quant below clips +-inf to codes.
-        if not np.isfinite(h.data).all():
-            raise DomainError(f"output of layer {i} is not finite")
-        if i < last:
-            if tape is not None:
+            epilogue = Epilogue(layer.bias, False, None)
+        # The epilogue checks before the relu and the fake-quant, which
+        # clips +-inf to codes.
+        try:
+            h = matmul(h, transpose(w), epilogue)
+        except DomainError:
+            raise DomainError(f"output of layer {i} is not finite") from None
+        if tape is not None:
+            if i < last:
                 tape.records.append(_Record(kind="relu", inputs=h))
-            h = relu(h)
-        if observers is not None:
-            observers[i].update(h)
-        if quantized:
-            p = net.activation_params[i]
-            if tape is not None:
+                h = relu(h)
+            if quantized:
                 tape.records.append(_Record(kind="act_quant", inputs=h,
                                             mask=in_range_mask(h, p)))
-            h = fake_quant(h, p)
+                h = fake_quant(h, p)
+        if observers is not None:
+            observers[i].update(h)
     return h
 
 

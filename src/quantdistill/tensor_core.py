@@ -14,10 +14,10 @@ every shape. It is compiled as a CPython extension module on the first
 import of each source, platform and interpreter ABI, with ``cc`` and the
 interpreter's C headers (both are requirements) and no flag that could
 fuse, reorder or flush an operation, cached under ``__pycache__`` and
-imported from there. The module's one function, ``product``, takes numpy
-arrays through the buffer protocol, refuses any operand that is not a
-C-contiguous float32 matrix of the product's shape, and runs the kernel
-without the GIL. The object holds a register-blocked variant of
+imported from there. The module's ``product`` takes numpy arrays through
+the buffer protocol, refuses any operand that is not a C-contiguous
+float32 matrix of the product's shape, and runs the kernel without the
+GIL. The object holds a register-blocked variant of
 the kernel per vector width (16-byte vectors everywhere, and AVX2 and
 AVX-512F where GCC compiles for x86); the widest one this CPU runs is
 picked once, when the module is initialised, so the object is built
@@ -25,7 +25,8 @@ without ``-march`` and serves every x86-64 host. Every variant gives the
 same bits. Every output row is computed on its own, so ``product`` splits
 a long product into row ranges and runs them in parallel, one per CPU the
 process may use, on threads it starts itself; the bits do not depend on
-the split.
+the split. A forward linear's :class:`Epilogue` runs in the same threads,
+on each block of rows as soon as its sums are done.
 
 The same module holds the quantizer's arithmetic, in the same variants:
 ``fake_quant`` (``graph.fake_quant``'s float64 pass under one scale and
@@ -44,10 +45,14 @@ import os
 import platform
 import sys
 import sysconfig
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
+
+if TYPE_CHECKING:
+    from .quantizer import QuantParams
 
 # Fewest rows per range of a product split across threads, so a product
 # is split from 3000 rows. A second range must save more than its thread's
@@ -178,9 +183,9 @@ class Tensor:
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
         """Take ownership of a freshly allocated float32 array without copying.
 
-        Internal fast path, unchecked: non-finite values pass, to be caught at
-        each linear's output and SGD update in ``graph``. Callers must not
-        retain a writable reference.
+        Internal fast path, unchecked: non-finite values pass, to be caught by
+        each linear's epilogue (see :class:`Epilogue`) and SGD update in
+        ``graph``. Callers must not retain a writable reference.
         """
         t = object.__new__(cls)
         arr = np.asarray(arr, dtype=np.float32)
@@ -214,19 +219,32 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors, in the fixed summation order.
+class Epilogue(NamedTuple):
+    """A forward linear's output stage, run by the kernel on output rows
+    still in cache: add ``bias``, check that the result is finite, apply
+    :func:`relu` if ``relu``, then ``graph.fake_quant`` under per-tensor
+    ``params`` unless they are None. The bits equal those separate passes'."""
+
+    bias: Tensor
+    relu: bool
+    params: QuantParams | None
+
+
+def matmul(a: Tensor, b: Tensor, epilogue: Epilogue | None = None) -> Tensor:
+    """Matrix product of two rank-2 tensors, in the fixed summation order,
+    followed by ``epilogue`` if one is given.
 
     ``out[r, j]`` is the float32 sum of the float32 products
     ``a[r, i] * b[i, j]``, added one at a time in increasing ``i`` onto a
     sum that starts at +0.0 (so a row of -0.0 products gives +0.0). Each
     product and each sum is rounded separately: no BLAS, no fused
-    multiply-add. The compiled kernel computes every shape. It warns of no
-    overflowing product or sum; the finite checks at each layer's output
-    are the guard. The rows are split into up to ``WORKERS`` contiguous
-    ranges of at least ``RANGE_ROWS`` rows each; the kernel runs the first
-    range on the calling thread and each other one on a thread it starts
-    for the call.
+    multiply-add. The compiled kernel computes every shape. Without an
+    epilogue it warns of no overflowing product or sum; with one, a sum
+    plus its bias that is not finite raises ``DomainError``. The rows are
+    split into up to ``WORKERS`` contiguous ranges of at least
+    ``RANGE_ROWS`` rows each; the kernel runs the first range on the
+    calling thread and each other one on a thread it starts for the call,
+    each range with its own epilogue.
     """
     if a.rank != 2 or b.rank != 2:
         raise DimensionError(f"matmul requires rank-2 operands, got {a.shape} x {b.shape}")
@@ -235,7 +253,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if k != k2:
         raise DimensionError(f"inner dimensions disagree: {a.shape} x {b.shape}")
     out = np.empty((m, n), dtype=np.float32)
-    _MATMUL.product(a.data, b.data, out, max(1, min(WORKERS, m // RANGE_ROWS)))
+    parts = max(1, min(WORKERS, m // RANGE_ROWS))
+    if epilogue is None:
+        _MATMUL.product(a.data, b.data, out, parts)
+    else:
+        p = epilogue.params
+        quant = () if p is None else (p.bit_width, p.scale, p.zero_point)
+        if _MATMUL.product(a.data, b.data, out, parts, epilogue.bias.data, epilogue.relu,
+                           *quant):
+            raise DomainError("output is not finite")
     return Tensor._wrap(out)
 
 

@@ -51,18 +51,18 @@ def layer_stack_file():
 @pytest.fixture
 def product_calls(monkeypatch):
     """The ``(parts, thread)`` of every product the compiled kernel is asked
-    for while the test runs, each then run by the kernel itself. ``parts``
-    is the number of row ranges the kernel splits the product into: every
-    range but the first runs on a thread the kernel starts. ``thread`` is
-    the Python thread that asked."""
+    for while the test runs, each then run by the kernel itself with its
+    epilogue operands, if any. ``parts`` is the number of row ranges the
+    kernel splits the product into: every range but the first runs on a
+    thread the kernel starts. ``thread`` is the Python thread that asked."""
     kernel = tensor_core._MATMUL
     calls = []
 
     class Recording:
         @staticmethod
-        def product(a, b, out, parts):
+        def product(a, b, out, parts, *epilogue):
             calls.append((parts, threading.get_ident()))
-            kernel.product(a, b, out, parts)
+            return kernel.product(a, b, out, parts, *epilogue)
 
     monkeypatch.setattr(tensor_core, "_MATMUL", Recording)
     return calls

@@ -128,8 +128,9 @@ def test_verify_request_runs_one_stacked_forward_without_ste_masks(tmp_path):
     # linear layer, and no STE mask, which only a backward pass would read.
     # A live student derives and applies each weight's parameters in one
     # derive_params call; a loaded one, as the benchmark serves, already
-    # holds its weights on their pinned grid. Either way fake_quant runs
-    # on the activation sites only.
+    # holds its weights on their pinned grid. Either way each matmul's
+    # epilogue runs the relu and the activation site's fake-quant, so
+    # neither runs as a call of its own.
     tracer_mod = _load_tracer()
     space, teacher, cfg = _tiny_step_inputs()
     student = distiller.prepare_student(teacher, cfg.bit_width)
@@ -158,7 +159,9 @@ def test_verify_request_runs_one_stacked_forward_without_ste_masks(tmp_path):
         spans = {name: calls for (_, _, name), (calls, _, _) in tracer.aggregate().items()}
         assert "graph.in_range_mask" not in spans
         assert spans.get("quantizer.derive_params", 0) == derived
-        assert spans["graph.fake_quant"] == net.activation_site_count
+        assert spans["tensor_core.matmul"] == len(net.layers)
+        assert spans.get("graph.fake_quant", 0) == 0
+        assert spans.get("tensor_core.relu", 0) == 0
 
 
 def test_row_split_verify_request_is_seen_from_the_calling_thread(monkeypatch, product_calls):

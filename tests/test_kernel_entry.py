@@ -5,7 +5,9 @@ inside their operands.
 writes ``out`` through raw pointers, from the calling thread and from the
 ``parts - 1`` threads it starts, so each check on its operands and on
 ``parts`` is all that keeps a bad call from reading or writing memory it
-was not given, or from starting a thread for an empty range.
+was not given, or from starting a thread for an empty range. Its epilogue
+operands (``bias, relu`` and optionally ``bits, scale, zero_point``) are
+checked the same way: the bias is read through a raw pointer too.
 Every operand here is a view into a larger array: the output sits between
 guard elements and starts as NaN, and the inputs sit inside padding, so a
 call that got past a check would read only memory the test owns and show
@@ -140,6 +142,72 @@ def test_a_call_without_four_arguments_is_refused():
     guarded = Guarded()
     with pytest.raises(TypeError, match="takes 4 arguments"):
         product(_padded((M, K)), _padded((K, N)), guarded.out)
+    guarded.assert_untouched()
+
+
+def _epilogue_call():
+    """Valid ``product`` arguments with a fake-quantizing epilogue, but for
+    the output, which a test passes."""
+    return [_padded((M, K)), _padded((K, N)), None, 1, _padded((N,)), True, 8, 0.5, 3]
+
+
+# (argument, what replaces it)
+BAD_EPILOGUE_ARGUMENTS = [
+    (4, lambda a: a.astype(np.float64)),
+    (4, lambda a: a.astype(np.int32)),
+    (4, lambda a: a[:-1].copy()),
+    (4, lambda a: np.ones(N + 1, np.float32)),
+    (4, lambda a: a[None, :].copy()),
+    (4, lambda a: np.ones(2 * N, np.float32)[::2]),
+    (4, lambda a: None),
+    (6, lambda a: 0),
+    (6, lambda a: 33),
+    (6, lambda a: 8.0),
+    (7, lambda a: "0.5"),
+    (7, lambda a: np.ones(M, np.float32)),
+    (8, lambda a: None),
+    (8, lambda a: [3]),
+]
+
+
+@pytest.mark.parametrize("index, replace", BAD_EPILOGUE_ARGUMENTS,
+                         ids=[f"{i}-{n}" for n, (i, _) in enumerate(BAD_EPILOGUE_ARGUMENTS)])
+def test_an_epilogue_operand_of_the_wrong_kind_is_refused(index, replace):
+    args = _epilogue_call()
+    args[2] = Guarded().out.copy()
+    assert product(*args) is False  # the base call is valid
+    guarded = Guarded()
+    args[2] = guarded.out
+    args[index] = replace(args[index])
+    with pytest.raises((ValueError, TypeError, BufferError)):
+        product(*args)
+    guarded.assert_untouched()
+
+
+@pytest.mark.parametrize("count", [5, 7, 8, 10])
+def test_an_epilogue_call_with_another_argument_count_is_refused(count):
+    guarded = Guarded()
+    args = _epilogue_call() + [0]
+    args[2] = guarded.out
+    with pytest.raises(TypeError, match="takes 4 arguments, or 6 or 9 with an epilogue"):
+        product(*args[:count])
+    guarded.assert_untouched()
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, M])
+def test_an_epilogue_call_writes_its_output_and_nothing_else(parts):
+    rng = np.random.default_rng(10 + parts)
+    a = rng.standard_normal((M, K)).astype(np.float32)
+    b = rng.standard_normal((K, N)).astype(np.float32)
+    bias = rng.standard_normal(N).astype(np.float32)
+    guarded = Guarded()
+    assert product(a, b, guarded.out, parts, bias, True) is False
+    want = np.zeros((M, N), dtype=np.float32)
+    for i in range(K):
+        want = want + a[:, i:i + 1] * b[i:i + 1, :]
+    want = np.maximum(want + bias, np.float32(0.0))
+    assert np.array_equal(guarded.out.view(np.uint32), want.view(np.uint32))
+    guarded.out[:] = np.nan
     guarded.assert_untouched()
 
 

@@ -2,19 +2,22 @@
 the numpy reference's bits.
 
 ``_matmul.c`` exports, beside the matmul kernel, one fake-quantization
-kernel and one weight-parameter kernel per vector width
-(``qd_fake_quant_<v>`` and ``qd_derive_params_<v>`` for ``v`` in base,
-avx2 and avx512), and the module runs the widest one the CPU runs. Each
-variant is reached here by its exported symbol, through ``ctypes`` on the
-module's own file, so the narrower ones are checked on a CPU that would
-never pick them.
+kernel, one linear-epilogue kernel and one weight-parameter kernel per
+vector width (``qd_fake_quant_<v>``, ``qd_epilogue_<v>`` and
+``qd_derive_params_<v>`` for ``v`` in base, avx2 and avx512), and the
+module runs the widest one the CPU runs. Each variant is reached here by
+its exported symbol, through ``ctypes`` on the module's own file, so the
+narrower ones are checked on a CPU that would never pick them.
 
 The reference is the numpy code the kernels replaced: ``params_from_range``'s
-law and ``fake_quant``'s float64 pass, kept here the way the k-ordered
+law, ``fake_quant``'s float64 pass, and a forward linear's ``y + b``,
+finite check and ``np.maximum(y, 0)``, kept here the way the k-ordered
 loop is kept for the matmul. The cases cover ties at half a code step and
 their one-ulp neighbours, values past the clip, signed zeros, subnormals,
 constant rows (the ``2**62`` bound included), zero-points too large for
-float32, lengths around every vector width, and every supported width.
+float32, non-finite sums, lengths around every vector width, row counts
+around the 4-row tile and the 32-row epilogue block, and every supported
+width.
 """
 
 import ctypes
@@ -30,6 +33,8 @@ from quantdistill.tensor_core import Tensor
 VARIANTS = ("avx512", "avx2", "base")  # widest first
 LAW_OK, LAW_NON_FINITE, LAW_TOO_LARGE = range(3)
 PAD = 64
+TILE_ROWS = 4
+EPILOGUE_ROWS = 32  # rows a product range finishes before their epilogue
 
 
 def _codes(bits):
@@ -87,6 +92,18 @@ def library(request, supported):
                        + [ctypes.c_void_p] * 4)
     derive.restype = ctypes.c_int
     return fake_quant, derive
+
+
+@pytest.fixture(params=VARIANTS)
+def epilogue(request, supported):
+    """The variant's linear-epilogue kernel, by its exported name."""
+    if request.param not in supported:
+        pytest.skip(f"this CPU does not run the {request.param} variant")
+    kernel = getattr(ctypes.CDLL(tensor_core._MATMUL.__file__), f"qd_epilogue_{request.param}")
+    kernel.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_void_p,
+                       ctypes.c_int, ctypes.c_int, ctypes.c_double, ctypes.c_double]
+    kernel.restype = ctypes.c_int
+    return kernel
 
 
 _GUARD = {np.float32: 12345.0, np.int64: -7}
@@ -304,3 +321,129 @@ def test_derive_params_refuses_a_non_finite_weight():
     w = Tensor._wrap(np.float32([[1.0, 2.0], [np.nan, 0.0]]))
     with pytest.raises(DomainError, match="^non-finite range endpoints$"):
         quantizer.derive_params(w, 8, None)
+
+
+# -- the linear epilogue ------------------------------------------------------
+
+
+def reference_epilogue(sums: np.ndarray, bias: np.ndarray, relu: bool, quant):
+    """A forward linear's numpy passes over its product: (output, whether
+    a sum plus its bias is not finite). ``quant`` is (bits, scale,
+    zero_point) or None."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = sums + bias[None, :]
+    bad = not np.isfinite(y).all()
+    if relu:
+        y = np.maximum(y, np.float32(0.0))
+    if quant is not None:
+        bits, s, z = quant
+        y = reference_fake_quant(y, s, z, bits)
+    return y, bad
+
+
+def _assert_same(got: np.ndarray, want: np.ndarray):
+    """Equal bits, NaN payloads aside: NaN exactly where the reference has one."""
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(_bits(got)[~nan], _bits(want)[~nan])
+
+
+def run_epilogue(kernel, sums: np.ndarray, bias: np.ndarray, relu: bool, quant):
+    """(output, flag) of the variant's epilogue, run in place on a copy of
+    ``sums`` followed by guard elements."""
+    rows, n = sums.shape
+    buf, out = _guarded(sums.shape)
+    out[:] = sums
+    bits, s, z = quant if quant is not None else (0, 0.0, 0.0)
+    flag = kernel(out.ctypes.data, rows, n, np.ascontiguousarray(bias).ctypes.data, relu, bits,
+                  s, z)
+    _assert_guard(buf, sums.size)
+    return out, flag
+
+
+def _sums(rng, rows, n, p):
+    """float32 sums whose biased values sit on half codes of ``p`` and one
+    ulp beside them, past the clip, or anywhere, and a bias of either zero
+    in every other column, so those ties survive the add; every third
+    column of sums is a zero of either sign, so -0.0 + -0.0 meets the relu."""
+    targets = _near_half_codes(rng, p.scale, p.zero_point, p.bit_width, rows * n)
+    bias = (rng.standard_normal(n) * abs(p.scale) * 5).astype(np.float32)
+    bias[::2] = rng.choice(np.float32([0.0, -0.0]), size=bias[::2].shape)
+    sums = (targets.reshape(rows, n) - bias).astype(np.float32)
+    sums[:, ::3] = rng.choice(np.float32([0.0, -0.0]), size=sums[:, ::3].shape)
+    return sums, bias
+
+
+ROW_COUNTS = [1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, EPILOGUE_ROWS - 1, EPILOGUE_ROWS,
+              EPILOGUE_ROWS + 1, 2 * EPILOGUE_ROWS + 3]
+
+
+@pytest.mark.parametrize("bits", [None, *SUPPORTED_BIT_WIDTHS])
+def test_epilogue_matches_the_reference(epilogue, bits):
+    rng = np.random.default_rng(40 + (bits or 0))
+    for rows in ROW_COUNTS:
+        for n in [1, 3, 4, 7, 8, 16, 17, 33, 64]:
+            lo = float(rng.standard_normal() * 10.0 ** rng.uniform(-3, 3))
+            hi = lo + float(abs(rng.standard_normal()) * 10.0 ** rng.uniform(-3, 3))
+            p = quantizer.params_from_range(lo, hi, bits or 8)
+            sums, bias = _sums(rng, rows, n, p)
+            quant = None if bits is None else (bits, p.scale, p.zero_point)
+            for relu in (False, True):
+                got, flag = run_epilogue(epilogue, sums, bias, relu, quant)
+                want, bad = reference_epilogue(sums, bias, relu, quant)
+                assert flag == bad == 0
+                _assert_same(got, want)
+
+
+@pytest.mark.parametrize("bits", [None, 8, 4])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, "overflow"])
+def test_epilogue_flags_a_sum_that_is_not_finite(epilogue, bits, value):
+    # Any one element of any row, including one whose finite sum and bias
+    # overflow when added, raises the flag; the other elements still get
+    # the reference's bits.
+    rng = np.random.default_rng(60)
+    p = quantizer.params_from_range(-2.0, 3.0, bits or 8)
+    quant = None if bits is None else (bits, p.scale, p.zero_point)
+    for rows, n in [(1, 1), (TILE_ROWS + 1, 17), (EPILOGUE_ROWS + 1, 64)]:
+        for at in {0, rows * n // 2, rows * n - 1}:
+            sums = rng.standard_normal((rows, n)).astype(np.float32)
+            bias = rng.standard_normal(n).astype(np.float32)
+            if value == "overflow":
+                sums.flat[at] = 3e38
+                bias[at % n] = 3e38
+            else:
+                sums.flat[at] = value
+            for relu in (False, True):
+                got, flag = run_epilogue(epilogue, sums, bias, relu, quant)
+                want, bad = reference_epilogue(sums, bias, relu, quant)
+                assert bad and flag == 1
+                _assert_same(got, want)
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+@pytest.mark.parametrize("bits", [None, 8])
+def test_product_runs_the_epilogue_on_every_block_of_every_range(parts, bits):
+    # Through the module's entry: each range finishes a block of rows, then
+    # runs the epilogue on it. A bad element in any block of any range
+    # raises the flag.
+    rng = np.random.default_rng(70 + parts)
+    p = quantizer.params_from_range(-1.0, 4.0, bits or 8)
+    quant = () if bits is None else (bits, p.scale, p.zero_point)
+    product = tensor_core._MATMUL.product
+    for rows in ROW_COUNTS + [4 * EPILOGUE_ROWS + TILE_ROWS + 1]:
+        if rows < parts:
+            continue
+        a = rng.standard_normal((rows, 9)).astype(np.float32)
+        b = rng.standard_normal((9, 33)).astype(np.float32)
+        bias = rng.standard_normal(33).astype(np.float32)
+        sums = np.zeros((rows, 33), dtype=np.float32)
+        for i in range(9):
+            sums = sums + a[:, i:i + 1] * b[i:i + 1, :]
+        want, _ = reference_epilogue(sums, bias, True, quant or None)
+        out = np.full((rows, 33), np.nan, dtype=np.float32)
+        assert product(a, b, out, parts, bias, True, *quant) is False
+        _assert_same(out, want)
+        for row in {0, rows // 2, rows - 1}:
+            bad = a.copy()
+            bad[row, 4] = np.inf
+            assert product(bad, b, out, parts, bias, True, *quant) is True
