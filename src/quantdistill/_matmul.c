@@ -1,6 +1,8 @@
-/* The compiled arithmetic behind tensor_core.matmul and the quantizer: the
- * exact-order float32 matrix product with a forward linear's epilogue, and
- * the fake-quantization law, built as one CPython extension module.
+/* The compiled arithmetic behind tensor_core.matmul, the quantizer and the
+ * verify request: the exact-order float32 matrix product with a forward
+ * linear's epilogue, the fake-quantization law, and row L2 normalization
+ * and row dot products in numpy's float64 order, built as one CPython
+ * extension module.
  *
  * out[r, j] starts at +0.0f and adds the float32 products a[r, i] * b[i, j]
  * one at a time, in increasing i. Every output row is computed on its own,
@@ -33,38 +35,52 @@
  * and zero-point; a weight's rows are fake-quantized under their own only
  * in the call that derives them.
  *
+ * A row's float64 sum (of its squares, or of its products with another
+ * row) takes the order of numpy's np.add.reduce along a contiguous row:
+ * the terms are exact (float32 factors have 24-bit significands), and
+ * they are added onto +0.0 pairwise. A block of up to PAIRWISE_BLOCK terms
+ * keeps 8 interleaved partial sums, combined as
+ * ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)), then adds its tail in order
+ * (a block under 8 terms adds them all in order); a longer row is split in
+ * halves, the first rounded down to a multiple of 8, each summed so. A row
+ * is normalized by dividing each element by the square root of its sum of
+ * squares, in float64, rounded once to float32; a zero norm is flagged.
+ *
  * A forward linear's epilogue (the bias, the finite check and, for an
- * inference forward, the relu and the activation site's fake-quant) runs
- * on each block of EPILOGUE_ROWS output rows as soon as the thread that
- * computed them is done, while they are still in cache.
+ * inference forward, the relu and the activation site's fake-quant, and
+ * for its last linear the rows' normalization) runs on each block of
+ * EPILOGUE_ROWS output rows as soon as the thread that computed them is
+ * done, while they are still in cache.
  *
  * There are three variants of every kernel, each exported under its own
  * name: qd_<kernel>_base on 16-byte vectors, which every target has, and,
  * where GCC compiles for x86, qd_<kernel>_avx2 and qd_<kernel>_avx512 on
  * 32- and 64-byte vectors, each compiled for its instruction set by a
  * target pragma (the kernels are qd_matmul_rows, qd_fake_quant,
- * qd_epilogue and qd_derive_params). qd_matmul_variant names the widest
- * one this CPU runs, read with __builtin_cpu_supports, so the object is
- * built without -march
- * and stays portable across x86-64 hosts. Where the compiler or the
- * platform has no per-function targets (Clang, which ignores the GCC
- * pragmas, or another architecture) only the base variants are compiled.
- * None of the instruction sets changes a rounding: AVX2 and AVX-512F add,
- * multiply, divide, convert and round exactly as SSE2 and libm do, and no
- * multiply is fused into an add. So every variant gives the same bits;
- * only where NaN operands meet may a NaN result carry another payload.
+ * qd_epilogue, qd_derive_params, qd_normalize and qd_row_dots; each
+ * variant has its own copy of the pairwise sum). qd_matmul_variant names
+ * the widest one this CPU runs, read with __builtin_cpu_supports, so the
+ * object is built without -march and stays portable across x86-64 hosts.
+ * Where the compiler or the platform has no per-function targets (Clang,
+ * which ignores the GCC pragmas, or another architecture) only the base
+ * variants are compiled. None of the instruction sets changes a rounding:
+ * AVX2 and AVX-512F add, multiply, divide, take square roots, convert and
+ * round exactly as SSE2 and libm do, and no multiply is fused into an add.
+ * So every variant gives the same bits; only where NaN operands meet may a
+ * NaN result carry another payload.
  *
  * Python reaches the kernels through the module's functions, product,
- * fake_quant, params_from_range and derive_params (each described where it
- * is defined), which take their operands through the buffer protocol,
- * check every one before a byte is read or written, and run the variant
- * picked when the module was initialised, without the GIL. product splits
+ * fake_quant, params_from_range, derive_params, normalize and row_dots
+ * (each described where it is defined), which take their operands through
+ * the buffer protocol, check every one before a byte is read or written,
+ * and run the variant picked when the module was initialised, without the
+ * GIL. product splits
  * the rows into ranges: the first runs on the calling thread and each
  * other one on a thread it starts, except that once a thread cannot be
  * started, the ranges left run on the calling thread too. Each range runs
- * the epilogue on its own rows and keeps its own non-finite flag; the
- * flags are OR-ed once every range is done. The module's variant
- * attribute names the variant.
+ * the epilogue on its own rows and keeps its own fault flags; the flags
+ * are OR-ed once every range is done. The module's variant attribute
+ * names the variant.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -177,6 +193,32 @@ static inline __attribute__((always_inline)) void fake_quant_span(
     }
 }
 
+/* Terms a pairwise block sums with its 8 partial sums; longer rows split. */
+#define PAIRWISE_BLOCK 128
+
+/* The pairwise sum of the float64 products a[j] * b[j], j < n <=
+ * PAIRWISE_BLOCK, in numpy's order for one block (without the +0.0 it
+ * starts from). The 8 partial sums are independent, so each variant
+ * vectorizes them without reordering an add. */
+static inline __attribute__((always_inline)) double pairwise_block(
+    const float *a, const float *b, ptrdiff_t n)
+{
+    double sum = 0.0;
+    ptrdiff_t j = 0;
+    if (n >= 8) {
+        double r[8];
+        for (int l = 0; l < 8; l++)
+            r[l] = (double)a[l] * b[l];
+        for (j = 8; j + 8 <= n; j += 8)
+            for (int l = 0; l < 8; l++)
+                r[l] += (double)a[j + l] * b[j + l];
+        sum = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    }
+    for (; j < n; j++)
+        sum += (double)a[j] * b[j];
+    return sum;
+}
+
 /* params_from_range's law for m slices of b-bit codes with float32
  * endpoints lo[i] <= hi[i]: the scale is (hi - lo) / (2**b - 1) rounded to
  * float32, and the zero-point round(lo * (2**b - 1) / (hi - lo) + 2**(b-1)).
@@ -213,13 +255,64 @@ static inline __attribute__((always_inline)) int law(
     return LAW_OK;
 }
 
+/* The stages an epilogue runs after the bias add and the finite check, and
+ * the faults it reports. */
+enum { STAGE_RELU = 1, STAGE_NORMALIZE = 2 };
+enum { FAULT_NON_FINITE = 1, FAULT_ZERO_NORM = 2 };
+static const char ZERO_NORM[] = "cannot normalize a zero-norm row";
+
+/* qd_normalize_<V>(x, out, rows, n): each row of the rows x n matrix x
+ * divided by its norm into out, which may be x; returns whether a row has
+ * zero norm. qd_row_dots_<V>(a, b, out, rows, n): out[r] = the dot product
+ * of rows r of a and b. Both sum in numpy's pairwise order, by a recursive
+ * sum of each variant's own, inlined where a row fits one block. */
+#define DEFINE_NORM(V)                                                                  \
+    static double pairwise_##V(const float *a, const float *b, ptrdiff_t n)             \
+    {                                                                                   \
+        if (n <= PAIRWISE_BLOCK)                                                        \
+            return pairwise_block(a, b, n);                                             \
+        const ptrdiff_t half = n / 2 - n / 2 % 8;                                       \
+        return pairwise_##V(a, b, half) + pairwise_##V(a + half, b + half, n - half);   \
+    }                                                                                   \
+    static inline __attribute__((always_inline)) double row_dot_##V(                    \
+        const float *a, const float *b, ptrdiff_t n)                                    \
+    {                                                                                   \
+        return 0.0 + (n <= PAIRWISE_BLOCK ? pairwise_block(a, b, n)                     \
+                                          : pairwise_##V(a, b, n));                     \
+    }                                                                                   \
+    static inline __attribute__((always_inline)) int normalize_##V(                     \
+        const float *x, float *out, ptrdiff_t rows, ptrdiff_t n)                        \
+    {                                                                                   \
+        int zero = 0;                                                                   \
+        for (ptrdiff_t r = 0; r < rows; r++) {                                          \
+            const float *row = x + r * n;                                               \
+            const double norm = sqrt(row_dot_##V(row, row, n));                         \
+            zero |= norm == 0.0;                                                        \
+            for (ptrdiff_t j = 0; j < n; j++)                                           \
+                out[r * n + j] = (float)((double)row[j] / norm);                        \
+        }                                                                               \
+        return zero;                                                                    \
+    }                                                                                   \
+    int qd_normalize_##V(const float *x, float *out, ptrdiff_t rows, ptrdiff_t n)       \
+    {                                                                                   \
+        return normalize_##V(x, out, rows, n);                                          \
+    }                                                                                   \
+    void qd_row_dots_##V(const float *restrict a, const float *restrict b,              \
+                         double *restrict out, ptrdiff_t rows, ptrdiff_t n)             \
+    {                                                                                   \
+        for (ptrdiff_t r = 0; r < rows; r++)                                            \
+            out[r] = row_dot_##V(a + r * n, b + r * n, n);                              \
+    }
+
 /* qd_fake_quant_<V>(x, out, n, s, z, bits): fake_quant_span on vectors V.
- * qd_epilogue_<V>(out, rows, n, bias, relu, bits, s, z): a forward linear's
- * output stage, in place on rows x n sums: bias[j] added to column j (one
- * float32 add), then, if relu, max(x, 0) as numpy's maximum gives it (a
- * NaN kept, +0.0 for either zero), then, unless bits is 0, fake_quant_span
- * under s and z. Returns whether a sum plus its bias is not finite. The
- * sign of a zero out of the relu could not reach an output anyway: the
+ * qd_epilogue_<V>(out, rows, n, bias, stages, bits, s, z): a forward
+ * linear's output stage, in place on rows x n sums: bias[j] added to
+ * column j (one float32 add), then, with STAGE_RELU, max(x, 0) as numpy's
+ * maximum gives it (a NaN kept, +0.0 for either zero), then, unless bits
+ * is 0, fake_quant_span under s and z, then, with STAGE_NORMALIZE, each
+ * row normalized. Returns FAULT_NON_FINITE if a sum plus its bias is not
+ * finite, OR-ed with FAULT_ZERO_NORM if a normalized row has zero norm.
+ * The sign of a zero out of the relu could not reach an output anyway: the
  * next product's sums start at +0.0, and the fake-quant's + z gives +0.
  * qd_derive_params_<V>(w, out, rows, n, bits, scale, zero_point, lo, hi):
  * each row's minimum and maximum into lo and hi (a NaN propagates; of equal
@@ -233,21 +326,24 @@ static inline __attribute__((always_inline)) int law(
         fake_quant_span(x, out, n, s, z, bits);                                         \
     }                                                                                   \
     int qd_epilogue_##V(float *restrict out, ptrdiff_t rows, ptrdiff_t n,               \
-                        const float *restrict bias, int relu, int bits, double s,       \
+                        const float *restrict bias, int stages, int bits, double s,     \
                         double z)                                                       \
     {                                                                                   \
-        int bad = 0;                                                                    \
+        const int relu = stages & STAGE_RELU;                                           \
+        int faults = 0;                                                                 \
         for (ptrdiff_t r = 0; r < rows; r++) {                                          \
             float *row = out + r * n;                                                   \
             for (ptrdiff_t j = 0; j < n; j++) {                                         \
                 const float v = row[j] + bias[j];                                       \
-                bad |= !isfinite(v);                                                    \
+                faults |= !isfinite(v); /* FAULT_NON_FINITE */                          \
                 row[j] = relu && v <= 0.0f ? 0.0f : v;                                  \
             }                                                                           \
         }                                                                               \
         if (bits > 0)                                                                   \
             fake_quant_span(out, out, rows * n, s, z, bits);                            \
-        return bad;                                                                     \
+        if ((stages & STAGE_NORMALIZE) && normalize_##V(out, out, rows, n))             \
+            faults |= FAULT_ZERO_NORM;                                                  \
+        return faults;                                                                  \
     }                                                                                   \
     int qd_derive_params_##V(const float *restrict w, float *restrict out,              \
                              ptrdiff_t rows, ptrdiff_t n, int bits,                     \
@@ -273,6 +369,7 @@ static inline __attribute__((always_inline)) int law(
         return status;                                                                  \
     }
 
+DEFINE_NORM(base)
 DEFINE_QUANT(base)
 
 #if defined(__GNUC__) && !defined(__clang__) && (defined(__x86_64__) || defined(__i386__))
@@ -283,6 +380,7 @@ DEFINE_QUANT(base)
 typedef float v8 __attribute__((vector_size(32)));
 DEFINE_TILE(tile8, v8)
 DEFINE_ROWS(qd_matmul_rows_avx2, tile8, v8)
+DEFINE_NORM(avx2)
 DEFINE_QUANT(avx2)
 #pragma GCC pop_options
 
@@ -291,6 +389,7 @@ DEFINE_QUANT(avx2)
 typedef float v16 __attribute__((vector_size(64)));
 DEFINE_TILE(tile16, v16)
 DEFINE_ROWS(qd_matmul_rows_avx512, tile16, v16)
+DEFINE_NORM(avx512)
 DEFINE_QUANT(avx512)
 #pragma GCC pop_options
 #endif
@@ -316,6 +415,9 @@ typedef int (*epilogue_fn)(float *restrict, ptrdiff_t, ptrdiff_t, const float *r
                            int, double, double);
 typedef int (*derive_fn)(const float *restrict, float *restrict, ptrdiff_t, ptrdiff_t, int,
                          float *restrict, int64_t *restrict, float *restrict, float *restrict);
+typedef int (*normalize_fn)(const float *, float *, ptrdiff_t, ptrdiff_t);
+typedef void (*row_dots_fn)(const float *restrict, const float *restrict, double *restrict,
+                            ptrdiff_t, ptrdiff_t);
 
 /* The kernels of one variant. */
 struct variant {
@@ -323,16 +425,19 @@ struct variant {
     fake_quant_fn fake_quant;
     epilogue_fn epilogue;
     derive_fn derive_params;
+    normalize_fn normalize;
+    row_dots_fn row_dots;
 };
 #define VARIANT(V)                                                                    \
     ((struct variant){qd_matmul_rows_##V, qd_fake_quant_##V, qd_epilogue_##V,         \
-                      qd_derive_params_##V})
+                      qd_derive_params_##V, qd_normalize_##V, qd_row_dots_##V})
 
 /* The variant qd_matmul_variant names, set once at module init. */
 static struct variant widest;
 
-/* What an array operand must be: a C-contiguous array of float32 ('f') or
- * int64 ('q') items, with ndim dimensions, or any number where ndim is -1. */
+/* What an array operand must be: a C-contiguous array of float32 ('f'),
+ * float64 ('d') or int64 ('q') items, with ndim dimensions, or any number
+ * where ndim is -1. */
 struct kind {
     const char *what;
     char type;
@@ -342,6 +447,7 @@ static const struct kind MATRIX = {"2-D float32 matrix", 'f', 2};
 static const struct kind FLOATS = {"float32 array", 'f', -1};
 static const struct kind ROWS = {"1-D float32 array", 'f', 1};
 static const struct kind INT_ROWS = {"1-D int64 array", 'q', 1};
+static const struct kind DOUBLE_ROWS = {"1-D float64 array", 'd', 1};
 
 /* An entry's array operand: its argument, name, kind and buffer flags
  * (PyBUF_WRITABLE for an output). */
@@ -370,9 +476,10 @@ static int take(PyObject *const *args, const struct operand *op, int n, Py_buffe
             return -1;
         }
         const char *format = view[i].format ? view[i].format : "B";
-        const int typed = op[i].kind->type == 'f'
-            ? strcmp(format, "f") == 0
-            : view[i].itemsize == 8 && (strcmp(format, "q") == 0 || strcmp(format, "l") == 0);
+        const char type = op[i].kind->type;
+        const int typed = type == 'q'
+            ? view[i].itemsize == 8 && (strcmp(format, "q") == 0 || strcmp(format, "l") == 0)
+            : format[0] == type && format[1] == '\0';
         if (!typed || (op[i].kind->ndim >= 0 && view[i].ndim != op[i].kind->ndim)) {
             PyErr_Format(PyExc_ValueError, "%s must be a %s, got %d-D of format '%s'",
                          op[i].name, op[i].kind->what, view[i].ndim, format);
@@ -397,14 +504,16 @@ static int rows_match(const Py_buffer *view, const struct operand *op, int first
     return 1;
 }
 
-/* True, or false with an exception set, unless out has x's shape. */
-static int same_shape(const Py_buffer *out, const Py_buffer *x)
+/* True, or false with an exception set, unless view[i] has view[0]'s
+ * shape. */
+static int same_shape(const Py_buffer *view, const struct operand *op, int i)
 {
-    int same = out->ndim == x->ndim;
-    for (int i = 0; same && i < x->ndim; i++)
-        same = out->shape[i] == x->shape[i];
+    int same = view[i].ndim == view[0].ndim;
+    for (int d = 0; same && d < view[0].ndim; d++)
+        same = view[i].shape[d] == view[0].shape[d];
     if (!same)
-        PyErr_SetString(PyExc_ValueError, "out does not have the shape of the input");
+        PyErr_Format(PyExc_ValueError, "%s does not have the shape of %s", op[i].name,
+                     op[0].name);
     return same;
 }
 
@@ -435,7 +544,7 @@ static PyObject *law_result(int status)
 /* A forward linear's output stage, as qd_epilogue_<V> takes it. */
 struct epilogue {
     const float *bias;
-    int relu, bits;
+    int stages, bits;
     double scale, zero_point;
 };
 
@@ -444,14 +553,14 @@ struct epilogue {
  * TILE_ROWS, so only a range's last block has rows past a whole tile. */
 #define EPILOGUE_ROWS 32
 
-/* One row range of a product, its epilogue (or NULL), whether the epilogue
- * met a sum that is not finite, and the thread that runs it. */
+/* One row range of a product, its epilogue (or NULL), the FAULT_* flags
+ * the epilogue raised, and the thread that runs it. */
 struct range {
     const float *a, *b;
     float *out;
     ptrdiff_t rows, k, n;
     const struct epilogue *epilogue;
-    int non_finite;
+    int faults;
     pthread_t thread;
 };
 
@@ -465,17 +574,19 @@ static void *run(void *arg)
         float *out = r->out + start * r->n;
         widest.product(r->a + start * r->k, r->b, out, rows, r->k, r->n);
         if (e != NULL)
-            r->non_finite |= widest.epilogue(out, rows, r->n, e->bias, e->relu, e->bits,
-                                             e->scale, e->zero_point);
+            r->faults |= widest.epilogue(out, rows, r->n, e->bias, e->stages, e->bits,
+                                         e->scale, e->zero_point);
     }
     return NULL;
 }
 
-/* product(a, b, out, parts[, bias, relu[, bits, scale, zero_point]]):
+/* product(a, b, out, parts[, bias, stages[, bits, scale, zero_point]]):
  * out = a @ b over parts row ranges, every operand checked before a byte is
  * read or written. With bias, each range runs the epilogue on each block of
- * its rows, fake-quantizing when given bits, and the call returns whether a
- * sum plus its bias is not finite. */
+ * its rows, with the STAGE_* flags in stages (True and False are 1 and 0),
+ * fake-quantizing when given bits, and the call returns whether a sum plus
+ * its bias is not finite; if none is, a normalized row of zero norm raises
+ * ZeroDivisionError. */
 static PyObject *product(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     static const struct operand op[] = {
@@ -493,8 +604,15 @@ static PyObject *product(PyObject *module, PyObject *const *args, Py_ssize_t nar
     if (parts < 1)
         return PyErr_Occurred() ? NULL : PyErr_Format(PyExc_ValueError,
                                                       "parts must be at least 1, got %zd", parts);
-    if (nargs > 4 && (e.relu = PyObject_IsTrue(args[5])) < 0)
-        return NULL;
+    if (nargs > 4) {
+        const long stages = PyLong_AsLong(args[5]);
+        if (stages == -1 && PyErr_Occurred())
+            return NULL;
+        if (stages < 0 || stages > (STAGE_RELU | STAGE_NORMALIZE))
+            return PyErr_Format(PyExc_ValueError, "stages must be from 0 to %d, got %ld",
+                                STAGE_RELU | STAGE_NORMALIZE, stages);
+        e.stages = (int)stages;
+    }
     if (nargs == 9
         && ((e.bits = entry_bits("product", 9, nargs, args, 6)) < 0
             || ((e.scale = PyFloat_AsDouble(args[7])) == -1.0 && PyErr_Occurred())
@@ -541,11 +659,16 @@ static PyObject *product(PyObject *module, PyObject *const *args, Py_ssize_t nar
         for (Py_ssize_t p = 1; p < started; p++)
             pthread_join(ranges[p].thread, NULL);
         Py_END_ALLOW_THREADS
-        int non_finite = 0;
+        int faults = 0;
         for (Py_ssize_t p = 0; p < parts; p++)
-            non_finite |= ranges[p].non_finite;
+            faults |= ranges[p].faults;
         PyMem_Free(ranges);
-        result = operands == 4 ? PyBool_FromLong(non_finite) : Py_NewRef(Py_None);
+        if (operands == 3)
+            result = Py_NewRef(Py_None);
+        else if (faults == FAULT_ZERO_NORM)
+            PyErr_SetString(PyExc_ZeroDivisionError, ZERO_NORM);
+        else
+            result = PyBool_FromLong(faults & FAULT_NON_FINITE);
     }
     release(view, operands);
     return result;
@@ -566,7 +689,7 @@ static PyObject *fake_quant(PyObject *module, PyObject *const *args, Py_ssize_t 
         || ((z = PyFloat_AsDouble(args[4])) == -1.0 && PyErr_Occurred())
         || take(args, op, 2, view) < 0)
         return NULL;
-    if (same_shape(&view[1], &view[0])) {
+    if (same_shape(view, op, 1)) {
         Py_BEGIN_ALLOW_THREADS
         widest.fake_quant(view[0].buf, view[1].buf, view[0].len / (Py_ssize_t)sizeof(float),
                           s, z, bits);
@@ -620,7 +743,7 @@ static PyObject *derive_params(PyObject *module, PyObject *const *args, Py_ssize
     const Py_ssize_t rows = view[0].shape[0], cols = view[0].shape[1];
     if (cols < 1)
         PyErr_SetString(PyExc_ValueError, "w has no columns");
-    else if (rows_match(view, op, 1, 5, rows) && (n == 5 || same_shape(&view[5], &view[0]))) {
+    else if (rows_match(view, op, 1, 5, rows) && (n == 5 || same_shape(view, op, 5))) {
         int status;
         Py_BEGIN_ALLOW_THREADS
         status = widest.derive_params(view[0].buf, n == 6 ? view[5].buf : NULL, rows, cols, bits,
@@ -632,16 +755,73 @@ static PyObject *derive_params(PyObject *module, PyObject *const *args, Py_ssize
     return result;
 }
 
+/* normalize(x, out): each row of the float32 matrix x divided by its norm
+ * into out, of x's shape. A row of zero norm raises ZeroDivisionError once
+ * every row is written. */
+static PyObject *normalize(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    static const struct operand op[] = {
+        {0, "x", &MATRIX, PyBUF_SIMPLE}, {1, "out", &MATRIX, PyBUF_WRITABLE},
+    };
+    Py_buffer view[2];
+    PyObject *result = NULL;
+    if (nargs != 2)
+        return PyErr_Format(PyExc_TypeError, "normalize(x, out) takes 2 arguments, got %zd",
+                            nargs);
+    if (take(args, op, 2, view) < 0)
+        return NULL;
+    if (same_shape(view, op, 1)) {
+        int zero;
+        Py_BEGIN_ALLOW_THREADS
+        zero = widest.normalize(view[0].buf, view[1].buf, view[0].shape[0], view[0].shape[1]);
+        Py_END_ALLOW_THREADS
+        if (zero)
+            PyErr_SetString(PyExc_ZeroDivisionError, ZERO_NORM);
+        else
+            result = Py_NewRef(Py_None);
+    }
+    release(view, 2);
+    return result;
+}
+
+/* row_dots(a, b, out): out[r] = the float64 dot product of rows r of the
+ * float32 matrices a and b, of one shape. */
+static PyObject *row_dots(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    static const struct operand op[] = {
+        {0, "a", &MATRIX, PyBUF_SIMPLE}, {1, "b", &MATRIX, PyBUF_SIMPLE},
+        {2, "out", &DOUBLE_ROWS, PyBUF_WRITABLE},
+    };
+    Py_buffer view[3];
+    PyObject *result = NULL;
+    if (nargs != 3)
+        return PyErr_Format(PyExc_TypeError, "row_dots(a, b, out) takes 3 arguments, got %zd",
+                            nargs);
+    if (take(args, op, 3, view) < 0)
+        return NULL;
+    if (same_shape(view, op, 1) && rows_match(view, op, 2, 3, view[0].shape[0])) {
+        Py_BEGIN_ALLOW_THREADS
+        widest.row_dots(view[0].buf, view[1].buf, view[2].buf, view[0].shape[0],
+                        view[0].shape[1]);
+        Py_END_ALLOW_THREADS
+        result = Py_NewRef(Py_None);
+    }
+    release(view, 3);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"product", (PyCFunction)(void (*)(void))product, METH_FASTCALL,
-     "product(a, b, out, parts[, bias, relu[, bits, scale, zero_point]])\n--\n\n"
+     "product(a, b, out, parts[, bias, stages[, bits, scale, zero_point]])\n--\n\n"
      "out = a @ b in the exact order, for C-contiguous 2-D float32 a (m x k),\n"
      "b (k x n) and writable out (m x n), over 1 <= parts <= max(1, m) row\n"
      "ranges: the first on the calling thread, each other one on a thread of its own.\n"
      "With a 1-D float32 bias of n entries, each range then runs the epilogue on\n"
-     "each block of its rows: out += bias, then max(out, 0) if relu, then, with\n"
-     "bits, out fake-quantized under one scale and zero-point (numbers); the call\n"
-     "returns whether any sum plus its bias is not finite."},
+     "each block of its rows: out += bias, then max(out, 0) if stages has 1, then,\n"
+     "with bits, out fake-quantized under one scale and zero-point (numbers), then\n"
+     "each row normalized if stages has 2; the call returns whether any sum plus\n"
+     "its bias is not finite, and if none is, a zero-norm row raises\n"
+     "ZeroDivisionError."},
     {"fake_quant", (PyCFunction)(void (*)(void))fake_quant, METH_FASTCALL,
      "fake_quant(x, out, bits, scale, zero_point)\n--\n\n"
      "out = x fake-quantized to bits-bit codes under one scale and zero-point\n"
@@ -657,12 +837,22 @@ static PyMethodDef methods[] = {
      "its scale and zero-point from them, and, unless out is None, w\n"
      "fake-quantized under them into out. Returns None, or the reason the\n"
      "law refuses a row's range."},
+    {"normalize", (PyCFunction)(void (*)(void))normalize, METH_FASTCALL,
+     "normalize(x, out)\n--\n\n"
+     "Each row of the C-contiguous 2-D float32 x divided by its L2 norm into\n"
+     "writable out of x's shape, in numpy's float64 order; a zero-norm row\n"
+     "raises ZeroDivisionError."},
+    {"row_dots", (PyCFunction)(void (*)(void))row_dots, METH_FASTCALL,
+     "row_dots(a, b, out)\n--\n\n"
+     "out[r] = the float64 dot product of rows r of the C-contiguous 2-D\n"
+     "float32 a and b (one shape), in numpy's order, into writable 1-D\n"
+     "float64 out of a's rows."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef matmul_module = {
     PyModuleDef_HEAD_INIT, "_matmul",
-    "The exact-order float32 matmul and the fake-quantization kernels.", -1, methods,
+    "The exact-order float32 matmul, fake-quantization and row-norm kernels.", -1, methods,
 };
 
 PyMODINIT_FUNC PyInit__matmul(void)

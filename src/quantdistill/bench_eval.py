@@ -6,6 +6,13 @@ best threshold from an exhaustive sweep, and the true acceptance rate at a
 fixed false acceptance rate taken from the imposter-score quantile. At
 desk scale the imposter pool is a few thousand pairs, so the default FAR
 target is 1e-2; smaller quantiles are not estimable from that pool.
+
+A pair whose embedding has zero norm has no cosine, and no pair is
+dropped from a report: a request that meets one fails as a whole.
+:func:`verify` raises ``DomainError("cannot normalize a zero-norm row")``
+(from the embedding forward's normalization), and the ``eval`` command
+exits 6. Low-bit models can embed an input to zero when every value of
+the last activation site rounds to the zero code.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from .errors import DimensionError, DomainError, StateError
 from .graph import EmbeddingNet, embed
 from .model_store import write_atomic
 from .synth import IdentitySpace, derive_seed, sample_for_identities
-from .tensor_core import ROW_BLOCK, Tensor
+from .tensor_core import _MATMUL, Tensor
 
 DEFAULT_FAR_TARGETS = (0.01,)
 
@@ -111,17 +118,14 @@ def pair_scores(net: EmbeddingNet, pairs: PairSet) -> np.ndarray:
 
     Both sides go through one tape-free forward of the stacked
     ``pairs.rows``; every row is embedded independently, so the scores
-    equal those of one forward per side. The float64 cosines run over
-    blocks of ``ROW_BLOCK`` pairs.
+    equal those of one forward per side. Each cosine is the float64 dot
+    product of the pair's unit embeddings, in one compiled call with the
+    bits of ``np.sum(a * b, axis=1)`` on the float64 sides.
     """
     e = embed(net, pairs.rows).data
     n = pairs.n_pairs
     scores = np.empty(n)
-    for start in range(0, n, ROW_BLOCK):
-        stop = min(start + ROW_BLOCK, n)
-        a = e[start:stop].astype(np.float64)
-        b = e[n + start:n + stop].astype(np.float64)
-        scores[start:stop] = np.sum(a * b, axis=1)
+    _MATMUL.row_dots(e[:n], e[n:], scores)
     return scores
 
 

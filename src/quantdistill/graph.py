@@ -12,9 +12,10 @@ already holds its weights on their stored grid, so it uses them as they
 are. Biases stay full precision.
 
 Backward passes replay a :class:`GradTape` recorded during the forward,
-which runs each relu and activation fake-quant node as a call of its own
-after the linear's ``matmul``. The inference forward :func:`embed`
-records none, so the ``matmul`` epilogue runs those nodes too, with the
+which runs each relu and activation fake-quant node, and the final
+normalization, as a call of its own after the linear's ``matmul``. The
+inference forward :func:`embed` records none, so the ``matmul`` epilogue
+runs those nodes too, the last linear's normalization included, with the
 same bits, and runs quantized exactly when the net is calibrated.
 The fake-quantization nodes use the straight-through estimator: the
 gradient passes unchanged where the input lies inside the node's clipping
@@ -223,7 +224,7 @@ def linear_forward(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(f"linear expects a rank-2 input batch, got {x.shape}")
     if x.shape[1] != weight.shape[1]:
         raise DimensionError(f"input dim {x.shape[1]} != weight input dim {weight.shape[1]}")
-    return matmul(x, transpose(weight), Epilogue(bias, False, None))
+    return matmul(x, transpose(weight), Epilogue(bias, False, None, False))
 
 
 def linear_backward(x: Tensor, weight: Tensor,
@@ -311,23 +312,27 @@ def forward_embed(net: EmbeddingNet, x: Tensor, quantized: bool) -> tuple[Tensor
 
 def embed(net: EmbeddingNet, x: Tensor) -> Tensor:
     """The embeddings of :func:`forward_embed`, bit for bit, without a tape,
-    quantized exactly when the net is calibrated.
+    quantized exactly when the net is calibrated, and failing with its
+    messages.
 
-    The inference forward: it records nothing and computes no STE mask.
-    Every row is computed independently of the others, so a batch may
-    stack unrelated inputs.
+    The inference forward: it records nothing and computes no STE mask,
+    and its last linear's epilogue normalizes the rows. Every row is
+    computed independently of the others, so a batch may stack unrelated
+    inputs.
     """
-    return l2_normalize(_walk(net, x, net.is_calibrated, None))
+    return _walk(net, x, net.is_calibrated, None)
 
 
 def _walk(net: EmbeddingNet, x: Tensor, quantized: bool, tape: GradTape | None,
           observers: list[RangeObserver] | None = None) -> Tensor:
-    """The layer stack up to, not including, the final L2 normalization.
+    """The layer stack, with the final L2 normalization only where neither
+    a ``tape`` nor ``observers`` are given (:func:`embed`).
 
     Each linear ``i`` is followed by a relu unless it is the last, then by
     activation site ``i``: one index names both the layer and the site.
     Each linear is one ``matmul`` call, whose epilogue adds the bias,
-    checks the output and, without a ``tape``, runs the relu and the site.
+    checks the output and, without a ``tape``, runs the relu and the site,
+    and, without ``observers`` either, normalizes the last linear's rows.
     With a ``tape``, appends the records :func:`backward_embed` replays;
     with ``observers`` (on an unquantized walk), feeds each activation
     site's input to its observer.
@@ -358,17 +363,20 @@ def _walk(net: EmbeddingNet, x: Tensor, quantized: bool, tape: GradTape | None,
                 mask = in_range_mask(layer.weight, wp)
         p = net.activation_params[i] if quantized else None
         if tape is None:
-            epilogue = Epilogue(layer.bias, i < last, p)
+            epilogue = Epilogue(layer.bias, i < last, p, observers is None and i == last)
         else:
             tape.records.append(_Record(kind="linear", layer_index=i,
                                         inputs=h, mask=mask, weight_used=w))
-            epilogue = Epilogue(layer.bias, False, None)
+            epilogue = Epilogue(layer.bias, False, None, False)
         # The epilogue checks before the relu and the fake-quant, which
-        # clips +-inf to codes.
+        # clips +-inf to codes, and a zero norm counts only where every
+        # output is finite, as in forward_embed.
         try:
             h = matmul(h, transpose(w), epilogue)
         except DomainError:
             raise DomainError(f"output of layer {i} is not finite") from None
+        except ZeroDivisionError as exc:
+            raise DomainError(str(exc)) from None
         if tape is not None:
             if i < last:
                 tape.records.append(_Record(kind="relu", inputs=h))

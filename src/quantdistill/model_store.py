@@ -147,7 +147,10 @@ def save_model(net: EmbeddingNet, path, mode: str) -> None:
     """Serialize a net; mode is "fp32" or "quantized".
 
     Quantized files store per-channel weight codes plus parameters and the
-    frozen activation parameters, so saving requires a calibrated net.
+    frozen activation parameters, so saving requires a calibrated net. A
+    net with pinned weight parameters (a loaded quantized model) must still
+    hold its weights on their grid: one that was rebound off it raises
+    ``StateError`` naming the layer, and no file is written.
     """
     if mode == "fp32":
         blob = _encode(net, quantized=False)
@@ -186,7 +189,11 @@ def _encode(net: EmbeddingNet, quantized: bool) -> bytes:
         if quantized:
             wp = net.weight_params(i)
             codes = quantize(layer.weight, wp).codes
-            _grid_weight(codes, wp)
+            grid = _grid_weight(codes, wp)
+            if (net.frozen_weight_params is not None
+                    and not np.array_equal(grid.data, layer.weight.data)):
+                raise StateError(f"layer {i}: weight is off the grid of its pinned "
+                                 "parameters; its codes would be saved under stale ranges")
             body += _pack_range(wp)
             body += pack_codes(codes, net.quant_bits)
         else:

@@ -26,7 +26,8 @@ same bits. Every output row is computed on its own, so ``product`` splits
 a long product into row ranges and runs them in parallel, one per CPU the
 process may use, on threads it starts itself; the bits do not depend on
 the split. A forward linear's :class:`Epilogue` runs in the same threads,
-on each block of rows as soon as its sums are done.
+on each block of rows as soon as its sums are done; for the last linear of
+an inference forward it ends with the rows' L2 normalization.
 
 The same module holds the quantizer's arithmetic, in the same variants:
 ``fake_quant`` (``graph.fake_quant``'s float64 pass under one scale and
@@ -35,7 +36,11 @@ zero-point law) and ``derive_params`` (each weight row's range, its parameters a
 in the same call, the row fake-quantized). Their rounding is
 ``nearbyint``, which like numpy's ``rint`` follows the floating-point
 rounding mode, so their bits, like numpy's, assume the default
-round-to-nearest mode.
+round-to-nearest mode. It also holds the float64 row arithmetic of the
+embeddings: ``normalize`` (:func:`l2_normalize`, and the epilogue's last
+stage) and ``row_dots`` (the verify request's pair cosines), each summing
+a row in the order of numpy's ``np.add.reduce``, so their bits equal the
+numpy expressions they replaced.
 """
 
 from __future__ import annotations
@@ -75,10 +80,6 @@ RANGE_ROWS = 1500
 # process's affinity mask. The bits do not depend on it.
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
-# Rows per block of the numpy float64 elementwise stages (L2
-# normalization, pair cosines). Every row is computed on its own, so only
-# a block's float64 copy is held, never one of the whole input.
-ROW_BLOCK = 1024
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_matmul.c")
 # No -ffast-math, -Ofast or -march: the object stays portable (its AVX2 and
@@ -223,11 +224,13 @@ class Epilogue(NamedTuple):
     """A forward linear's output stage, run by the kernel on output rows
     still in cache: add ``bias``, check that the result is finite, apply
     :func:`relu` if ``relu``, then ``graph.fake_quant`` under per-tensor
-    ``params`` unless they are None. The bits equal those separate passes'."""
+    ``params`` unless they are None, then :func:`l2_normalize` if
+    ``normalize``. The bits equal those separate passes'."""
 
     bias: Tensor
     relu: bool
     params: QuantParams | None
+    normalize: bool
 
 
 def matmul(a: Tensor, b: Tensor, epilogue: Epilogue | None = None) -> Tensor:
@@ -240,7 +243,9 @@ def matmul(a: Tensor, b: Tensor, epilogue: Epilogue | None = None) -> Tensor:
     product and each sum is rounded separately: no BLAS, no fused
     multiply-add. The compiled kernel computes every shape. Without an
     epilogue it warns of no overflowing product or sum; with one, a sum
-    plus its bias that is not finite raises ``DomainError``. The rows are
+    plus its bias that is not finite raises ``DomainError``, and, if every
+    one is finite, a row that the epilogue normalizes with zero norm
+    raises ``ZeroDivisionError``. The rows are
     split into up to ``WORKERS`` contiguous ranges of at least
     ``RANGE_ROWS`` rows each; the kernel runs the first range on the
     calling thread and each other one on a thread it starts for the call,
@@ -259,8 +264,8 @@ def matmul(a: Tensor, b: Tensor, epilogue: Epilogue | None = None) -> Tensor:
     else:
         p = epilogue.params
         quant = () if p is None else (p.bit_width, p.scale, p.zero_point)
-        if _MATMUL.product(a.data, b.data, out, parts, epilogue.bias.data, epilogue.relu,
-                           *quant):
+        stages = epilogue.relu | epilogue.normalize << 1  # the kernel's stage flags
+        if _MATMUL.product(a.data, b.data, out, parts, epilogue.bias.data, stages, *quant):
             raise DomainError("output is not finite")
     return Tensor._wrap(out)
 
@@ -272,18 +277,17 @@ def transpose(t: Tensor) -> Tensor:
 
 
 def l2_normalize(t: Tensor) -> Tensor:
-    """Scale each row of a rank-2 tensor to unit Euclidean norm, in float64
-    over row blocks."""
+    """Scale each row of a rank-2 tensor to unit Euclidean norm: the bits of
+    ``x / np.sqrt(np.sum(x * x, axis=1, keepdims=True))`` on the float64
+    ``x``, rounded to float32, in one compiled call. A zero-norm row raises
+    ``DomainError``."""
     if t.rank != 2:
         raise DimensionError(f"l2_normalize requires a rank-2 tensor, got {t.shape}")
     out = np.empty(t.shape, dtype=np.float32)
-    for start in range(0, t.shape[0], ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
-        x = t.data[rows].astype(np.float64)
-        norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
-        if np.any(norms == 0.0):
-            raise DomainError("cannot normalize a zero-norm row")
-        out[rows] = x / norms
+    try:
+        _MATMUL.normalize(t.data, out)
+    except ZeroDivisionError as exc:
+        raise DomainError(str(exc)) from None
     return Tensor._wrap(out)
 
 

@@ -54,17 +54,21 @@ def product_calls(monkeypatch):
     for while the test runs, each then run by the kernel itself with its
     epilogue operands, if any. ``parts`` is the number of row ranges the
     kernel splits the product into: every range but the first runs on a
-    thread the kernel starts. ``thread`` is the Python thread that asked."""
+    thread the kernel starts. ``thread`` is the Python thread that asked.
+    The module's other entries are the kernel's own."""
     kernel = tensor_core._MATMUL
     calls = []
 
     class Recording:
+        def __getattr__(self, name):
+            return getattr(kernel, name)
+
         @staticmethod
         def product(a, b, out, parts, *epilogue):
             calls.append((parts, threading.get_ident()))
             return kernel.product(a, b, out, parts, *epilogue)
 
-    monkeypatch.setattr(tensor_core, "_MATMUL", Recording)
+    monkeypatch.setattr(tensor_core, "_MATMUL", Recording())
     return calls
 
 

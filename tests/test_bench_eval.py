@@ -13,11 +13,13 @@ from quantdistill.bench_eval import (
     verify,
     write_range_csv,
 )
+from quantdistill.config import ExperimentConfig
 from quantdistill.errors import DimensionError, DomainError, StateError
 from quantdistill.graph import build_embedding_net, forward_embed, observe_activations
 from quantdistill.quantizer import RangeObserver
 from quantdistill.synth import make_identity_space
-from quantdistill.tensor_core import ROW_BLOCK, Tensor
+from quantdistill import tensor_core
+from quantdistill.tensor_core import RANGE_ROWS, Tensor
 
 
 def _space(seed=0, noise=0.15):
@@ -218,9 +220,12 @@ class TestVerify:
         assert scaled.accuracy == pytest.approx(base.accuracy)
 
     @pytest.mark.parametrize("bits", [None, 8, 6])
-    def test_pair_scores_equal_per_side_forwards(self, bits):
-        # 60 pairs fit one row block; 2 * ROW_BLOCK + 6 pairs span three.
-        for n_pairs in (60, 2 * ROW_BLOCK + 6):
+    def test_pair_scores_equal_per_side_forwards(self, monkeypatch, bits):
+        # 16 pairs are one 32-row epilogue block and 60 pairs four, the last
+        # partial; RANGE_ROWS + 6 pairs split into two ranges of 1506 rows
+        # (WORKERS 2), each ending in a partial block.
+        monkeypatch.setattr(tensor_core, "WORKERS", 2)
+        for n_pairs in (16, 60, RANGE_ROWS + 6):
             net, pairs = self._trained_pairs(n_pairs)
             if bits is not None:
                 net = _calibrated(3, net_seed=5, bits=bits)
@@ -230,6 +235,28 @@ class TestVerify:
             expected = np.sum(a * b, axis=1)
             assert np.array_equal(pair_scores(net, pairs).view(np.uint64),
                                   expected.view(np.uint64))
+
+    def test_a_zero_norm_embedding_fails_the_request(self):
+        # A 5-6-3 net calibrated at 4 bits on 8 rows embeds one of the 20
+        # pairs of the default config's space to zero: the last linear's
+        # epilogue raises, and so does the whole request. At 6 and 8 bits
+        # every pair is scored.
+        cfg = ExperimentConfig(input_dim=5, n_pairs=20)
+        space = make_identity_space(cfg.n_identities, cfg.latent_dim, cfg.input_dim,
+                                    cfg.noise_sigma, cfg.sub_seed("data"))
+        pairs = build_pairs(space, cfg.n_pairs, cfg.sub_seed("pairs"))
+        calibration = Tensor(np.random.default_rng(1).standard_normal((8, 5)).astype(np.float32))
+        for bits in (4, 6, 8):
+            net = build_embedding_net(5, (6,), 3, seed=0)
+            net.set_quantization(bits)
+            observers = [RangeObserver() for _ in range(net.activation_site_count)]
+            observe_activations(net, calibration, observers)
+            net.activation_params = [o.freeze(bits) for o in observers]
+            if bits == 4:
+                with pytest.raises(DomainError, match="^cannot normalize a zero-norm row$"):
+                    verify(net, pairs)
+            else:
+                assert verify(net, pairs).n_genuine == 10
 
 
 class TestRangeCorrelation:

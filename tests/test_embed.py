@@ -2,8 +2,9 @@
 and fails where it fails, with the same message.
 
 ``embed`` runs each layer's bias, finite check, relu and activation
-fake-quant inside the product; ``forward_embed`` runs only the bias and
-the check there and the rest as separate passes.
+fake-quant, and the last layer's L2 normalization, inside the product;
+``forward_embed`` runs only the bias and the check there and the rest as
+separate passes.
 """
 
 import numpy as np
@@ -18,14 +19,15 @@ from quantdistill.tensor_core import RANGE_ROWS, Tensor
 IN_DIM, HIDDEN, EMBED_DIM = 12, (16, 16), 8
 
 
-def _net(bits):
+def _net(bits, last_bias=4.0):
     """A three-linear net; calibrated at ``bits`` unless that is None.
 
-    The last bias keeps every embedding away from zero, whose rows the
-    final normalization rejects, at 4 bits too."""
+    The default last bias keeps every embedding away from zero, whose rows
+    the final normalization rejects, at 4 bits too; with a zero last bias
+    a zero input row embeds to zero."""
     net = build_embedding_net(IN_DIM, HIDDEN, EMBED_DIM, seed=3)
     last = net.layers[-1]
-    last.bias = Tensor(np.full(EMBED_DIM, 4.0, dtype=np.float32))
+    last.bias = Tensor(np.full(EMBED_DIM, last_bias, dtype=np.float32))
     if bits is not None:
         net.set_quantization(bits)
         observers = [RangeObserver() for _ in range(net.activation_site_count)]
@@ -71,9 +73,11 @@ def test_calibration_walk_leaves_normalization_out():
 SPLIT_ROWS = 2 * RANGE_ROWS + 5
 
 
-def _same_failure(net, x, layer):
-    """Both forwards raise ``DomainError`` naming ``layer``."""
-    message = f"^output of layer {layer} is not finite$"
+def _same_failure(net, x, layer=None):
+    """Both forwards raise ``DomainError`` naming ``layer``, or, without
+    one, the zero-norm row."""
+    message = ("^cannot normalize a zero-norm row$" if layer is None
+               else f"^output of layer {layer} is not finite$")
     with pytest.raises(DomainError, match=message):
         embed(net, x)
     with pytest.raises(DomainError, match=message):
@@ -121,3 +125,33 @@ def test_one_row_overflowing_in_the_second_range_fails_like_forward_embed(monkey
     embed(net, Tensor(x))
     x[SPLIT_ROWS - 2] *= np.float32(1e19)
     _same_failure(net, Tensor(x), layer)
+
+
+@pytest.mark.parametrize("bits", [None, 8, 6, 4])
+@pytest.mark.parametrize("row", [0, RANGE_ROWS - 1, SPLIT_ROWS // 2 + 1, SPLIT_ROWS - 2])
+def test_a_zero_norm_embedding_fails_like_forward_embed(monkeypatch, bits, row):
+    # A zero input row in the first range, in its last (partial) block, in
+    # the second range and in the second range's last block. The other
+    # rows are large, so that none of them rounds to zero at 4 bits.
+    monkeypatch.setattr(tensor_core, "WORKERS", 2)
+    net = _net(bits, last_bias=0.0)
+    x = (10 * np.random.default_rng(8).standard_normal((SPLIT_ROWS, IN_DIM))).astype(np.float32)
+    embed(net, Tensor(x))
+    x[row] = 0.0
+    _same_failure(net, Tensor(x))
+
+
+@pytest.mark.parametrize("bits", [None, 8, 6, 4])
+@pytest.mark.parametrize("rows", [7, SPLIT_ROWS])
+def test_a_sum_that_overflows_outweighs_a_zero_norm_embedding(monkeypatch, bits, rows):
+    # Row 5 embeds to zero in the block where other rows overflow the last
+    # layer's sums: both forwards name the overflow, which forward_embed
+    # meets first.
+    monkeypatch.setattr(tensor_core, "WORKERS", 2)
+    net = _net(bits, last_bias=0.0)
+    x = (10 * np.random.default_rng(rows).standard_normal((rows, IN_DIM))).astype(np.float32)
+    x[5] = 0.0
+    w = net.layers[2].weight.data.copy()
+    w[0] = np.resize(np.float32([3e38, 1.5e38]), w.shape[1])
+    net.layers[2].weight = Tensor(w)
+    _same_failure(net, Tensor(x), 2)

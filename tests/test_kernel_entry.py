@@ -6,15 +6,16 @@ writes ``out`` through raw pointers, from the calling thread and from the
 ``parts - 1`` threads it starts, so each check on its operands and on
 ``parts`` is all that keeps a bad call from reading or writing memory it
 was not given, or from starting a thread for an empty range. Its epilogue
-operands (``bias, relu`` and optionally ``bits, scale, zero_point``) are
-checked the same way: the bias is read through a raw pointer too.
+operands (``bias, stages`` and optionally ``bits, scale, zero_point``)
+are checked the same way: the bias is read through a raw pointer too.
 Every operand here is a view into a larger array: the output sits between
 guard elements and starts as NaN, and the inputs sit inside padding, so a
 call that got past a check would read only memory the test owns and show
 as a changed output element or guard instead of a crash. The
 quantization entries (``fake_quant``, ``params_from_range`` and
-``derive_params``) read and write through raw pointers too, so every one
-of their checks is tested: a refused call leaves every output as it was.
+``derive_params``) and the row entries (``normalize`` and ``row_dots``)
+read and write through raw pointers too, so every one of their checks is
+tested: a refused call leaves every output as it was.
 """
 
 import os
@@ -211,6 +212,38 @@ def test_an_epilogue_call_writes_its_output_and_nothing_else(parts):
     guarded.assert_untouched()
 
 
+# The epilogue's stage set: 1 runs the relu, 2 the row normalization.
+@pytest.mark.parametrize("stages, error", [(-1, ValueError), (4, ValueError), (2.0, TypeError),
+                                           (None, TypeError), ("2", TypeError)])
+@pytest.mark.parametrize("count", [6, 9])
+def test_an_epilogue_stage_set_outside_the_stages_is_refused(stages, error, count):
+    args = _epilogue_call()[:count]
+    guarded = Guarded()
+    args[2] = guarded.out
+    args[5] = stages
+    with pytest.raises(error):
+        product(*args)
+    guarded.assert_untouched()
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, M])
+def test_a_normalizing_epilogue_call_writes_its_output_and_nothing_else(parts):
+    rng = np.random.default_rng(20 + parts)
+    a = rng.standard_normal((M, K)).astype(np.float32)
+    b = rng.standard_normal((K, N)).astype(np.float32)
+    bias = rng.standard_normal(N).astype(np.float32)
+    guarded = Guarded()
+    assert product(a, b, guarded.out, parts, bias, 2) is False
+    want = np.zeros((M, N), dtype=np.float32)
+    for i in range(K):
+        want = want + a[:, i:i + 1] * b[i:i + 1, :]
+    want = (want + bias).astype(np.float64)
+    want = (want / np.sqrt(np.sum(want * want, axis=1, keepdims=True))).astype(np.float32)
+    assert np.array_equal(guarded.out.view(np.uint32), want.view(np.uint32))
+    guarded.out[:] = np.nan
+    guarded.assert_untouched()
+
+
 # Run in a child: allocates the operands and the k-ordered oracle, then
 # lowers the child's own address-space limit to 4 MiB above what it maps,
 # too little for a thread stack, so that pthread_create fails. A Python
@@ -333,3 +366,59 @@ def test_a_quantization_entry_refuses_a_call_with_another_argument_count(entry):
     args = _quant_calls()[entry]
     with pytest.raises(TypeError, match=f"takes {len(args)} arguments"):
         getattr(tensor_core._MATMUL, entry)(*args[:-1])
+
+
+# -- the row entries ----------------------------------------------------------
+
+
+def _row_calls() -> dict:
+    """Valid arguments of each row entry; outputs start as NaN."""
+    x = np.ones((ROWS, COLS), dtype=np.float32)
+    return {
+        "normalize": [x, np.full((ROWS, COLS), np.nan, dtype=np.float32)],
+        "row_dots": [x, x.copy(), np.full(ROWS, np.nan)],
+    }
+
+
+# (entry, argument, what replaces it)
+BAD_ROW_ARGUMENTS = [
+    ("normalize", 0, lambda a: a.astype(np.float64)),
+    ("normalize", 0, lambda a: a.ravel().copy()),
+    ("normalize", 0, lambda a: np.ones((ROWS, 2 * COLS), np.float32)[:, ::2]),
+    ("normalize", 1, _read_only),
+    ("normalize", 1, lambda a: a[:, :-1].copy()),
+    ("normalize", 1, lambda a: a[:-1].copy()),
+    ("normalize", 1, lambda a: a.astype(np.float64)),
+    ("row_dots", 0, lambda a: a.astype(np.int32)),
+    ("row_dots", 0, lambda a: np.ones((ROWS, 2 * COLS), np.float32)[:, ::2]),
+    ("row_dots", 1, lambda a: a[:-1].copy()),
+    ("row_dots", 1, lambda a: a[:, :-1].copy()),
+    ("row_dots", 1, lambda a: a.ravel().copy()),
+    ("row_dots", 2, lambda a: a.astype(np.float32)),
+    ("row_dots", 2, lambda a: a[:-1].copy()),
+    ("row_dots", 2, lambda a: a[:, None].copy()),
+    ("row_dots", 2, lambda a: np.full(2 * ROWS, np.nan)[::2]),
+    ("row_dots", 2, _read_only),
+]
+
+
+@pytest.mark.parametrize("entry, index, replace", BAD_ROW_ARGUMENTS,
+                         ids=[f"{e}-{i}-{n}" for n, (e, i, _) in enumerate(BAD_ROW_ARGUMENTS)])
+def test_a_row_entry_refuses_a_bad_argument(entry, index, replace):
+    args = _row_calls()[entry]
+    getattr(tensor_core._MATMUL, entry)(*[a.copy() for a in args])  # the base call is valid
+    kept = [(a, a.copy()) for i, a in enumerate(args) if i != index]
+    args[index] = replace(args[index])
+    with pytest.raises((ValueError, TypeError, BufferError)):
+        getattr(tensor_core._MATMUL, entry)(*args)
+    for array, before in kept:
+        assert np.array_equal(array, before, equal_nan=True)
+
+
+@pytest.mark.parametrize("entry", ["normalize", "row_dots"])
+def test_a_row_entry_refuses_a_call_with_another_argument_count(entry):
+    args = _row_calls()[entry]
+    for count in (len(args) - 1, len(args) + 1):
+        with pytest.raises(TypeError, match=f"takes {len(args)} arguments"):
+            getattr(tensor_core._MATMUL, entry)(*(args + args)[:count])
+    assert np.isnan(args[-1]).all()

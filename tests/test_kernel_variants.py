@@ -128,12 +128,14 @@ def test_non_finite_and_subnormal_operands_match_the_oracle_but_for_nan_payloads
 
 def test_no_variant_fuses_a_multiply_into_an_add():
     # -ffp-contract=off keeps each multiply and add rounded on its own in
-    # the product and in the quantization kernels; a fused multiply-add
-    # anywhere in the object would mean the flag was lost.
+    # the product, the quantization kernels and the row sums of the
+    # normalization; a fused multiply-add anywhere in the object would mean
+    # the flag was lost.
     if shutil.which("objdump") is None:
         pytest.skip("objdump is not installed")
     listing = subprocess.run(["objdump", "-d", tensor_core._MATMUL.__file__], check=True,
                              capture_output=True, text=True, timeout=120).stdout
-    for kernel in ("qd_matmul_rows", "qd_fake_quant", "qd_derive_params"):
+    for kernel in ("qd_matmul_rows", "qd_fake_quant", "qd_derive_params", "qd_normalize",
+                   "qd_row_dots"):
         assert f"<{kernel}_base>:" in listing
     assert not re.findall(r"\bv?f(?:n?madd|n?msub)\w*", listing)

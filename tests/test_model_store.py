@@ -116,6 +116,27 @@ class TestSaveLoadQuantized:
         save_model(back, p2, mode="quantized")
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_a_loaded_weight_moved_off_its_grid_is_refused(self, tmp_path, layer):
+        # Rebinding a loaded net's weight keeps its pinned parameters: the
+        # net is refused and no file is written. Untouched, it re-saves to
+        # the same bytes.
+        net = build_embedding_net(6, (8,), 4, seed=3)
+        net.set_quantization(8)
+        observers = [RangeObserver() for _ in range(net.activation_site_count)]
+        observe_activations(net, Tensor(np.random.default_rng(4).standard_normal((8, 6))
+                                        .astype(np.float32)), observers)
+        net.activation_params = [o.freeze(8) for o in observers]
+        path, again, moved = (tmp_path / name for name in ("a.qfmd", "b.qfmd", "c.qfmd"))
+        save_model(net, path, mode="quantized")
+        back = load_model(path)
+        save_model(back, again, mode="quantized")
+        assert again.read_bytes() == path.read_bytes()
+        back.layers[layer].weight = Tensor(back.layers[layer].weight.data * np.float32(1.37))
+        with pytest.raises(StateError, match=f"^layer {layer}: weight is off the grid"):
+            save_model(back, moved, mode="quantized")
+        assert set(tmp_path.iterdir()) == {path, again}
+
     def test_uncalibrated_rejected(self, tmp_path):
         net = build_embedding_net(6, (16,), 4, seed=2)
         net.set_quantization(8)

@@ -2,10 +2,11 @@
 
 Golden digests hold per numpy SIMD target (README), because ``exp``,
 ``log`` and ``tanh`` round differently from one target to another. The
-matmul and fake-quant bits are promised on every target. This runs
-their property tests, the row-range cases included, in a fresh
+matmul, fake-quant and row-norm bits are promised on every target. This
+runs their oracle tests, the row-range cases included, in a fresh
 interpreter under ``NPY_DISABLE_CPU_FEATURES``, which leaves numpy on
-its X86_V2 baseline.
+its X86_V2 baseline, so the kernels' pairwise sums are checked against
+numpy's baseline reduction too.
 
 numpy's SIMD switches do not reach the compiled matmul kernel, which
 picks its own variant from the CPU; here they change only the oracle's
@@ -24,7 +25,8 @@ pytest.importorskip("hypothesis")
 
 ROOT = Path(__file__).resolve().parents[1]
 DISABLED = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
-ORACLES = ("tests/test_matmul_property.py", "tests/test_fake_quant_property.py")
+ORACLES = ("tests/test_matmul_property.py", "tests/test_fake_quant_property.py",
+           "tests/test_row_norm_oracle.py")
 
 # Prints the named features that numpy still reports as enabled.
 PROBE = f"""

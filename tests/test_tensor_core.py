@@ -3,10 +3,22 @@
 import numpy as np
 import pytest
 
+from quantdistill import tensor_core
 from quantdistill.errors import DimensionError, DomainError
-from quantdistill.tensor_core import ROW_BLOCK, Tensor, l2_normalize, matmul, relu
+from quantdistill.tensor_core import RANGE_ROWS, Epilogue, Tensor, l2_normalize, matmul, relu
 
-B = ROW_BLOCK
+# Rows the kernel finishes before it runs a product's epilogue on them.
+E = 32
+
+
+def _numpy_l2(x: np.ndarray) -> np.ndarray:
+    """Oracle: the float64 arithmetic over the whole array at once."""
+    x64 = x.astype(np.float64)
+    return (x64 / np.sqrt(np.sum(x64 * x64, axis=1, keepdims=True))).astype(np.float32)
+
+
+def _assert_bits(got: np.ndarray, want: np.ndarray):
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 class TestTensor:
@@ -88,7 +100,8 @@ class TestMatmul:
 class TestL2Normalize:
     def test_three_four_five(self):
         out = l2_normalize(Tensor([[3.0, 4.0]]))
-        assert np.allclose(out.data, [[0.6, 0.8]], atol=1e-7)
+        _assert_bits(out.data, np.float32([[0.6, 0.8]]))
+        _assert_bits(out.data, _numpy_l2(np.float32([[3.0, 4.0]])))
 
     def test_already_unit(self):
         assert l2_normalize(Tensor([[1.0, 0.0]])).tolist() == [[1.0, 0.0]]
@@ -96,7 +109,7 @@ class TestL2Normalize:
     def test_constant_row(self):
         # oracle: norm of [2,2,2,2] is 4
         out = l2_normalize(Tensor([[2.0, 2.0, 2.0, 2.0]]))
-        assert np.allclose(out.data, 0.25 * np.full((1, 4), 2.0), atol=1e-7)
+        _assert_bits(out.data, np.full((1, 4), 0.5, dtype=np.float32))
 
     def test_rows_have_unit_norm(self):
         rng = np.random.default_rng(9)
@@ -110,27 +123,44 @@ class TestL2Normalize:
         once = l2_normalize(t)
         twice = l2_normalize(once)
         assert np.allclose(once.data, twice.data, atol=1e-6)
+        _assert_bits(once.data, _numpy_l2(t.data))
+        _assert_bits(twice.data, _numpy_l2(once.data))
 
     def test_zero_row_rejected(self):
         with pytest.raises(DomainError):
             l2_normalize(Tensor([[0.0, 0.0]]))
 
-    @pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 3 * B + 7])
-    def test_row_blocks_match_one_whole_array_pass(self, rows):
-        # Oracle: the float64 arithmetic over the whole array at once.
+    # Rows around multiples of the 32-row epilogue block, and 3079 rows,
+    # which two ranges split into 1539 and 1540 (WORKERS 2), each ending in
+    # a partial block.
+    @pytest.mark.parametrize("rows", [1, E - 1, E, E + 1, 32 * E - 1, 32 * E, 32 * E + 1,
+                                      2 * RANGE_ROWS + 79])
+    def test_row_blocks_match_one_whole_array_pass(self, monkeypatch, rows):
+        # Both homes of the normalization, l2_normalize and a product's
+        # epilogue, give the oracle's bits.
+        monkeypatch.setattr(tensor_core, "WORKERS", 2)
         rng = np.random.default_rng(rows)
         x = (rng.standard_normal((rows, 7)) * 10.0 ** rng.uniform(-6, 6, (rows, 1)))
         x = x.astype(np.float32)
-        x64 = x.astype(np.float64)
-        want = (x64 / np.sqrt(np.sum(x64 * x64, axis=1, keepdims=True))).astype(np.float32)
-        got = l2_normalize(Tensor(x)).data
-        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        _assert_bits(l2_normalize(Tensor(x)).data, _numpy_l2(x))
+        w = Tensor(rng.standard_normal((7, 9)).astype(np.float32))
+        bias = Tensor(rng.standard_normal(9).astype(np.float32))
+        sums = matmul(Tensor(x), w, Epilogue(bias, False, None, False)).data
+        fused = matmul(Tensor(x), w, Epilogue(bias, False, None, True)).data
+        _assert_bits(fused, _numpy_l2(sums))
 
-    def test_zero_row_in_the_last_row_block_rejected(self):
-        x = np.ones((3 * B + 7, 4), dtype=np.float32)
-        x[3 * B + 3] = 0.0
+    def test_zero_row_in_the_last_row_block_rejected(self, monkeypatch):
+        # In the last block of the second range of the product, too.
+        monkeypatch.setattr(tensor_core, "WORKERS", 2)
+        rows = 2 * RANGE_ROWS + 79
+        x = np.ones((rows, 4), dtype=np.float32)
+        x[rows - 4] = 0.0
         with pytest.raises(DomainError, match="^cannot normalize a zero-norm row$"):
             l2_normalize(Tensor(x))
+        bias = Tensor(np.zeros(4, dtype=np.float32))
+        eye = Tensor(np.eye(4, dtype=np.float32))
+        with pytest.raises(ZeroDivisionError, match="^cannot normalize a zero-norm row$"):
+            matmul(Tensor(x), eye, Epilogue(bias, False, None, True))
 
 
 class TestRelu:

@@ -1,15 +1,16 @@
 """A verification request's transient memory stays bounded.
 
-A request embeds the pair set's stacked rows as they are, and runs its
-float64 stages (L2 normalization, pair cosines) over row blocks. The
+A request embeds the pair set's stacked rows as they are. The
 exact-order kernel writes straight into its output, holds no work buffer,
-and adds the bias, applies the relu and fake-quantizes the activation
-site in place, row block by row block. What a request holds at its peak
-is then one layer's input and its output: about 2.0 times the pair rows
-at the reference net with two workers, against 3.0 with the bias add,
-the relu and the fake-quant as numpy passes that each made a new array,
-3.5 with the numpy kernels' work buffers, and 4.5 (fp32) and 5.0 (w8)
-with a stacked copy of the rows and whole-array float64 passes.
+and adds the bias, applies the relu, fake-quantizes the activation site
+and, at the last linear, L2-normalizes the rows in place, row block by
+row block, with no float64 copy; the pair cosines are one compiled pass
+over the embeddings that writes only the scores. What a request holds at
+its peak is then one layer's input and its output: about 2.0 times the
+pair rows at the reference net with two workers, against 3.0 with the
+bias add, the relu and the fake-quant as numpy passes that each made a
+new array, 3.5 with the numpy kernels' work buffers, and 4.5 (fp32) and
+5.0 (w8) with a stacked copy of the rows and whole-array float64 passes.
 """
 
 import tracemalloc
