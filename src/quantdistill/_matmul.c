@@ -24,8 +24,9 @@
  * multiply by 1 / s), subtract z, round half to even, clip to the b-bit
  * codes, add z, multiply by s, round to float32. The law that derives s
  * and z from a slice's float32 range is quantizer.params_from_range's, and
- * this file is its one home: the quantizer calls it for given endpoints
- * and for each row of a weight, whose minimum and maximum it finds first.
+ * this file is its one home, behind one entry that finds each row's
+ * minimum and maximum first: the quantizer passes a weight's rows, or
+ * given endpoints as the rows [lo, hi].
  * Each of these steps is one IEEE operation, so the bits equal numpy's.
  * Rounding uses nearbyint (the C library's, which the interpreter links,
  * where no instruction does it), which, like numpy's rint, follows the
@@ -46,9 +47,9 @@
  * is normalized by dividing each element by the square root of its sum of
  * squares, in float64, rounded once to float32; a zero norm is flagged.
  *
- * A forward linear's epilogue (the bias, the finite check and, for an
- * inference forward, the relu and the activation site's fake-quant, and
- * for its last linear the rows' normalization) runs on each block of
+ * A forward linear's epilogue (the bias, the finite check, the relu and,
+ * for an inference forward, the activation site's fake-quant, and for its
+ * last linear the rows' normalization) runs on each block of
  * EPILOGUE_ROWS output rows as soon as the thread that computed them is
  * done, while they are still in cache.
  *
@@ -70,11 +71,10 @@
  * NaN result carry another payload.
  *
  * Python reaches the kernels through the module's functions, product,
- * fake_quant, params_from_range, derive_params, normalize and row_dots
- * (each described where it is defined), which take their operands through
- * the buffer protocol, check every one before a byte is read or written,
- * and run the variant picked when the module was initialised, without the
- * GIL. product splits
+ * fake_quant, derive_params, normalize and row_dots (each described where
+ * it is defined), which take their operands through the buffer protocol,
+ * check every one before a byte is read or written, and run the variant
+ * picked when the module was initialised, without the GIL. product splits
  * the rows into ranges: the first runs on the calling thread and each
  * other one on a thread it starts, except that once a thread cannot be
  * started, the ranges left run on the calling thread too. Each range runs
@@ -219,9 +219,11 @@ static inline __attribute__((always_inline)) double pairwise_block(
     return sum;
 }
 
-/* params_from_range's law for m slices of b-bit codes with float32
- * endpoints lo[i] <= hi[i]: the scale is (hi - lo) / (2**b - 1) rounded to
- * float32, and the zero-point round(lo * (2**b - 1) / (hi - lo) + 2**(b-1)).
+/* quantizer.params_from_range's law for m slices of b-bit codes with
+ * float32 endpoints lo[i] <= hi[i], the rows' extremes that
+ * qd_derive_params_<V> finds: the scale is (hi - lo) / (2**b - 1) rounded
+ * to float32, and the zero-point round(lo * (2**b - 1) / (hi - lo) +
+ * 2**(b-1)).
  * A constant slice (hi == lo) keeps scale 1 and takes the zero-point next
  * to -round(lo) that leaves the constant's own code inside the codes with a
  * margin of one code, to absorb rounding of half-fractions. Every endpoint
@@ -536,11 +538,6 @@ static int entry_bits(const char *usage, Py_ssize_t want, Py_ssize_t nargs,
     return (int)bits;
 }
 
-static PyObject *law_result(int status)
-{
-    return status == LAW_OK ? Py_NewRef(Py_None) : PyUnicode_FromString(LAW_ERRORS[status]);
-}
-
 /* A forward linear's output stage, as qd_epilogue_<V> takes it. */
 struct epilogue {
     const float *bias;
@@ -700,28 +697,6 @@ static PyObject *fake_quant(PyObject *module, PyObject *const *args, Py_ssize_t 
     return result;
 }
 
-/* params_from_range(lo, hi, bits, scale, zero_point): the law's scale and
- * zero-point of every slice of float32 endpoints lo and hi. Returns None,
- * or the reason the law refuses them. */
-static PyObject *params_from_range(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    static const struct operand op[] = {
-        {0, "lo", &ROWS, PyBUF_SIMPLE}, {1, "hi", &ROWS, PyBUF_SIMPLE},
-        {3, "scale", &ROWS, PyBUF_WRITABLE}, {4, "zero_point", &INT_ROWS, PyBUF_WRITABLE},
-    };
-    Py_buffer view[4];
-    PyObject *result = NULL;
-    const int bits = entry_bits("params_from_range(lo, hi, bits, scale, zero_point)", 5, nargs,
-                                args, 2);
-    if (bits < 0 || take(args, op, 4, view) < 0)
-        return NULL;
-    if (rows_match(view, op, 1, 4, view[0].shape[0]))
-        result = law_result(law(view[0].buf, view[1].buf, view[0].shape[0], bits, view[2].buf,
-                                view[3].buf));
-    release(view, 4);
-    return result;
-}
-
 /* derive_params(w, bits, out, scale, zero_point, lo, hi): the range of
  * every row of w into lo and hi, its scale and zero-point under the law,
  * and, unless out is None, w fake-quantized under them into out. Returns
@@ -749,7 +724,8 @@ static PyObject *derive_params(PyObject *module, PyObject *const *args, Py_ssize
         status = widest.derive_params(view[0].buf, n == 6 ? view[5].buf : NULL, rows, cols, bits,
                                       view[1].buf, view[2].buf, view[3].buf, view[4].buf);
         Py_END_ALLOW_THREADS
-        result = law_result(status);
+        result = status == LAW_OK ? Py_NewRef(Py_None)
+                                  : PyUnicode_FromString(LAW_ERRORS[status]);
     }
     release(view, n);
     return result;
@@ -826,11 +802,6 @@ static PyMethodDef methods[] = {
      "fake_quant(x, out, bits, scale, zero_point)\n--\n\n"
      "out = x fake-quantized to bits-bit codes under one scale and zero-point\n"
      "(numbers), for C-contiguous float32 x and writable out of x's shape."},
-    {"params_from_range", (PyCFunction)(void (*)(void))params_from_range, METH_FASTCALL,
-     "params_from_range(lo, hi, bits, scale, zero_point)\n--\n\n"
-     "Each slice's scale (float32) and zero-point (int64) from its float32\n"
-     "endpoints lo <= hi, into writable 1-D arrays of lo's length. Returns\n"
-     "None, or the reason the law refuses a slice."},
     {"derive_params", (PyCFunction)(void (*)(void))derive_params, METH_FASTCALL,
      "derive_params(w, bits, out, scale, zero_point, lo, hi)\n--\n\n"
      "Each row's minimum and maximum of the float32 matrix w into lo and hi,\n"

@@ -11,12 +11,13 @@ node with parameters frozen at calibration time. A loaded quantized net
 already holds its weights on their stored grid, so it uses them as they
 are. Biases stay full precision.
 
-Backward passes replay a :class:`GradTape` recorded during the forward,
-which runs each relu and activation fake-quant node, and the final
-normalization, as a call of its own after the linear's ``matmul``. The
-inference forward :func:`embed` records none, so the ``matmul`` epilogue
-runs those nodes too, the last linear's normalization included, with the
-same bits, and runs quantized exactly when the net is calibrated.
+Each linear is one ``matmul`` call, whose epilogue adds the bias and runs
+the relu. Backward passes replay a :class:`GradTape` recorded during the
+forward, which runs each activation fake-quant node and the final
+normalization as a call of its own, since the tape records the tensors
+before them. The inference forward :func:`embed` records none, so the
+epilogue runs those nodes too, with the same bits, and runs quantized
+exactly when the net is calibrated.
 The fake-quantization nodes use the straight-through estimator: the
 gradient passes unchanged where the input lies inside the node's clipping
 range [range_lo, range_hi] and is zeroed outside, which keeps weight
@@ -38,7 +39,7 @@ from .quantizer import (
     RangeObserver,
     derive_params,
 )
-from .tensor_core import _MATMUL, Epilogue, Tensor, l2_normalize, matmul, relu, transpose
+from .tensor_core import _MATMUL, Epilogue, Tensor, l2_normalize, matmul, transpose
 
 
 @dataclass
@@ -331,8 +332,9 @@ def _walk(net: EmbeddingNet, x: Tensor, quantized: bool, tape: GradTape | None,
     Each linear ``i`` is followed by a relu unless it is the last, then by
     activation site ``i``: one index names both the layer and the site.
     Each linear is one ``matmul`` call, whose epilogue adds the bias,
-    checks the output and, without a ``tape``, runs the relu and the site,
-    and, without ``observers`` either, normalizes the last linear's rows.
+    checks the output and runs the relu, and, without a ``tape``, runs the
+    site and, without ``observers`` either, normalizes the last linear's
+    rows.
     With a ``tape``, appends the records :func:`backward_embed` replays;
     with ``observers`` (on an unquantized walk), feeds each activation
     site's input to its observer.
@@ -362,12 +364,11 @@ def _walk(net: EmbeddingNet, x: Tensor, quantized: bool, tape: GradTape | None,
             if tape is not None:
                 mask = in_range_mask(layer.weight, wp)
         p = net.activation_params[i] if quantized else None
-        if tape is None:
-            epilogue = Epilogue(layer.bias, i < last, p, observers is None and i == last)
-        else:
+        if tape is not None:
             tape.records.append(_Record(kind="linear", layer_index=i,
                                         inputs=h, mask=mask, weight_used=w))
-            epilogue = Epilogue(layer.bias, False, None, False)
+        epilogue = Epilogue(layer.bias, i < last, p if tape is None else None,
+                            tape is None and observers is None and i == last)
         # The epilogue checks before the relu and the fake-quant, which
         # clips +-inf to codes, and a zero norm counts only where every
         # output is finite, as in forward_embed.
@@ -379,8 +380,8 @@ def _walk(net: EmbeddingNet, x: Tensor, quantized: bool, tape: GradTape | None,
             raise DomainError(str(exc)) from None
         if tape is not None:
             if i < last:
+                # The relu's output keeps the sign pattern its backward reads.
                 tape.records.append(_Record(kind="relu", inputs=h))
-                h = relu(h)
             if quantized:
                 tape.records.append(_Record(kind="act_quant", inputs=h,
                                             mask=in_range_mask(h, p)))

@@ -127,9 +127,12 @@ def params_from_range(lo, hi, bit_width: int) -> QuantParams:
     give per-channel parameters, one entry per row, derived by the same
     arithmetic. Endpoints are snapped to float32 (the storage precision)
     before the scale and zero-point are derived, so parameters rebuilt
-    from a saved model are identical to the originals. The law itself (the
-    module notes' formulas and the constant-slice fallback) is compiled,
-    in ``_matmul.c``; :func:`derive_params` runs the same code.
+    from a saved model are identical to the originals; one past float32's
+    range is refused as non-finite. The law itself (the module notes'
+    formulas and the constant-slice fallback) is compiled, in
+    ``_matmul.c``, and runs here as the ``derive_params`` entry on the rows
+    ``[lo, hi]``; the snapped endpoints themselves are the range returned,
+    so a ``[-0.0, +0.0]`` range keeps its signs.
     """
     if bit_width not in SUPPORTED_BIT_WIDTHS:
         raise DomainError(f"unsupported bit width {bit_width}")
@@ -143,11 +146,15 @@ def params_from_range(lo, hi, bit_width: int) -> QuantParams:
     if (hi < lo).any():
         i = int(np.argmax(hi < lo))
         raise DomainError(f"invalid range [{lo[i]}, {hi[i]}]")
-    lo32, hi32 = lo.astype(np.float32), hi.astype(np.float32)
-    scale, zero_point = np.empty(lo.shape, np.float32), np.empty(lo.shape, np.int64)
-    refused = _MATMUL.params_from_range(lo32, hi32, bit_width, scale, zero_point)
+    rows = np.empty((lo.size, 2), np.float32)
+    with np.errstate(over="ignore"):  # the law reports an infinite endpoint
+        rows[:, 0], rows[:, 1] = lo, hi
+    scale, row_lo, row_hi = (np.empty(lo.shape, np.float32) for _ in range(3))
+    zero_point = np.empty(lo.shape, np.int64)
+    refused = _MATMUL.derive_params(rows, bit_width, None, scale, zero_point, row_lo, row_hi)
     if refused:
         raise DomainError(refused)
+    lo32, hi32 = rows.T
     if not per_channel:
         scale, zero_point, lo32, hi32 = scale[0], zero_point[0], lo32[0], hi32[0]
     return QuantParams(scale=scale, zero_point=zero_point, bit_width=bit_width,

@@ -31,9 +31,10 @@ an inference forward it ends with the rows' L2 normalization.
 
 The same module holds the quantizer's arithmetic, in the same variants:
 ``fake_quant`` (``graph.fake_quant``'s float64 pass under one scale and
-zero-point), ``params_from_range`` (the one home of the scale and
-zero-point law) and ``derive_params`` (each weight row's range, its parameters and,
-in the same call, the row fake-quantized). Their rounding is
+zero-point) and ``derive_params`` (each row's range, its parameters under
+the scale and zero-point law, whose one home it is, and, in the same
+call, the row fake-quantized; ``quantizer.params_from_range`` passes it
+the rows ``[lo, hi]``). Their rounding is
 ``nearbyint``, which like numpy's ``rint`` follows the floating-point
 rounding mode, so their bits, like numpy's, assume the default
 round-to-nearest mode. It also holds the float64 row arithmetic of the
@@ -225,7 +226,8 @@ class Epilogue(NamedTuple):
     still in cache: add ``bias``, check that the result is finite, apply
     :func:`relu` if ``relu``, then ``graph.fake_quant`` under per-tensor
     ``params`` unless they are None, then :func:`l2_normalize` if
-    ``normalize``. The bits equal those separate passes'."""
+    ``normalize``. The bits equal those separate passes'. A taped forward
+    passes only the bias and the relu."""
 
     bias: Tensor
     relu: bool
@@ -292,5 +294,6 @@ def l2_normalize(t: Tensor) -> Tensor:
 
 
 def relu(t: Tensor) -> Tensor:
-    """Elementwise max(x, 0)."""
+    """Elementwise max(x, 0). No pipeline code calls it (the epilogue runs
+    the relu); it stays while the benchmark's metrics read its span."""
     return Tensor._wrap(np.maximum(t.data, np.float32(0.0)))

@@ -88,6 +88,36 @@ def test_tracer_installs_and_uninstalls_around_a_traced_distill_step():
     assert counts["graph.ste_masks.consumed"] == linears + sites
 
 
+def test_a_traced_training_step_runs_each_relu_inside_its_forward_matmul():
+    # A taped forward is one matmul per linear whose epilogue runs the relu,
+    # so a step records no relu span: a distill step's two forwards and a
+    # pretrain step's one each make exactly one matmul per linear.
+    tracer_mod = _load_tracer()
+    space, teacher, cfg = _tiny_step_inputs()
+    student = distiller.prepare_student(teacher, cfg.bit_width)
+    distiller.calibrate(student, synth.batch_stream(space, 16, 2), 2)
+    batch = next(synth.batch_stream(space, 16, 3))
+    tcfg = pretrain.TeacherConfig(iterations=1, batch_size=16, lr=0.1, momentum=0.9,
+                                  weight_decay=5e-4, seed=0)
+    steps = ((lambda: distiller.distill_step(student, teacher, batch, cfg), 2),
+             (lambda: pretrain.train_teacher(graph.clone_net(teacher), space, tcfg), 1))
+    for step, forwards in steps:
+        tracer = tracer_mod.Tracer(quantdistill)
+        tracer.install()
+        try:
+            tracer.scope, tracer.round = "op", 1
+            step()
+        finally:
+            tracer.uninstall()
+        assert not tracer.failed
+        names = [span[tracer_mod.NAME] for span in tracer.spans]
+        assert "tensor_core.relu" not in names
+        matmuls = [sum(1 for span in tracer.spans if span[tracer_mod.PARENT] == i
+                       and span[tracer_mod.NAME] == "tensor_core.matmul")
+                   for i, name in enumerate(names) if name.startswith("graph.forward.")]
+        assert matmuls == [len(teacher.layers)] * forwards
+
+
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_quantized_tape_puts_each_activation_site_after_its_relu(depth):
     # The tracer counts a mask on a "linear" record as a weight mask and

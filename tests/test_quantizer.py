@@ -334,3 +334,20 @@ class TestQuantParamsInvariants:
     def test_constant_beyond_int64_zero_point_rejected(self):
         with pytest.raises(DomainError):
             params_from_range(np.array([1e30]), np.array([1e30]), 8)
+
+    @pytest.mark.parametrize("bits", [4, 6, 8])
+    def test_endpoints_past_float32_are_refused_and_signed_zeros_kept(self, bits):
+        # Snapping such an endpoint to float32 overflows; the law's error is
+        # the one report, not a RuntimeWarning from the cast.
+        for lo, hi in ((-1e39, 1.0), (0.0, 1e39), (-1e39, 1e39)):
+            with pytest.raises(DomainError, match="non-finite range endpoints"):
+                params_from_range(lo, hi, bits)
+            with pytest.raises(DomainError, match="non-finite range endpoints"):
+                params_from_range(np.array([-1.0, lo]), np.array([1.0, hi]), bits)
+        # The range returned is the endpoints given, signed zeros included.
+        p = params_from_range(-0.0, 0.0, bits)
+        assert (np.signbit(p.range_lo), np.signbit(p.range_hi)) == (True, False)
+        assert (p.scale, p.zero_point) == (1.0, 0)
+        q = params_from_range(np.array([-0.0, 0.0]), np.array([0.0, -0.0]), bits)
+        assert np.signbit(q.range_lo).tolist() == [True, False]
+        assert np.signbit(q.range_hi).tolist() == [False, True]
