@@ -1,8 +1,9 @@
 /* The compiled arithmetic behind tensor_core.matmul, the quantizer and the
  * verify request: the exact-order float32 matrix product with a forward
- * linear's epilogue, the fake-quantization law, and row L2 normalization
- * and row dot products in numpy's float64 order, built as one CPython
- * extension module.
+ * linear's epilogue, the fake-quantization law, and row L2 normalization,
+ * its backward, row dot products and the distillation loss with its
+ * gradient in numpy's float64 order, built as one CPython extension
+ * module.
  *
  * out[r, j] starts at +0.0f and adds the float32 products a[r, i] * b[i, j]
  * one at a time, in increasing i. Every output row is computed on its own,
@@ -46,6 +47,10 @@
  * halves, the first rounded down to a multiple of 8, each summed so. A row
  * is normalized by dividing each element by the square root of its sum of
  * squares, in float64, rounded once to float32; a zero norm is flagged.
+ * The normalization's backward and the KD loss sum float64 terms that are
+ * not exact (products and differences of rows already divided by their
+ * norms) in the same order, and the loss's mean sums its rows' terms so
+ * too, so their bits equal the numpy expressions they replaced.
  *
  * A forward linear's epilogue (the bias, the finite check, the relu and,
  * for an inference forward, the activation site's fake-quant, and for its
@@ -58,10 +63,11 @@
  * where GCC compiles for x86, qd_<kernel>_avx2 and qd_<kernel>_avx512 on
  * 32- and 64-byte vectors, each compiled for its instruction set by a
  * target pragma (the kernels are qd_matmul_rows, qd_fake_quant,
- * qd_epilogue, qd_derive_params, qd_normalize and qd_row_dots; each
- * variant has its own copy of the pairwise sum). qd_matmul_variant names
- * the widest one this CPU runs, read with __builtin_cpu_supports, so the
- * object is built without -march and stays portable across x86-64 hosts.
+ * qd_epilogue, qd_derive_params, qd_normalize, qd_row_dots,
+ * qd_normalize_backward and qd_kd_loss; each variant has its own copy of
+ * the row's pairwise sum). qd_matmul_variant names the widest one this CPU
+ * runs, read with __builtin_cpu_supports, so the object is built without
+ * -march and stays portable across x86-64 hosts.
  * Where the compiler or the platform has no per-function targets (Clang,
  * which ignores the GCC pragmas, or another architecture) only the base
  * variants are compiled. None of the instruction sets changes a rounding:
@@ -71,16 +77,16 @@
  * NaN result carry another payload.
  *
  * Python reaches the kernels through the module's functions, product,
- * fake_quant, derive_params, normalize and row_dots (each described where
- * it is defined), which take their operands through the buffer protocol,
- * check every one before a byte is read or written, and run the variant
- * picked when the module was initialised, without the GIL. product splits
- * the rows into ranges: the first runs on the calling thread and each
- * other one on a thread it starts, except that once a thread cannot be
- * started, the ranges left run on the calling thread too. Each range runs
- * the epilogue on its own rows and keeps its own fault flags; the flags
- * are OR-ed once every range is done. The module's variant attribute
- * names the variant.
+ * fake_quant, derive_params, normalize, row_dots, normalize_backward and
+ * kd_loss (each described where it is defined), which take their operands
+ * through the buffer protocol, check every one before a byte is read or
+ * written, and run the variant picked when the module was initialised,
+ * without the GIL. product splits the rows into ranges: the first runs on
+ * the calling thread and each other one on a thread it starts, except that
+ * once a thread cannot be started, the ranges left run on the calling
+ * thread too. Each range runs the epilogue on its own rows and keeps its
+ * own fault flags; the flags are OR-ed once every range is done. The
+ * module's variant attribute names the variant.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -196,28 +202,43 @@ static inline __attribute__((always_inline)) void fake_quant_span(
 /* Terms a pairwise block sums with its 8 partial sums; longer rows split. */
 #define PAIRWISE_BLOCK 128
 
-/* The pairwise sum of the float64 products a[j] * b[j], j < n <=
+/* NAME PARAMS: the pairwise sum of the float64 terms TERM(j), j < n <=
  * PAIRWISE_BLOCK, in numpy's order for one block (without the +0.0 it
  * starts from). The 8 partial sums are independent, so each variant
  * vectorizes them without reordering an add. */
-static inline __attribute__((always_inline)) double pairwise_block(
-    const float *a, const float *b, ptrdiff_t n)
-{
-    double sum = 0.0;
-    ptrdiff_t j = 0;
-    if (n >= 8) {
-        double r[8];
-        for (int l = 0; l < 8; l++)
-            r[l] = (double)a[l] * b[l];
-        for (j = 8; j + 8 <= n; j += 8)
-            for (int l = 0; l < 8; l++)
-                r[l] += (double)a[j + l] * b[j + l];
-        sum = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+#define DEFINE_PAIRWISE_BLOCK(NAME, PARAMS, TERM)                                       \
+    static inline __attribute__((always_inline)) double NAME PARAMS                     \
+    {                                                                                   \
+        double sum = 0.0;                                                               \
+        ptrdiff_t j = 0;                                                                \
+        if (n >= 8) {                                                                   \
+            double r[8];                                                                \
+            for (int l = 0; l < 8; l++)                                                 \
+                r[l] = TERM(l);                                                         \
+            for (j = 8; j + 8 <= n; j += 8)                                             \
+                for (int l = 0; l < 8; l++)                                             \
+                    r[l] += TERM(j + l);                                                \
+            sum = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));    \
+        }                                                                               \
+        for (; j < n; j++)                                                              \
+            sum += TERM(j);                                                             \
+        return sum;                                                                     \
     }
-    for (; j < n; j++)
-        sum += (double)a[j] * b[j];
-    return sum;
-}
+
+#define PRODUCT_TERM(j) ((double)a[j] * b[j])
+DEFINE_PAIRWISE_BLOCK(pairwise_block, (const float *a, const float *b, ptrdiff_t n),
+                      PRODUCT_TERM)
+
+/* The terms a sum over float64 rows u and v adds for element j: u[j]
+ * alone, u[j] * v[j], or (u[j] - v[j])^2. The kind is a constant where a
+ * sum fits one block, so its test folds away there. */
+enum { TERM_VALUE, TERM_PRODUCT, TERM_SQUARED_DIFF };
+#define DOUBLE_TERM(j)                                                                  \
+    (kind == TERM_VALUE     ? u[j]                                                      \
+     : kind == TERM_PRODUCT ? u[j] * v[j]                                               \
+                            : (u[j] - v[j]) * (u[j] - v[j]))
+DEFINE_PAIRWISE_BLOCK(doubles_block, (const double *u, const double *v, ptrdiff_t n, int kind),
+                      DOUBLE_TERM)
 
 /* quantizer.params_from_range's law for m slices of b-bit codes with
  * float32 endpoints lo[i] <= hi[i], the rows' extremes that
@@ -266,8 +287,21 @@ static const char ZERO_NORM[] = "cannot normalize a zero-norm row";
 /* qd_normalize_<V>(x, out, rows, n): each row of the rows x n matrix x
  * divided by its norm into out, which may be x; returns whether a row has
  * zero norm. qd_row_dots_<V>(a, b, out, rows, n): out[r] = the dot product
- * of rows r of a and b. Both sum in numpy's pairwise order, by a recursive
- * sum of each variant's own, inlined where a row fits one block. */
+ * of rows r of a and b. qd_normalize_backward_<V>(x, g, out, rows, n,
+ * scratch): the gradient through the normalization of the rows of x, of
+ * the upstream gradient g, into out: (g - (g . u) u) / |x| per row with
+ * u = x / |x|, each operation in float64, rounded once to float32; returns
+ * whether a row of x has zero norm. qd_kd_loss_<V>(fq, ft, terms, grad,
+ * rows, n, scratch, loss): with u and v the rows of fq and ft divided by
+ * their norms, terms[r] = |u - v|^2 of row r, and *loss = the mean of the
+ * terms over the rows, halved and clamped to [0, 2] (a NaN kept), which is
+ * one minus the mean cosine; unless grad is NULL, also grad = (cos u - v)
+ * / (rows |fq|) per row, cos being u . v, rounded once to float32; returns
+ * whether a row of either side has zero norm. Both hold a row's u and its
+ * other float64 row in scratch, of 2 n doubles, so each element is
+ * divided by its norm once. Every row sum, and the mean's sum over the
+ * rows, is in numpy's pairwise order, by a recursive sum of each variant's
+ * own, inlined where a row fits one block. */
 #define DEFINE_NORM(V)                                                                  \
     static double pairwise_##V(const float *a, const float *b, ptrdiff_t n)             \
     {                                                                                   \
@@ -281,6 +315,30 @@ static const char ZERO_NORM[] = "cannot normalize a zero-norm row";
     {                                                                                   \
         return 0.0 + (n <= PAIRWISE_BLOCK ? pairwise_block(a, b, n)                     \
                                           : pairwise_##V(a, b, n));                     \
+    }                                                                                   \
+    static double pairwise_doubles_##V(const double *u, const double *v, ptrdiff_t n,   \
+                                       int kind)                                        \
+    {                                                                                   \
+        if (n <= PAIRWISE_BLOCK)                                                        \
+            return doubles_block(u, v, n, kind);                                        \
+        const ptrdiff_t half = n / 2 - n / 2 % 8;                                       \
+        return pairwise_doubles_##V(u, v, half, kind)                                   \
+               + pairwise_doubles_##V(u + half, v + half, n - half, kind);              \
+    }                                                                                   \
+    static inline __attribute__((always_inline)) double sum_##V(                        \
+        const double *u, const double *v, ptrdiff_t n, int kind)                        \
+    {                                                                                   \
+        return 0.0 + (n <= PAIRWISE_BLOCK ? doubles_block(u, v, n, kind)                \
+                                          : pairwise_doubles_##V(u, v, n, kind));       \
+    }                                                                                   \
+    /* The row x divided by its norm into u; returns the norm. */                      \
+    static inline __attribute__((always_inline)) double unit_##V(                       \
+        const float *x, double *u, ptrdiff_t n)                                         \
+    {                                                                                   \
+        const double norm = sqrt(row_dot_##V(x, x, n));                                 \
+        for (ptrdiff_t j = 0; j < n; j++)                                               \
+            u[j] = (double)x[j] / norm;                                                 \
+        return norm;                                                                    \
     }                                                                                   \
     static inline __attribute__((always_inline)) int normalize_##V(                     \
         const float *x, float *out, ptrdiff_t rows, ptrdiff_t n)                        \
@@ -304,6 +362,46 @@ static const char ZERO_NORM[] = "cannot normalize a zero-norm row";
     {                                                                                   \
         for (ptrdiff_t r = 0; r < rows; r++)                                            \
             out[r] = row_dot_##V(a + r * n, b + r * n, n);                              \
+    }                                                                                   \
+    int qd_normalize_backward_##V(const float *restrict x, const float *restrict g,     \
+                                  float *restrict out, ptrdiff_t rows, ptrdiff_t n,     \
+                                  double *restrict scratch)                             \
+    {                                                                                   \
+        double *u = scratch, *gd = scratch + n;                                         \
+        int zero = 0;                                                                   \
+        for (ptrdiff_t r = 0; r < rows; r++) {                                          \
+            const double norm = unit_##V(x + r * n, u, n);                              \
+            zero |= norm == 0.0;                                                        \
+            for (ptrdiff_t j = 0; j < n; j++)                                           \
+                gd[j] = g[r * n + j];                                                   \
+            const double proj = sum_##V(gd, u, n, TERM_PRODUCT);                        \
+            for (ptrdiff_t j = 0; j < n; j++)                                           \
+                out[r * n + j] = (float)((gd[j] - proj * u[j]) / norm);                 \
+        }                                                                               \
+        return zero;                                                                    \
+    }                                                                                   \
+    int qd_kd_loss_##V(const float *restrict fq, const float *restrict ft,              \
+                       double *restrict terms, float *restrict grad, ptrdiff_t rows,    \
+                       ptrdiff_t n, double *restrict scratch, double *restrict loss)    \
+    {                                                                                   \
+        double *u = scratch, *v = scratch + n;                                          \
+        int zero = 0;                                                                   \
+        for (ptrdiff_t r = 0; r < rows; r++) {                                          \
+            const double na = unit_##V(fq + r * n, u, n);                               \
+            const double nb = unit_##V(ft + r * n, v, n);                               \
+            zero |= na == 0.0 || nb == 0.0;                                             \
+            terms[r] = sum_##V(u, v, n, TERM_SQUARED_DIFF);                             \
+            if (grad != NULL) {                                                         \
+                const double cos = sum_##V(u, v, n, TERM_PRODUCT);                      \
+                const double scale = (double)rows * na;                                 \
+                for (ptrdiff_t j = 0; j < n; j++)                                       \
+                    grad[r * n + j] = (float)((cos * u[j] - v[j]) / scale);             \
+            }                                                                           \
+        }                                                                               \
+        const double sum = sum_##V(terms, terms, rows, TERM_VALUE);                     \
+        const double mean = sum / (double)rows / 2.0;                                   \
+        *loss = mean < 0.0 ? 0.0 : mean > 2.0 ? 2.0 : mean;                             \
+        return zero;                                                                    \
     }
 
 /* qd_fake_quant_<V>(x, out, n, s, z, bits): fake_quant_span on vectors V.
@@ -420,6 +518,11 @@ typedef int (*derive_fn)(const float *restrict, float *restrict, ptrdiff_t, ptrd
 typedef int (*normalize_fn)(const float *, float *, ptrdiff_t, ptrdiff_t);
 typedef void (*row_dots_fn)(const float *restrict, const float *restrict, double *restrict,
                             ptrdiff_t, ptrdiff_t);
+typedef int (*normalize_backward_fn)(const float *restrict, const float *restrict,
+                                     float *restrict, ptrdiff_t, ptrdiff_t, double *restrict);
+typedef int (*kd_loss_fn)(const float *restrict, const float *restrict, double *restrict,
+                          float *restrict, ptrdiff_t, ptrdiff_t, double *restrict,
+                          double *restrict);
 
 /* The kernels of one variant. */
 struct variant {
@@ -429,10 +532,13 @@ struct variant {
     derive_fn derive_params;
     normalize_fn normalize;
     row_dots_fn row_dots;
+    normalize_backward_fn normalize_backward;
+    kd_loss_fn kd_loss;
 };
 #define VARIANT(V)                                                                    \
     ((struct variant){qd_matmul_rows_##V, qd_fake_quant_##V, qd_epilogue_##V,         \
-                      qd_derive_params_##V, qd_normalize_##V, qd_row_dots_##V})
+                      qd_derive_params_##V, qd_normalize_##V, qd_row_dots_##V,        \
+                      qd_normalize_backward_##V, qd_kd_loss_##V})
 
 /* The variant qd_matmul_variant names, set once at module init. */
 static struct variant widest;
@@ -786,6 +892,88 @@ static PyObject *row_dots(PyObject *module, PyObject *const *args, Py_ssize_t na
     return result;
 }
 
+/* normalize_backward(x, g, out): the gradient through the normalization of
+ * the rows of the float32 matrix x, of the upstream gradient g, into out,
+ * both of x's shape. A row of x of zero norm raises ZeroDivisionError once
+ * every row is written. */
+static PyObject *normalize_backward(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    static const struct operand op[] = {
+        {0, "x", &MATRIX, PyBUF_SIMPLE}, {1, "g", &MATRIX, PyBUF_SIMPLE},
+        {2, "out", &MATRIX, PyBUF_WRITABLE},
+    };
+    Py_buffer view[3];
+    PyObject *result = NULL;
+    if (nargs != 3)
+        return PyErr_Format(PyExc_TypeError,
+                            "normalize_backward(x, g, out) takes 3 arguments, got %zd", nargs);
+    if (take(args, op, 3, view) < 0)
+        return NULL;
+    const Py_ssize_t cols = view[0].shape[1];
+    double *scratch = NULL;
+    if (same_shape(view, op, 1) && same_shape(view, op, 2)
+        && (scratch = PyMem_New(double, 2 * cols)) == NULL)
+        PyErr_NoMemory();
+    if (scratch != NULL) {
+        int zero;
+        Py_BEGIN_ALLOW_THREADS
+        zero = widest.normalize_backward(view[0].buf, view[1].buf, view[2].buf,
+                                         view[0].shape[0], cols, scratch);
+        Py_END_ALLOW_THREADS
+        PyMem_Free(scratch);
+        if (zero)
+            PyErr_SetString(PyExc_ZeroDivisionError, ZERO_NORM);
+        else
+            result = Py_NewRef(Py_None);
+    }
+    release(view, 3);
+    return result;
+}
+
+/* kd_loss(fq, ft, terms, grad): the KD loss of the float32 matrices fq and
+ * ft, of one shape and at least one row, each row's term into the float64
+ * terms, and, unless grad is None, the loss's gradient wrt fq into grad, of
+ * fq's shape. Returns the loss; a row of zero norm on either side raises
+ * ZeroDivisionError once every output is written. */
+static PyObject *kd_loss(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    static const struct operand op[] = {
+        {0, "fq", &MATRIX, PyBUF_SIMPLE}, {1, "ft", &MATRIX, PyBUF_SIMPLE},
+        {2, "terms", &DOUBLE_ROWS, PyBUF_WRITABLE}, {3, "grad", &MATRIX, PyBUF_WRITABLE},
+    };
+    Py_buffer view[4];
+    PyObject *result = NULL;
+    if (nargs != 4)
+        return PyErr_Format(PyExc_TypeError,
+                            "kd_loss(fq, ft, terms, grad) takes 4 arguments, got %zd", nargs);
+    const int n = args[3] == Py_None ? 3 : 4;
+    if (take(args, op, n, view) < 0)
+        return NULL;
+    const Py_ssize_t rows = view[0].shape[0], cols = view[0].shape[1];
+    double *scratch = NULL;
+    if (rows < 1)
+        PyErr_SetString(PyExc_ValueError, "fq has no rows");
+    else if (same_shape(view, op, 1) && rows_match(view, op, 2, 3, rows)
+             && (n == 3 || same_shape(view, op, 3))
+             && (scratch = PyMem_New(double, 2 * cols)) == NULL)
+        PyErr_NoMemory();
+    if (scratch != NULL) {
+        int zero;
+        double loss;
+        Py_BEGIN_ALLOW_THREADS
+        zero = widest.kd_loss(view[0].buf, view[1].buf, view[2].buf,
+                              n == 4 ? view[3].buf : NULL, rows, cols, scratch, &loss);
+        Py_END_ALLOW_THREADS
+        PyMem_Free(scratch);
+        if (zero)
+            PyErr_SetString(PyExc_ZeroDivisionError, ZERO_NORM);
+        else
+            result = PyFloat_FromDouble(loss);
+    }
+    release(view, n);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"product", (PyCFunction)(void (*)(void))product, METH_FASTCALL,
      "product(a, b, out, parts[, bias, stages[, bits, scale, zero_point]])\n--\n\n"
@@ -818,6 +1006,19 @@ static PyMethodDef methods[] = {
      "out[r] = the float64 dot product of rows r of the C-contiguous 2-D\n"
      "float32 a and b (one shape), in numpy's order, into writable 1-D\n"
      "float64 out of a's rows."},
+    {"normalize_backward", (PyCFunction)(void (*)(void))normalize_backward, METH_FASTCALL,
+     "normalize_backward(x, g, out)\n--\n\n"
+     "(g - (g . u) u) / |x| per row, with u = x / |x|, for C-contiguous 2-D\n"
+     "float32 x and g (one shape) into writable out of x's shape, in numpy's\n"
+     "float64 order; a zero-norm row of x raises ZeroDivisionError."},
+    {"kd_loss", (PyCFunction)(void (*)(void))kd_loss, METH_FASTCALL,
+     "kd_loss(fq, ft, terms, grad)\n--\n\n"
+     "One minus the mean cosine of the rows of the C-contiguous 2-D float32 fq\n"
+     "and ft (one shape, at least one row), as mean(|u - v|^2) / 2 of the rows\n"
+     "divided by their norms, clamped to [0, 2]; each row's |u - v|^2 into\n"
+     "writable 1-D float64 terms of fq's rows and, unless grad is None, the\n"
+     "gradient wrt fq into writable float32 grad of fq's shape, in numpy's\n"
+     "float64 order. A zero-norm row raises ZeroDivisionError."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -4,8 +4,9 @@ The student learns to reproduce the teacher's L2-normalized embeddings on
 unlabeled synthetic batches: the loss is one minus the mean cosine
 similarity between matching rows, gradients reach only the student (through
 the straight-through estimators of its fake-quant nodes), and plain SGD
-with momentum updates the student's shadow weights. Activation ranges are
-calibrated once, before fine-tuning, and stay frozen afterwards.
+with momentum updates the student's shadow weights; the loss and its
+gradient are one compiled call each. Activation ranges are calibrated
+once, before fine-tuning, and stay frozen afterwards.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .graph import (
 from .model_store import write_atomic
 from .quantizer import RangeObserver, SUPPORTED_BIT_WIDTHS
 from .synth import Batch
-from .tensor_core import Tensor
+from .tensor_core import _MATMUL, Tensor
 
 # Calibration pass before fine-tuning; enough batches to stabilize running
 # extrema on the desk-scale task.
@@ -70,43 +71,33 @@ class KDBatchResult:
 def kd_loss(fq: Tensor, ft: Tensor) -> float:
     """One minus the mean cosine similarity between matching embedding rows.
 
-    Both inputs must be batches of L2-normalized rows (the forward pass
-    guarantees this). Computed as mean(|u - v|^2) / 2 with u, v the
-    re-normalized rows, which is algebraically 1 - mean(cos) and lands on
-    exactly 0.0 for identical batches and exactly 2.0 for anti-aligned
-    unit rows.
+    Both inputs must be equal-shaped batches of at least one row (the
+    forward pass gives L2-normalized ones). One compiled call gives the
+    bits of the float64 mean(|u - v|^2) / 2 with u, v the re-normalized
+    rows, clamped to [0, 2]: algebraically 1 - mean(cos), exactly 0.0 for
+    identical batches and exactly 2.0 for anti-aligned unit rows.
     """
-    _check_pair(fq, ft)
-    diff = _unit_rows(fq) - _unit_rows(ft)
-    loss = float(np.mean(np.sum(diff * diff, axis=1)) / 2.0)
-    return min(max(loss, 0.0), 2.0)
+    return _score(fq, ft, None)
 
 
 def kd_loss_grad(fq: Tensor, ft: Tensor) -> Tensor:
-    """Gradient of kd_loss wrt the student embeddings fq (teacher frozen)."""
-    _check_pair(fq, ft)
-    u = _unit_rows(fq)
-    v = _unit_rows(ft)
-    m = u.shape[0]
-    na = np.sqrt(np.sum(fq.data.astype(np.float64) ** 2, axis=1, keepdims=True))
-    cos = np.sum(u * v, axis=1, keepdims=True)
-    grad = (cos * u - v) / (m * na)
-    return Tensor._wrap(grad.astype(np.float32))
+    """Gradient of kd_loss wrt the student embeddings fq (teacher frozen):
+    ``(cos u - v) / (m |fq|)`` per row, in one compiled call."""
+    grad = np.empty(fq.shape, dtype=np.float32)
+    _score(fq, ft, grad)
+    return Tensor._wrap(grad)
 
 
-def _unit_rows(t: Tensor) -> np.ndarray:
-    if t.rank != 2:
-        raise DimensionError(f"embeddings must be rank 2, got {t.shape}")
-    x = t.data.astype(np.float64)
-    norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
-    if np.any(norms == 0.0):
-        raise DomainError("zero-norm embedding row")
-    return x / norms
-
-
-def _check_pair(fq: Tensor, ft: Tensor) -> None:
+def _score(fq: Tensor, ft: Tensor, grad: np.ndarray | None) -> float:
+    """The loss and, into ``grad`` unless it is None, its gradient."""
     if fq.shape != ft.shape:
         raise DimensionError(f"student {fq.shape} and teacher {ft.shape} embeddings differ")
+    if fq.rank != 2 or fq.shape[0] == 0:
+        raise DimensionError(f"embeddings must be a rank-2 batch of rows, got {fq.shape}")
+    try:
+        return _MATMUL.kd_loss(fq.data, ft.data, np.empty(fq.shape[0]), grad)
+    except ZeroDivisionError:
+        raise DomainError("zero-norm embedding row") from None
 
 
 def prepare_student(teacher: EmbeddingNet, bit_width: int) -> EmbeddingNet:

@@ -247,13 +247,17 @@ def _param_grads(x: Tensor, upstream: Tensor) -> tuple[Tensor, Tensor]:
 
 
 def l2_normalize_backward(x: Tensor, upstream: Tensor) -> Tensor:
-    """Gradient of row-wise normalization: (g - (g . u) u) / |x| per row."""
-    xd = x.data.astype(np.float64)
-    g = upstream.data.astype(np.float64)
-    norms = np.sqrt(np.sum(xd * xd, axis=1, keepdims=True))
-    u = xd / norms
-    proj = np.sum(g * u, axis=1, keepdims=True)
-    return Tensor._wrap(((g - proj * u) / norms).astype(np.float32))
+    """Gradient of row-wise normalization: (g - (g . u) u) / |x| per row, in
+    one compiled call with the bits of that float64 numpy expression. A
+    zero-norm row raises ``DomainError``."""
+    if x.rank != 2 or upstream.shape != x.shape:
+        raise DimensionError(f"upstream shape {upstream.shape} != rank-2 input shape {x.shape}")
+    out = np.empty(x.shape, dtype=np.float32)
+    try:
+        _MATMUL.normalize_backward(x.data, upstream.data, out)
+    except ZeroDivisionError as exc:
+        raise DomainError(str(exc)) from None
+    return Tensor._wrap(out)
 
 
 def softmax_cross_entropy(logits: Tensor, labels: Sequence[int]) -> tuple[float, Tensor]:

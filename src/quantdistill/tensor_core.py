@@ -39,9 +39,11 @@ the rows ``[lo, hi]``). Their rounding is
 rounding mode, so their bits, like numpy's, assume the default
 round-to-nearest mode. It also holds the float64 row arithmetic of the
 embeddings: ``normalize`` (:func:`l2_normalize`, and the epilogue's last
-stage) and ``row_dots`` (the verify request's pair cosines), each summing
-a row in the order of numpy's ``np.add.reduce``, so their bits equal the
-numpy expressions they replaced.
+stage), ``row_dots`` (the verify request's pair cosines),
+``normalize_backward`` (``graph.l2_normalize_backward``) and ``kd_loss``
+(``distiller.kd_loss`` and ``kd_loss_grad``), each summing a row, and
+the loss its rows, in the order of numpy's ``np.add.reduce``, so their
+bits equal the numpy expressions they replaced.
 """
 
 from __future__ import annotations

@@ -77,6 +77,12 @@ class TestKdLoss:
         with pytest.raises(DomainError):
             kd_loss(Tensor([[0.0, 0.0]]), Tensor([[1.0, 0.0]]))
 
+    @pytest.mark.parametrize("call", [kd_loss, kd_loss_grad])
+    def test_empty_batch_rejected(self, call):
+        empty = Tensor(np.zeros((0, 8), dtype=np.float32))
+        with pytest.raises(DimensionError):
+            call(empty, empty)
+
     @pytest.mark.parametrize("trial", range(5))
     def test_gradient_matches_finite_differences_through_normalization(self, trial):
         # gradient wrt the pre-normalization student embeddings

@@ -142,6 +142,13 @@ class TestNormalizeBackward:
         fd = central_difference(loss, x.astype(np.float64), h=1e-3)
         assert relative_error(analytic.data.astype(np.float64), fd) < 1e-4
 
+    @pytest.mark.parametrize("x_shape, g_shape", [((4, 3), (1, 3)), ((4, 3), (4, 1)),
+                                                  ((4, 3), (3, 4)), ((3,), (3,))])
+    def test_an_upstream_of_another_shape_or_rank_is_refused(self, x_shape, g_shape):
+        # numpy would broadcast a (1, 3) upstream over a (4, 3) input.
+        with pytest.raises(DimensionError):
+            l2_normalize_backward(Tensor(np.ones(x_shape)), Tensor(np.ones(g_shape)))
+
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):

@@ -13,9 +13,9 @@ guard elements and starts as NaN, and the inputs sit inside padding, so a
 call that got past a check would read only memory the test owns and show
 as a changed output element or guard instead of a crash. The
 quantization entries (``fake_quant`` and ``derive_params``) and the row
-entries (``normalize`` and ``row_dots``) read and write through raw
-pointers too, so every one of their checks is tested: a refused call
-leaves every output as it was. Every entry in the module's method table
+entries (``normalize``, ``row_dots``, ``normalize_backward`` and
+``kd_loss``) read and write through raw pointers too, so every one of
+their checks is tested: a refused call leaves every output as it was. Every entry in the module's method table
 has a caller in the package.
 """
 
@@ -373,6 +373,9 @@ def _row_calls() -> dict:
     return {
         "normalize": [x, np.full((ROWS, COLS), np.nan, dtype=np.float32)],
         "row_dots": [x, x.copy(), np.full(ROWS, np.nan)],
+        "normalize_backward": [x, x.copy(), np.full((ROWS, COLS), np.nan, dtype=np.float32)],
+        "kd_loss": [x, x.copy(), np.full(ROWS, np.nan),
+                    np.full((ROWS, COLS), np.nan, dtype=np.float32)],
     }
 
 
@@ -395,6 +398,29 @@ BAD_ROW_ARGUMENTS = [
     ("row_dots", 2, lambda a: a[:, None].copy()),
     ("row_dots", 2, lambda a: np.full(2 * ROWS, np.nan)[::2]),
     ("row_dots", 2, _read_only),
+    ("normalize_backward", 0, lambda a: a.astype(np.float64)),
+    ("normalize_backward", 0, lambda a: np.ones((ROWS, 2 * COLS), np.float32)[:, ::2]),
+    ("normalize_backward", 1, lambda a: a[:1].copy()),
+    ("normalize_backward", 1, lambda a: a[:, :-1].copy()),
+    ("normalize_backward", 1, lambda a: a.ravel().copy()),
+    ("normalize_backward", 2, _read_only),
+    ("normalize_backward", 2, lambda a: a[:-1].copy()),
+    ("normalize_backward", 2, lambda a: a.astype(np.float64)),
+    ("kd_loss", 0, lambda a: a.astype(np.float64)),
+    ("kd_loss", 0, lambda a: np.ones((ROWS, 2 * COLS), np.float32)[:, ::2]),
+    ("kd_loss", 1, lambda a: a[:-1].copy()),
+    ("kd_loss", 1, lambda a: a[:, :-1].copy()),
+    ("kd_loss", 1, lambda a: a.ravel().copy()),
+    ("kd_loss", 2, lambda a: a.astype(np.float32)),
+    ("kd_loss", 2, lambda a: a[:-1].copy()),
+    ("kd_loss", 2, lambda a: a[:, None].copy()),
+    ("kd_loss", 2, lambda a: np.full(2 * ROWS, np.nan)[::2]),
+    ("kd_loss", 2, _read_only),
+    ("kd_loss", 3, lambda a: a[:, :-1].copy()),
+    ("kd_loss", 3, lambda a: a.astype(np.float64)),
+    ("kd_loss", 3, lambda a: np.full((ROWS, 2 * COLS), np.nan, np.float32)[:, ::2]),
+    ("kd_loss", 3, _read_only),
+    ("kd_loss", 3, lambda a: 0),
 ]
 
 
@@ -411,13 +437,28 @@ def test_a_row_entry_refuses_a_bad_argument(entry, index, replace):
         assert np.array_equal(array, before, equal_nan=True)
 
 
-@pytest.mark.parametrize("entry", ["normalize", "row_dots"])
+@pytest.mark.parametrize("entry", ["normalize", "row_dots", "normalize_backward", "kd_loss"])
 def test_a_row_entry_refuses_a_call_with_another_argument_count(entry):
     args = _row_calls()[entry]
     for count in (len(args) - 1, len(args) + 1):
         with pytest.raises(TypeError, match=f"takes {len(args)} arguments"):
             getattr(tensor_core._MATMUL, entry)(*(args + args)[:count])
     assert np.isnan(args[-1]).all()
+
+
+def test_kd_loss_refuses_a_batch_of_no_rows():
+    # Its mean would divide by zero rows.
+    args = [np.ones((0, COLS), np.float32), np.ones((0, COLS), np.float32), np.empty(0),
+            np.empty((0, COLS), np.float32)]
+    for grad in (args[3], None):
+        with pytest.raises(ValueError, match="^fq has no rows$"):
+            tensor_core._MATMUL.kd_loss(*args[:3], grad)
+
+
+def test_kd_loss_without_a_gradient_writes_only_the_terms():
+    args = _row_calls()["kd_loss"]
+    assert tensor_core._MATMUL.kd_loss(*args[:3], None) == 0.0
+    assert (args[2] == 0.0).all() and np.isnan(args[3]).all()
 
 
 # -- the method table ---------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Golden digests hold per numpy SIMD target (README), because ``exp``,
 ``log`` and ``tanh`` round differently from one target to another. The
-matmul, fake-quant and row-norm bits are promised on every target. This
+matmul, fake-quant, row-norm and loss-head bits are promised on every
+target. This
 runs their oracle tests, the row-range cases included, in a fresh
 interpreter under ``NPY_DISABLE_CPU_FEATURES``, which leaves numpy on
 its X86_V2 baseline, so the kernels' pairwise sums are checked against
@@ -26,7 +27,7 @@ pytest.importorskip("hypothesis")
 ROOT = Path(__file__).resolve().parents[1]
 DISABLED = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
 ORACLES = ("tests/test_matmul_property.py", "tests/test_fake_quant_property.py",
-           "tests/test_row_norm_oracle.py")
+           "tests/test_row_norm_oracle.py", "tests/test_loss_head_oracle.py")
 
 # Prints the named features that numpy still reports as enabled.
 PROBE = f"""
