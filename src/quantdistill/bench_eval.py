@@ -135,8 +135,10 @@ def best_threshold_accuracy(scores: np.ndarray, same: np.ndarray) -> tuple[float
     Returns (accuracy, threshold) where a pair is called genuine when its
     score is >= threshold; ties in accuracy resolve to the lowest threshold.
     Each candidate's correct count comes from binary searches in the sorted
-    genuine and imposter scores, so the sweep is O(n log n).
+    genuine and imposter scores, so the sweep is O(n log n); no scores raise ``DomainError``.
     """
+    if np.size(scores) == 0:
+        raise DomainError("no scores to sweep")
     same = np.asarray(same, dtype=bool)
     order = np.unique(scores)
     candidates = np.concatenate(

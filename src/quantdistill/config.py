@@ -104,6 +104,8 @@ class ExperimentConfig:
         for f in self.far_targets:
             if not 0 < f < 1:
                 raise ConfigError(f"FAR target {f} outside (0, 1)", field="far_targets")
+        if len(set(self.far_targets)) != len(self.far_targets):
+            raise ConfigError(f"repeated FAR target in {self.far_targets}", field="far_targets")
         if not self.out_dir:
             raise ConfigError("must not be empty", field="out_dir")
 

@@ -172,7 +172,9 @@ def finetune(student: EmbeddingNet, teacher: EmbeddingNet, data: Iterator[Batch]
 
 def final_smoothed_loss(curve: list[KDBatchResult]) -> float:
     """Mean loss of the last ``SMOOTHING_WINDOW`` steps, or of every step
-    when the curve is shorter."""
+    when the curve is shorter; an empty curve raises ``DomainError``."""
+    if not curve:
+        raise DomainError("an empty loss curve has no final loss")
     return float(np.mean([r.loss for r in curve[-SMOOTHING_WINDOW:]]))
 
 

@@ -7,9 +7,9 @@ source of truth; when the net runs in quantized mode every weight passes
 through a fake-quantization node (quantize-then-dequantize, per-channel
 over output rows, parameters derived live from the current shadow
 weights) and every activation site passes through a fake-quantization
-node with parameters frozen at calibration time. A loaded quantized net
-already holds its weights on their stored grid, so it uses them as they
-are. Biases stay full precision.
+node with parameters frozen at calibration time. Layers are immutable; a
+loaded quantized net's layers carry the grids their weights lie on, and
+it uses those weights as they are. Biases stay full precision.
 
 Each linear is one ``matmul`` call, whose epilogue adds the bias and runs
 the relu. Backward passes replay a :class:`GradTape` recorded during the
@@ -38,16 +38,23 @@ from .quantizer import (
     QuantParams,
     RangeObserver,
     derive_params,
+    dequantize,
+    quantize,
 )
 from .tensor_core import _MATMUL, Epilogue, Tensor, l2_normalize, matmul, transpose
 
 
-@dataclass
+@dataclass(frozen=True)
 class Linear:
-    """Fully connected layer y = x @ W^T + b with shadow weights W [out, in]."""
+    """Fully connected layer y = x @ W^T + b with shadow weights W [out, in].
+
+    A loaded quantized model's layers are pinned: ``grid`` holds the
+    per-channel parameters whose grid the weight lies on exactly.
+    """
 
     weight: Tensor
     bias: Tensor
+    grid: QuantParams | None = None
 
     def __post_init__(self):
         if self.weight.rank != 2 or self.bias.rank != 1:
@@ -56,6 +63,14 @@ class Linear:
         if self.bias.shape[0] != self.weight.shape[0]:
             raise DimensionError(
                 f"bias size {self.bias.shape[0]} != output dim {self.weight.shape[0]}")
+        if self.grid is not None:
+            if not self.grid.per_channel or len(self.grid.scale) != self.weight.shape[0]:
+                raise DimensionError(f"a grid for {self.weight.shape[0]} output rows must be "
+                                     "per-channel with one record per row")
+            with np.errstate(over="ignore"):  # dequantize raises DomainError instead
+                grid = dequantize(quantize(self.weight, self.grid))
+            if not np.array_equal(grid.data.view(np.uint32), self.weight.data.view(np.uint32)):
+                raise DomainError("weight is off its grid")
 
     @property
     def out_dim(self) -> int:
@@ -79,12 +94,9 @@ class EmbeddingNet:
       when running in quantized mode (None = not configured).
     * ``activation_params`` — frozen per-site activation QuantParams, one
       per activation site, produced by calibration.
-    * ``frozen_weight_params`` — one per-channel weight QuantParams per
-      linear layer, pinned by loading a quantized model file, whose
-      weights lie on that grid: a quantized forward uses them as they are,
-      and :func:`sgd_step` refuses to move them. When absent, weight
-      parameters are re-derived from the live shadow weights on every
-      forward pass (see :meth:`weight_params`).
+
+    A layer's weight parameters are its ``grid`` if it is pinned, else
+    re-derived from its live shadow weight on every forward pass.
     """
 
     def __init__(self, layers: Sequence[Linear]):
@@ -98,7 +110,6 @@ class EmbeddingNet:
         self.layers = layers
         self.quant_bits: int | None = None
         self.activation_params: list[QuantParams] | None = None
-        self.frozen_weight_params: list[QuantParams] | None = None
         self._velocity: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- structure ---------------------------------------------------------
@@ -121,20 +132,21 @@ class EmbeddingNet:
         return sum(l.weight.size for l in self.layers)
 
     def set_quantization(self, bit_width: int) -> "EmbeddingNet":
+        """Quantize at ``bit_width``, uncalibrated, with every layer unpinned."""
         if bit_width not in SUPPORTED_BIT_WIDTHS:
             raise DomainError(f"unsupported bit width {bit_width}")
         self.quant_bits = bit_width
         self.activation_params = None
-        self.frozen_weight_params = None
+        self.layers = [l if l.grid is None else Linear(l.weight, l.bias) for l in self.layers]
         return self
 
     def weight_params(self, linear_index: int) -> QuantParams:
         """Per-channel (output row) parameters of one linear layer's weight:
-        the pinned ones of a loaded model, else derived from the live
-        shadow weight."""
-        if self.frozen_weight_params is not None:
-            return self.frozen_weight_params[linear_index]
-        return derive_params(self.layers[linear_index].weight, self.quant_bits, None)
+        its pinned grid, else derived from the live shadow weight."""
+        layer = self.layers[linear_index]
+        if layer.grid is not None:
+            return layer.grid
+        return derive_params(layer.weight, self.quant_bits, None)
 
     @property
     def is_calibrated(self) -> bool:
@@ -163,12 +175,10 @@ def build_embedding_net(input_dim: int, hidden_dims: Sequence[int], embed_dim: i
 
 
 def clone_net(net: EmbeddingNet) -> EmbeddingNet:
-    """Independent copy sharing no mutable state (tensors are immutable)."""
-    out = EmbeddingNet([Linear(weight=l.weight, bias=l.bias) for l in net.layers])
+    """Copy sharing only immutable state: the layers and activation parameters."""
+    out = EmbeddingNet(net.layers)
     out.quant_bits = net.quant_bits
     out.activation_params = list(net.activation_params) if net.activation_params else None
-    out.frozen_weight_params = (
-        list(net.frozen_weight_params) if net.frozen_weight_params else None)
     return out
 
 
@@ -216,16 +226,6 @@ def fake_quant_backward(x: Tensor, params: QuantParams, upstream: Tensor) -> Ten
     if upstream.shape != x.shape:
         raise DimensionError(f"upstream shape {upstream.shape} != input shape {x.shape}")
     return Tensor._wrap(upstream.data * in_range_mask(x, params))
-
-
-def linear_forward(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """y = x @ W^T + b for a batch of row vectors, the bias added inside the
-    product; a y that is not finite raises ``DomainError``."""
-    if x.rank != 2:
-        raise DimensionError(f"linear expects a rank-2 input batch, got {x.shape}")
-    if x.shape[1] != weight.shape[1]:
-        raise DimensionError(f"input dim {x.shape[1]} != weight input dim {weight.shape[1]}")
-    return matmul(x, transpose(weight), Epilogue(bias, False, None, False))
 
 
 def linear_backward(x: Tensor, weight: Tensor,
@@ -354,7 +354,9 @@ def _walk(net: EmbeddingNet, x: Tensor, quantized: bool, tape: GradTape | None,
         w = layer.weight
         mask = None
         if quantized:
-            if net.frozen_weight_params is None:
+            # A loaded weight already lies on its grid.
+            wp = layer.grid
+            if wp is None:
                 # One compiled call derives the parameters and applies them.
                 fq = np.empty(w.shape, dtype=np.float32)
                 try:
@@ -362,9 +364,6 @@ def _walk(net: EmbeddingNet, x: Tensor, quantized: bool, tape: GradTape | None,
                 except DomainError as exc:
                     raise DomainError(f"layer {i}: {exc}") from exc
                 w = Tensor._wrap(fq)
-            else:
-                # A loaded weight already lies on this grid.
-                wp = net.frozen_weight_params[i]
             if tape is not None:
                 mask = in_range_mask(layer.weight, wp)
         p = net.activation_params[i] if quantized else None
@@ -450,12 +449,12 @@ def sgd_step(net: EmbeddingNet, grads: dict[int, tuple[Tensor, Tensor]],
              lr: float, momentum: float, weight_decay: float) -> EmbeddingNet:
     """Apply :func:`sgd_update` to every weight and bias that has a gradient.
 
-    Updates the shadow weights in place (quantized views refresh on the
-    next forward) and returns the net for chaining. A net with pinned
-    weight parameters (a loaded quantized model) raises ``StateError``:
-    its weights must stay on their grid.
+    Replaces each such layer in ``net.layers`` with one holding the updated
+    weights, and returns the net for chaining. A net with a pinned layer (a
+    loaded quantized model) raises ``StateError``: its weights must stay on
+    their grid.
     """
-    if net.frozen_weight_params is not None:
+    if any(layer.grid is not None for layer in net.layers):
         raise StateError("cannot train a net with pinned weight parameters; "
                          "prepare_student clears them")
     for idx in sorted(grads):
@@ -474,8 +473,7 @@ def sgd_step(net: EmbeddingNet, grads: dict[int, tuple[Tensor, Tensor]],
         net._velocity[idx] = (v_w, v_b)
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise DomainError(f"SGD update of layer {idx} is not finite")
-        layer.weight = Tensor._wrap(w)
-        layer.bias = Tensor._wrap(b)
+        net.layers[idx] = Linear(Tensor._wrap(w), Tensor._wrap(b))
     return net
 
 

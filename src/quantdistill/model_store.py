@@ -148,9 +148,8 @@ def save_model(net: EmbeddingNet, path, mode: str) -> None:
 
     Quantized files store per-channel weight codes plus parameters and the
     frozen activation parameters, so saving requires a calibrated net. A
-    net with pinned weight parameters (a loaded quantized model) must still
-    hold its weights on their grid: one that was rebound off it raises
-    ``StateError`` naming the layer, and no file is written.
+    pinned layer (of a loaded quantized model) saves under its grid, which
+    its weight lies on.
     """
     if mode == "fp32":
         blob = _encode(net, quantized=False)
@@ -189,11 +188,7 @@ def _encode(net: EmbeddingNet, quantized: bool) -> bytes:
         if quantized:
             wp = net.weight_params(i)
             codes = quantize(layer.weight, wp).codes
-            grid = _grid_weight(codes, wp)
-            if (net.frozen_weight_params is not None
-                    and not np.array_equal(grid.data, layer.weight.data)):
-                raise StateError(f"layer {i}: weight is off the grid of its pinned "
-                                 "parameters; its codes would be saved under stale ranges")
+            _grid_weight(codes, wp)
             body += _pack_range(wp)
             body += pack_codes(codes, net.quant_bits)
         else:
@@ -211,9 +206,9 @@ def load_model(path) -> EmbeddingNet:
     """Reconstruct a net from a model file.
 
     Quantized files come back with shadow weights set to the dequantized
-    grid values and the weight parameters rebuilt from the stored ranges
-    pinned, so a quantized forward reproduces the saved model's outputs
-    bit-exactly.
+    grid values, each layer pinned to the weight parameters rebuilt from
+    its stored ranges (its ``grid``), so a quantized forward reproduces
+    the saved model's outputs bit-exactly.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -251,7 +246,6 @@ def load_model(path) -> EmbeddingNet:
                           field="layers", offset=8)
 
     layers: list[Linear] = []
-    weight_params: list[QuantParams] = []
     for j in range(layer_count):
         at = take(1, "layers")
         if blob[at] != j % 2:
@@ -271,6 +265,7 @@ def load_model(path) -> EmbeddingNet:
             raise FormatError(f"payload kind {payload} in a {mode_name} file",
                               field="payload", offset=at + 8)
         n = out_dim * in_dim
+        wp = None
         if mode == MODE_FP32:
             at = take(4 * n, "weights")
             w = _finite(np.frombuffer(blob, dtype="<f4", count=n, offset=at)
@@ -284,10 +279,9 @@ def load_model(path) -> EmbeddingNet:
             with _qparams_at(block_at):
                 wp = params_from_range(blocks["range_lo"], blocks["range_hi"], bit_width)
                 w = _grid_weight(codes, wp)
-            weight_params.append(wp)
         at = take(4 * out_dim, "bias")
         b = _finite(np.frombuffer(blob, dtype="<f4", count=out_dim, offset=at), "bias", at)
-        layers.append(Linear(weight=w, bias=b))
+        layers.append(Linear(weight=w, bias=b, grid=wp))
 
     at = take(_ACTIVATION_COUNT.size, "activations")
     (act_count,) = _ACTIVATION_COUNT.unpack_from(blob, at)
@@ -307,7 +301,6 @@ def load_model(path) -> EmbeddingNet:
     if mode == MODE_QUANTIZED:
         net.quant_bits = bit_width
         net.activation_params = act_params
-        net.frozen_weight_params = weight_params
     return net
 
 

@@ -23,12 +23,11 @@ from quantdistill.graph import (
     forward_embed,
     l2_normalize_backward,
     linear_backward,
-    linear_forward,
 )
 from quantdistill.model_store import load_model, save_model, size_report
 from quantdistill.quantizer import QuantizedTensor, dequantize, params_from_range, quantize
 from quantdistill.synth import batch_stream, derive_seed, make_identity_space
-from quantdistill.tensor_core import Tensor, l2_normalize
+from quantdistill.tensor_core import Epilogue, Tensor, l2_normalize, matmul, transpose
 
 
 def _announce(criterion: int, detail: str) -> None:
@@ -122,6 +121,9 @@ def test_criterion_3_ste_and_gradients():
     expected = np.where((xs >= np.float32(p.range_lo)) & (xs <= np.float32(p.range_hi)),
                         upstream, np.float32(0.0))
     assert np.array_equal(got, expected)
+
+    def linear_forward(x, w, b):
+        return matmul(x, transpose(w), Epilogue(b, False, None, False))
 
     rng = np.random.default_rng(777)
     worst = 0.0

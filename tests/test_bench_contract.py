@@ -281,6 +281,27 @@ def test_distill_step_carries_momentum_like_finetune():
     assert graph.net_fingerprint(students[0]) == graph.net_fingerprint(students[1])
 
 
+def test_training_a_copy_leaves_the_source_net_unchanged():
+    # Each Pretrain round trains clone_net(initial) and each Distill round
+    # trains prepare_student(teacher, b): the rounds repeat their artifacts
+    # only while training a copy leaves its source as it was.
+    space, teacher, cfg = _tiny_step_inputs()
+    before = graph.net_fingerprint(teacher)
+    tcfg = pretrain.TeacherConfig(iterations=2, batch_size=16, lr=0.1, momentum=0.9,
+                                  weight_decay=5e-4, seed=0)
+    trained = graph.clone_net(teacher)
+    pretrain.train_teacher(trained, space, tcfg)
+    assert graph.net_fingerprint(trained) != before
+    assert graph.net_fingerprint(teacher) == before
+    student = distiller.prepare_student(teacher, cfg.bit_width)
+    distiller.calibrate(student, synth.batch_stream(space, 16, 2), 2)
+    stream = synth.batch_stream(space, 16, 3)
+    for _ in range(2):
+        distiller.distill_step(student, teacher, next(stream), cfg)
+    assert graph.net_fingerprint(student) != before
+    assert graph.net_fingerprint(teacher) == before
+
+
 class _ThreadedMarks(list):
     """A clock's mark list that also records the thread of every mark."""
 

@@ -94,6 +94,10 @@ class TestBuildPairs:
 
 
 class TestThresholdSweep:
+    def test_empty_score_set_rejected(self):
+        with pytest.raises(DomainError, match="no scores"):
+            best_threshold_accuracy(np.array([]), np.array([], dtype=bool))
+
     def test_perfectly_separated(self):
         scores = np.array([1.0, 1.0, -1.0, -1.0])
         same = np.array([True, True, False, False])

@@ -6,7 +6,7 @@ import re
 import struct
 import warnings
 import zlib
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -386,6 +386,17 @@ class TestExitCodes:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_far_target_stops_before_training(self, tmp_path, capsys):
+        # The report keys TAR@FAR by target, so a repeated one would vanish.
+        path = tmp_path / "c.txt"
+        path.write_text(SMALL_CONFIG.replace("far_targets = 0.05", "far_targets = 0.01, 0.01")
+                        + f"out_dir = {tmp_path / 'out'}\n")
+        assert main(["pretrain", "--config", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "config error: far_targets: repeated FAR target" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert main(["pretrain", "--config", str(tmp_path / "nope.txt")]) == EXIT_IO
 
@@ -449,7 +460,7 @@ class TestExitCodes:
         w = net.layers[0].weight.data.copy()
         w[0] = np.where(np.arange(w.shape[1]) % 2, np.nextafter(np.float32(10.0), np.inf),
                         np.float32(10.0))
-        net.layers[0].weight = Tensor(w)
+        net.layers[0] = replace(net.layers[0], weight=Tensor(w))
         teacher = tmp_path / "teacher.qfmd"
         save_model(net, teacher, mode="fp32")
         cfg = tmp_path / "cfg0.txt"

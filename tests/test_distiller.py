@@ -260,12 +260,12 @@ class TestFinetune:
         assert all(0.0 <= r.loss <= 2.0 for r in curve)
 
     def test_a_loaded_student_cannot_train(self, tmp_path):
-        # A loaded net's weights must stay on the grid its pinned
-        # parameters describe, which its quantized forward relies on.
+        # A loaded net's weights must stay on their layers' grids, which
+        # its quantized forward relies on.
         teacher, student, space, cfg = self._setup()
         save_model(student, tmp_path / "w8.qfmd", mode="quantized")
         loaded = load_model(tmp_path / "w8.qfmd")
-        pins, before = list(loaded.frozen_weight_params), net_fingerprint(loaded)
+        layers, before = list(loaded.layers), net_fingerprint(loaded)
         grads = {i: (Tensor(np.ones(l.weight.shape)), Tensor(np.ones(l.bias.shape)))
                  for i, l in enumerate(loaded.layers)}
         with pytest.raises(StateError, match="pinned weight parameters"):
@@ -273,20 +273,25 @@ class TestFinetune:
         with pytest.raises(StateError, match="pinned weight parameters"):
             finetune(loaded, teacher, batch_stream(space, 16, seed=7), cfg)
         assert net_fingerprint(loaded) == before
-        assert all(a is b for a, b in zip(loaded.frozen_weight_params, pins, strict=True))
+        assert all(a is b for a, b in zip(loaded.layers, layers, strict=True))
         assert loaded._velocity == {}
 
     def test_a_student_prepared_from_a_loaded_one_trains(self, tmp_path):
         teacher, student, space, cfg = self._setup()
         save_model(student, tmp_path / "w8.qfmd", mode="quantized")
         loaded = load_model(tmp_path / "w8.qfmd")
+        layers, before = list(loaded.layers), net_fingerprint(loaded)
         again = prepare_student(loaded, 6)
-        assert again.frozen_weight_params is None
+        assert all(layer.grid is None for layer in again.layers)
         calibrate(again, batch_stream(space, 16, seed=5), 4)
         cfg.bit_width = 6
         again, curve = finetune(again, teacher, batch_stream(space, 16, seed=7), cfg)
         assert len(curve) == cfg.iterations
         assert net_fingerprint(again) != net_fingerprint(loaded)
+        # Training replaced the student's layers, not the loaded net's.
+        assert all(a is b for a, b in zip(loaded.layers, layers, strict=True))
+        assert all(layer.grid is not None for layer in loaded.layers)
+        assert net_fingerprint(loaded) == before
 
 
 class TestCurveHelpers:
@@ -297,6 +302,10 @@ class TestCurveHelpers:
         curve = [KDBatchResult(loss=float(v)) for v in range(250)]
         assert final_smoothed_loss(curve) == 199.5  # steps 150-249
         assert final_smoothed_loss(curve[:10]) == 4.5  # every step of a short run
+
+    def test_an_empty_curve_has_no_final_loss(self):
+        with pytest.raises(DomainError, match="empty loss curve"):
+            final_smoothed_loss([])
 
     def test_write_loss_curve_format(self, tmp_path):
         from quantdistill.distiller import KDBatchResult

@@ -7,6 +7,8 @@ fake-quant, and the last layer's L2 normalization, inside the product;
 separate passes.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,8 +28,8 @@ def _net(bits, last_bias=4.0):
     the final normalization rejects, at 4 bits too; with a zero last bias
     a zero input row embeds to zero."""
     net = build_embedding_net(IN_DIM, HIDDEN, EMBED_DIM, seed=3)
-    last = net.layers[-1]
-    last.bias = Tensor(np.full(EMBED_DIM, last_bias, dtype=np.float32))
+    net.layers[-1] = replace(net.layers[-1],
+                             bias=Tensor(np.full(EMBED_DIM, last_bias, dtype=np.float32)))
     if bits is not None:
         net.set_quantization(bits)
         observers = [RangeObserver() for _ in range(net.activation_site_count)]
@@ -109,7 +111,7 @@ def test_a_sum_that_overflows_at_a_layer_fails_like_forward_embed(monkeypatch, b
     embed(net, x)
     w = net.layers[layer].weight.data.copy()
     w[0] = np.resize(np.float32([3e38, 1.5e38]), w.shape[1])
-    net.layers[layer].weight = Tensor(w)
+    net.layers[layer] = replace(net.layers[layer], weight=Tensor(w))
     _same_failure(net, x, layer)
 
 
@@ -120,7 +122,8 @@ def test_one_row_overflowing_in_the_second_range_fails_like_forward_embed(monkey
     # the layer's sums there and nowhere before.
     monkeypatch.setattr(tensor_core, "WORKERS", 2)
     net = _net(None)
-    net.layers[layer].weight = Tensor(net.layers[layer].weight.data * np.float32(1e20))
+    net.layers[layer] = replace(net.layers[layer],
+                                weight=Tensor(net.layers[layer].weight.data * np.float32(1e20)))
     x = np.random.default_rng(6).standard_normal((SPLIT_ROWS, IN_DIM)).astype(np.float32)
     embed(net, Tensor(x))
     x[SPLIT_ROWS - 2] *= np.float32(1e19)
@@ -153,5 +156,5 @@ def test_a_sum_that_overflows_outweighs_a_zero_norm_embedding(monkeypatch, bits,
     x[5] = 0.0
     w = net.layers[2].weight.data.copy()
     w[0] = np.resize(np.float32([3e38, 1.5e38]), w.shape[1])
-    net.layers[2].weight = Tensor(w)
+    net.layers[2] = replace(net.layers[2], weight=Tensor(w))
     _same_failure(net, Tensor(x), 2)

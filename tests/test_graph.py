@@ -1,9 +1,11 @@
 """Graph nodes: fake-quant STE, analytic gradients, SGD, full forwards."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
-from quantdistill.errors import DimensionError, StateError
+from quantdistill.errors import DimensionError, DomainError, StateError
 from quantdistill.graph import (
     EmbeddingNet,
     Linear,
@@ -16,14 +18,13 @@ from quantdistill.graph import (
     in_range_mask,
     l2_normalize_backward,
     linear_backward,
-    linear_forward,
     net_fingerprint,
     observe_activations,
     sgd_step,
     softmax_cross_entropy,
 )
-from quantdistill.quantizer import RangeObserver, params_from_range
-from quantdistill.tensor_core import Tensor, l2_normalize
+from quantdistill.quantizer import RangeObserver, derive_params, params_from_range
+from quantdistill.tensor_core import Epilogue, Tensor, l2_normalize, matmul, transpose
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -85,6 +86,11 @@ class TestFakeQuant:
         assert set(out.data.tolist()) <= grid
 
 
+def linear_forward(x, w, b):
+    """The forward of one linear, as the training walk runs it: y = x @ W^T + b."""
+    return matmul(x, transpose(w), Epilogue(b, False, None, False))
+
+
 class TestLinear:
     def test_dot_product(self):
         out = linear_forward(Tensor([[1.0, 0.0]]), Tensor([[2.0, 3.0]]), Tensor([0.0]))
@@ -125,6 +131,55 @@ class TestLinear:
         d_x, d_w, _ = linear_backward(Tensor(x), Tensor(w), Tensor(probe))
         assert relative_error(d_x.data.astype(np.float64), central_difference(loss_x, x.astype(np.float64))) < 1e-4
         assert relative_error(d_w.data.astype(np.float64), central_difference(loss_w, w.astype(np.float64))) < 1e-4
+
+
+def _pinned_layer():
+    """A 3x4 layer whose weight was snapped to the 4-bit grid it is pinned to."""
+    w = Tensor(np.random.default_rng(0).standard_normal((3, 4)).astype(np.float32))
+    snapped = np.empty(w.shape, dtype=np.float32)
+    grid = derive_params(w, 4, snapped)
+    return Linear(Tensor(snapped), Tensor(np.zeros(3, dtype=np.float32)), grid)
+
+
+class TestFrozenLinear:
+    @pytest.mark.parametrize("name", ["weight", "bias", "grid"])
+    def test_no_field_can_be_assigned(self, name):
+        layer = _pinned_layer()
+        with pytest.raises(FrozenInstanceError):
+            setattr(layer, name, getattr(layer, name))
+        with pytest.raises(FrozenInstanceError):
+            setattr(Linear(layer.weight, layer.bias), name, None)
+
+    def test_a_per_tensor_grid_is_refused(self):
+        with pytest.raises(DimensionError, match="per-channel"):
+            replace(_pinned_layer(), grid=params_from_range(-1.0, 1.0, 4))
+
+    def test_a_grid_with_the_wrong_row_count_is_refused(self):
+        grid = _pinned_layer().grid
+        with pytest.raises(DimensionError, match="one record per row"):
+            replace(_pinned_layer(), grid=params_from_range(grid.range_lo[:2],
+                                                            grid.range_hi[:2], 4))
+
+    def test_a_weight_off_its_grid_is_refused(self):
+        layer = _pinned_layer()
+        moved = Tensor(layer.weight.data * np.float32(1.37))
+        with pytest.raises(DomainError, match="^weight is off its grid$"):
+            replace(layer, weight=moved)
+        with pytest.raises(DomainError, match="^weight is off its grid$"):
+            Linear(moved, layer.bias, layer.grid)
+
+    def test_set_quantization_unpins_every_layer(self):
+        layer = _pinned_layer()
+        net = EmbeddingNet([layer])
+        grads = {0: (Tensor(np.ones((3, 4), dtype=np.float32)),
+                     Tensor(np.ones(3, dtype=np.float32)))}
+        with pytest.raises(StateError, match="pinned weight parameters"):
+            sgd_step(net, grads, lr=0.1, momentum=0.0, weight_decay=0.0)
+        net.set_quantization(8)
+        assert net.layers[0].grid is None
+        assert net.layers[0].weight is layer.weight and net.layers[0].bias is layer.bias
+        sgd_step(net, grads, lr=0.1, momentum=0.0, weight_decay=0.0)
+        assert layer.grid is not None and net.layers[0] is not layer
 
 
 class TestNormalizeBackward:
@@ -391,6 +446,12 @@ class TestCloneNet:
                             Tensor(np.ones(8, dtype=np.float32)))},
                  lr=0.5, momentum=0.0, weight_decay=0.0)
         assert net_fingerprint(net) != net_fingerprint(twin)
+
+    def test_clone_shares_the_immutable_layers(self):
+        net = build_embedding_net(6, (8,), 4, seed=1)
+        twin = clone_net(net)
+        assert twin.layers is not net.layers
+        assert all(a is b for a, b in zip(twin.layers, net.layers, strict=True))
 
     def test_clone_preserves_outputs(self):
         net = _calibrated_net()

@@ -2,6 +2,7 @@
 
 import struct
 import zlib
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -99,7 +100,7 @@ class TestSaveLoadQuantized:
         save_model(net, path, mode="quantized")
         back = load_model(path)
         assert back.quant_bits == bits
-        assert back.frozen_weight_params is not None
+        assert all(layer.grid is not None for layer in back.layers)
         assert back.activation_params == net.activation_params
         assert all(type(p.scale) is float and type(p.zero_point) is int
                    for p in back.activation_params)
@@ -118,23 +119,27 @@ class TestSaveLoadQuantized:
 
     @pytest.mark.parametrize("layer", [0, 1])
     def test_a_loaded_weight_moved_off_its_grid_is_refused(self, tmp_path, layer):
-        # Rebinding a loaded net's weight keeps its pinned parameters: the
-        # net is refused and no file is written. Untouched, it re-saves to
-        # the same bytes.
+        # A loaded layer is frozen and pinned to its grid: rebinding its
+        # weight raises, and so does a copy whose weight is off the grid.
+        # The net keeps the layer it loaded and re-saves to the same bytes.
         net = build_embedding_net(6, (8,), 4, seed=3)
         net.set_quantization(8)
         observers = [RangeObserver() for _ in range(net.activation_site_count)]
         observe_activations(net, Tensor(np.random.default_rng(4).standard_normal((8, 6))
                                         .astype(np.float32)), observers)
         net.activation_params = [o.freeze(8) for o in observers]
-        path, again, moved = (tmp_path / name for name in ("a.qfmd", "b.qfmd", "c.qfmd"))
+        path, again = tmp_path / "a.qfmd", tmp_path / "b.qfmd"
         save_model(net, path, mode="quantized")
         back = load_model(path)
+        loaded = back.layers[layer]
+        moved = Tensor(loaded.weight.data * np.float32(1.37))
+        with pytest.raises(FrozenInstanceError):
+            loaded.weight = moved
+        with pytest.raises(DomainError, match="^weight is off its grid$"):
+            replace(loaded, weight=moved)
+        assert back.layers[layer] is loaded
         save_model(back, again, mode="quantized")
         assert again.read_bytes() == path.read_bytes()
-        back.layers[layer].weight = Tensor(back.layers[layer].weight.data * np.float32(1.37))
-        with pytest.raises(StateError, match=f"^layer {layer}: weight is off the grid"):
-            save_model(back, moved, mode="quantized")
         assert set(tmp_path.iterdir()) == {path, again}
 
     def test_uncalibrated_rejected(self, tmp_path):

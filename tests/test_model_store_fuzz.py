@@ -11,7 +11,7 @@ saves and reloads to the same bytes, at every bit width with the same
 quantization parameters, and every other stack is rejected.
 
 A loaded quantized net serves its weights as they are: each one lies on
-the grid of its pinned parameters, so the loaded net embeds exactly what
+the grid its layer is pinned to, so the loaded net embeds exactly what
 the student it was saved from embeds.
 """
 
@@ -26,7 +26,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from quantdistill.errors import DomainError, FormatError  # noqa: E402
 from quantdistill.graph import (  # noqa: E402
-    build_embedding_net, embed, forward_embed, observe_activations)
+    Linear, build_embedding_net, embed, forward_embed, observe_activations)
 from quantdistill.model_store import load_model, save_model  # noqa: E402
 from quantdistill.quantizer import RangeObserver, dequantize, quantize  # noqa: E402
 from quantdistill.tensor_core import Tensor  # noqa: E402
@@ -91,7 +91,7 @@ def test_alternating_net_reloads_to_the_same_bytes(stacks_dir, widths, bits, see
         save_model(back, again, mode=mode)
         assert again.read_bytes() == blob
     # The records rebuilt from the stored ranges are the saved net's own.
-    assert back.frozen_weight_params == [net.weight_params(i) for i in range(len(net.layers))]
+    assert [l.grid for l in back.layers] == [net.weight_params(i) for i in range(len(net.layers))]
     assert back.activation_params == net.activation_params
 
 
@@ -124,7 +124,7 @@ def _outcome(run, net, x):
 def test_a_loaded_net_serves_its_stored_grid(stacks_dir, widths, bits, seed):
     rng = np.random.default_rng(seed)
     net = build_embedding_net(widths[0], widths[1:-1], widths[-1], seed=seed)
-    for layer in net.layers:
+    for i, layer in enumerate(net.layers):
         # Rows from 1e-6 to 1e6 in magnitude, some constant, and zeros of
         # either sign; biases keep a row whose relus are all off from
         # embedding to zero.
@@ -132,8 +132,8 @@ def test_a_loaded_net_serves_its_stored_grid(stacks_dir, widths, bits, seed):
         constant = rng.random(layer.out_dim) < 0.2
         w[constant] = rng.choice([0.0, 0.5, -2.5, 1e4], (constant.sum(), 1))
         w = np.where(rng.random(w.shape) < 0.1, rng.choice([0.0, -0.0], w.shape), w)
-        layer.weight = Tensor(w.astype(np.float32))
-        layer.bias = Tensor(rng.standard_normal(layer.out_dim).astype(np.float32))
+        net.layers[i] = Linear(Tensor(w.astype(np.float32)),
+                               Tensor(rng.standard_normal(layer.out_dim).astype(np.float32)))
     net.set_quantization(bits)
     observers = [RangeObserver() for _ in range(net.activation_site_count)]
     observe_activations(net, Tensor(rng.standard_normal((8, widths[0])).astype(np.float32)),
@@ -145,8 +145,8 @@ def test_a_loaded_net_serves_its_stored_grid(stacks_dir, widths, bits, seed):
     except DomainError:
         assume(False)  # a grid float32 cannot hold; the saver refuses it
     back = load_model(path)
-    for layer, wp in zip(back.layers, back.frozen_weight_params, strict=True):
-        grid = dequantize(quantize(layer.weight, wp)).data
+    for layer in back.layers:
+        grid = dequantize(quantize(layer.weight, layer.grid)).data
         assert np.array_equal(grid.view(np.uint32), layer.weight.data.view(np.uint32))
     # One input row at a time, so that a row that embeds to zero, which
     # both nets refuse alike, does not hide the others.

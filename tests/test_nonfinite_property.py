@@ -9,6 +9,7 @@ no finite loss was recorded for the poisoned step.
 """
 
 import re
+from dataclasses import replace
 from functools import lru_cache
 from unittest import mock
 
@@ -74,7 +75,7 @@ def _poison(array: np.ndarray, flat_index: int, value: float) -> Tensor:
 
 def _poisoning(stream, at_step: int, poison):
     """The batches of ``stream``; the one for ``at_step`` is handed to
-    ``poison`` first, which may alter a net's weight or return a new batch."""
+    ``poison`` first, which may replace a net's layer or return a new batch."""
     for step, batch in enumerate(stream):
         if step == at_step:
             batch = poison(batch) or batch
@@ -87,7 +88,7 @@ def _injector(net, target, flat_index, value):
         if target is None:
             return Batch(_poison(batch.inputs.data, flat_index, value), batch.labels)
         layer = net.layers[target]
-        layer.weight = _poison(layer.weight.data, flat_index, value)
+        net.layers[target] = replace(layer, weight=_poison(layer.weight.data, flat_index, value))
     return poison
 
 
